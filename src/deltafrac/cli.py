@@ -19,7 +19,7 @@ from fractions import Fraction
 import click
 
 from .errors import DeltafracError
-from .exact import GammaPolynomial, parse_rational, render_rational
+from .exact import _coerce_poly, parse_rational, render_rational
 from .fracops import (
     FracOrder,
     ae_frac_diff,
@@ -36,15 +36,21 @@ from .report import (
     MISMATCH,
     POLE,
     VerificationReport,
+    _finite_float,
 )
 from .special import SpecialValue, falling, gen_binomial, pochhammer
 from .sweeps import (
+    FLAG,
+    INT,
+    PARAMS,
+    SIZE,
     SweepConfig,
     default_suite,
     identity_names,
     load_config,
     run_sweep,
 )
+from .sweeps import RATIONAL as RATIONAL_KIND
 
 _STATUS_ORDER = (EXACT, FLOAT_ONLY, MISMATCH, DOMAIN_EXCLUDED, POLE)
 
@@ -71,8 +77,9 @@ def _fail(message: str) -> None:
     sys.exit(2)
 
 
-def _parse_window_spec(spec: str, a: Fraction, length: int) -> GridFunction:
-    """Grid-function literals: const:Q, kpow:J, table:Q1,Q2,..., fallpow:MU."""
+def _source_window(opts) -> GridFunction:
+    """The --f window: const:Q, kpow:J, table:Q1,Q2,... or fallpow:MU."""
+    spec, a, length = opts["f_spec"], opts["a"], opts["length"]
     kind, sep, rest = spec.partition(":")
     if not sep:
         raise ValueError(f"grid spec needs kind:payload, got {spec!r}")
@@ -100,10 +107,49 @@ def _render_value(value) -> tuple[str, float | None]:
     if isinstance(value, SpecialValue):
         if value.is_pole:
             return "pole", None
-        return value.render(), value.as_polynomial().to_float()
-    if isinstance(value, GammaPolynomial):
-        return value.render(), value.to_float()
-    return render_rational(value), float(value)
+        value = value.as_polynomial()
+    value = _coerce_poly(value)
+    return value.render(), _finite_float(value)
+
+
+# The subjects of eval and table: the flags each needs, the commands that
+# take it, and its evaluation.  A window subject evaluates to a whole output
+# window, which table prints and eval indexes with --at.
+_SUBJECTS = {
+    "falling": (("x", "y"), ("eval",), lambda o: falling(o["x"], o["y"])),
+    "poch": (("x", "y"), ("eval",), lambda o: pochhammer(o["x"], o["y"])),
+    "binom": (("alpha", "n"), ("eval",), lambda o: gen_binomial(o["alpha"], o["n"])),
+    "fracsum": (
+        ("nu",), ("eval", "table"),
+        lambda o: frac_sum_diff(_source_window(o), FracOrder(o["nu"])),
+    ),
+    "mrdiff": (("mu",), ("eval", "table"), lambda o: mr_frac_diff(_source_window(o), o["mu"])),
+    "aediff": (("mu",), ("eval", "table"), lambda o: ae_frac_diff(_source_window(o), o["mu"])),
+    "fallpow": (("mu",), ("table",), lambda o: sample_falling_power(o["a"], o["mu"], o["length"])),
+    "nabla": (
+        ("p", "alpha", "t_index"), ("eval",),
+        lambda o: nabla_poch_diff(o["a"], o["p"], o["alpha"], o["t_index"]),
+    ),
+    "hyp3f2": (
+        ("a1", "a2", "m", "b1", "b2", "z"), ("eval",),
+        lambda o: hyp3f2_terminating(o["a1"], o["a2"], o["m"], o["b1"], o["b2"], o["z"]),
+    ),
+}
+
+
+def _subjects_of(command: str) -> list[str]:
+    return [name for name, (_, commands, _) in _SUBJECTS.items() if command in commands]
+
+
+def _evaluate(command: str, subject: str, opts):
+    needs, _, evaluate = _SUBJECTS[subject]
+    for name in needs:
+        if opts[name] is None:
+            _fail(f"{command} {subject} needs --{name.replace('_', '-')}")
+    try:
+        return evaluate(opts)
+    except (DeltafracError, ValueError) as exc:
+        _fail(str(exc))
 
 
 @click.group()
@@ -112,12 +158,7 @@ def main() -> None:
 
 
 @main.command("eval")
-@click.argument(
-    "subject",
-    type=click.Choice(
-        ["falling", "poch", "binom", "fracsum", "mrdiff", "aediff", "nabla", "hyp3f2"]
-    ),
-)
+@click.argument("subject", type=click.Choice(_subjects_of("eval")))
 @click.option("--x", type=RATIONAL, default=None, help="base argument")
 @click.option("--y", type=RATIONAL, default=None, help="order argument")
 @click.option("--alpha", type=RATIONAL, default=None, help="binomial upper / nabla order")
@@ -137,55 +178,19 @@ def main() -> None:
 @click.option("--b2", type=RATIONAL, default=None, help="series lower parameter")
 @click.option("--z", type=RATIONAL, default=None, help="series argument")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-def cmd_eval(subject, x, y, alpha, n, a, nu, mu, p, t_index, f_spec, length, at, a1, a2, m, b1, b2, z, fmt):
+def cmd_eval(subject, fmt, **opts):
     """Evaluate one operator at one parameter point."""
-
-    def need(**flags):
-        for name, value in flags.items():
-            if value is None:
-                _fail(f"eval {subject} needs --{name.replace('_', '-')}")
-
-    try:
-        if subject == "falling":
-            need(x=x, y=y)
-            value = falling(x, y)
-        elif subject == "poch":
-            need(x=x, y=y)
-            value = pochhammer(x, y)
-        elif subject == "binom":
-            need(alpha=alpha, n=n)
-            value = gen_binomial(alpha, n)
-        elif subject == "fracsum":
-            need(nu=nu)
-            gf = frac_sum_diff(_parse_window_spec(f_spec, a, length), FracOrder(nu))
-            value = gf.values[_window_index(gf, at)]
-        elif subject == "mrdiff":
-            need(mu=mu)
-            gf = mr_frac_diff(_parse_window_spec(f_spec, a, length), mu)
-            value = gf.values[_window_index(gf, at)]
-        elif subject == "aediff":
-            need(mu=mu)
-            gf = ae_frac_diff(_parse_window_spec(f_spec, a, length), mu)
-            value = gf.values[_window_index(gf, at)]
-        elif subject == "nabla":
-            need(p=p, alpha=alpha, t_index=t_index)
-            value = nabla_poch_diff(a, p, alpha, t_index)
-        else:
-            need(a1=a1, a2=a2, m=m, b1=b1, b2=b2, z=z)
-            value = hyp3f2_terminating(a1, a2, m, b1, b2, z)
-    except (DeltafracError, ValueError) as exc:
-        _fail(str(exc))
+    value = _evaluate("eval", subject, opts)
+    if isinstance(value, GridFunction):
+        at = opts["at"]
+        if not 0 <= at < len(value):
+            _fail(f"--at {at} is outside the output window (length {len(value)})")
+        value = value.values[at]
     rendered, float_value = _render_value(value)
     if fmt == "json":
         click.echo(json.dumps({"subject": subject, "value": rendered, "float": float_value}))
     else:
         click.echo(rendered)
-
-
-def _window_index(gf: GridFunction, at: int) -> int:
-    if not 0 <= at < len(gf):
-        raise ValueError(f"--at {at} is outside the output window (length {len(gf)})")
-    return at
 
 
 def _text_line(rep: VerificationReport) -> str:
@@ -216,56 +221,39 @@ def _csv_line(rep: VerificationReport) -> str:
 _CSV_HEADER = "identity,status,params,lhs,rhs,abs_float_gap,excluded_by"
 
 
+# Flags spelled other than --key: the hypergeometric b and c.  The
+# hypergeometric a also takes --pa, an alias of --a.
+_FLAG_NAMES = {"b": "--pb", "c": "--pc"}
+_FLAG_HELP = {
+    "b": "hypergeometric b",
+    "c": "hypergeometric c",
+    "force": "evaluate outside the stated hypotheses",
+}
+_KIND_TYPES = {RATIONAL_KIND: RATIONAL, INT: int, SIZE: int}
+
+
+def _param_options(command):
+    """One verify flag per sweep parameter, with the type its kind names."""
+    for key, kind in reversed(PARAMS.items()):
+        flag = _FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
+        kind_args = {"is_flag": True} if kind == FLAG else {"type": _KIND_TYPES[kind]}
+        command = click.option(flag, key, default=None, help=_FLAG_HELP.get(key), **kind_args)(command)
+    return command
+
+
 @main.command("verify")
 @click.argument("identity")
-@click.option("--t", type=RATIONAL, default=None)
-@click.option("--alpha", type=RATIONAL, default=None)
-@click.option("--beta", type=RATIONAL, default=None)
-@click.option("--gamma", type=RATIONAL, default=None)
-@click.option("--a", type=RATIONAL, default=None)
-@click.option("--mu", type=RATIONAL, default=None)
-@click.option("--nu", type=RATIONAL, default=None)
-@click.option("--p", type=RATIONAL, default=None)
-@click.option("--x", type=RATIONAL, default=None)
-@click.option("--y", type=RATIONAL, default=None)
+@_param_options
 @click.option("--pa", type=RATIONAL, default=None, help="hypergeometric a")
-@click.option("--pb", type=RATIONAL, default=None, help="hypergeometric b")
-@click.option("--pc", type=RATIONAL, default=None, help="hypergeometric c")
-@click.option("--n", type=int, default=None)
-@click.option("--m", type=int, default=None)
-@click.option("--k", type=int, default=None)
-@click.option("--t-index", "t_index", type=int, default=None)
-@click.option("--n-max", "n_max", type=int, default=None)
-@click.option("--m-max", "m_max", type=int, default=None)
-@click.option("--t-extra", "t_extra", type=int, default=None)
-@click.option("--n-extra", "n_extra", type=int, default=None)
-@click.option("--count", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--window", type=int, default=None)
-@click.option("--max-window", "max_window", type=int, default=None)
-@click.option("--force", is_flag=True, default=False, help="evaluate outside the stated hypotheses")
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
-def cmd_verify(identity, t, alpha, beta, gamma, a, mu, nu, p, x, y, pa, pb, pc,
-               n, m, k, t_index, n_max, m_max, t_extra, n_extra, count, seed,
-               window, max_window, force, config_path, fmt):
+def cmd_verify(identity, pa, config_path, fmt, **params):
     """Check IDENTITY (or 'all') over a sweep, streaming one report per point."""
-    if a is not None and pa is not None:
-        _fail("give either --a or --pa, not both")
-    overrides: dict = {}
-    named = {
-        "t": t, "alpha": alpha, "beta": beta, "gamma": gamma,
-        "a": a if a is not None else pa, "b": pb, "c": pc,
-        "mu": mu, "nu": nu, "p": p, "x": x, "y": y,
-        "n": n, "m": m, "k": k, "t_index": t_index,
-        "n_max": n_max, "m_max": m_max, "t_extra": t_extra, "n_extra": n_extra,
-        "count": count, "seed": seed, "window": window, "max_window": max_window,
-    }
-    for key, value in named.items():
-        if value is not None:
-            overrides[key] = value
-    if force:
-        overrides["force"] = True
+    if pa is not None:
+        if params["a"] is not None:
+            _fail("give either --a or --pa, not both")
+        params["a"] = pa
+    overrides = {key: value for key, value in params.items() if value is not None}
 
     if config_path is not None:
         if identity != "all":
@@ -310,34 +298,16 @@ def cmd_verify(identity, t, alpha, beta, gamma, a, mu, nu, p, x, y, pa, pb, pc,
 
 
 @main.command("table")
-@click.argument("subject", type=click.Choice(["fracsum", "mrdiff", "aediff", "fallpow"]))
+@click.argument("subject", type=click.Choice(_subjects_of("table")))
 @click.option("--a", type=RATIONAL, default=Fraction(0), help="grid origin")
 @click.option("--nu", type=RATIONAL, default=None, help="fracsum order")
 @click.option("--mu", type=RATIONAL, default=None, help="mrdiff/aediff order or falling-power exponent")
 @click.option("--f", "f_spec", default="const:1", help="grid function: const:Q | kpow:J | table:Q,... | fallpow:MU")
 @click.option("--len", "length", type=int, default=8, help="window length")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-def cmd_table(subject, a, nu, mu, f_spec, length, fmt):
+def cmd_table(subject, fmt, **opts):
     """Print a whole output window, one row per grid point."""
-    try:
-        if subject == "fracsum":
-            if nu is None:
-                _fail("table fracsum needs --nu")
-            gf = frac_sum_diff(_parse_window_spec(f_spec, a, length), FracOrder(nu))
-        elif subject == "mrdiff":
-            if mu is None:
-                _fail("table mrdiff needs --mu")
-            gf = mr_frac_diff(_parse_window_spec(f_spec, a, length), mu)
-        elif subject == "aediff":
-            if mu is None:
-                _fail("table aediff needs --mu")
-            gf = ae_frac_diff(_parse_window_spec(f_spec, a, length), mu)
-        else:
-            if mu is None:
-                _fail("table fallpow needs --mu")
-            gf = sample_falling_power(a, mu, length)
-    except (DeltafracError, ValueError) as exc:
-        _fail(str(exc))
+    gf = _evaluate("table", subject, opts)
     if fmt == "json":
         click.echo(json.dumps(gf.to_json_dict()))
     else:

@@ -8,10 +8,13 @@ finite sum of terms
 where q is rational, each base b_i is a rational in the open interval
 (0, 1) and each exponent e_i is a nonzero integer.  Gamma at a positive
 integer argument is folded into q as a factorial, so purely rational
-quantities never carry Gamma factors.  Distinct bases are treated as
-algebraically independent, which makes equality decidable: normalize both
-sides and compare term maps.  The float path exists only as a cross-check
-on the exact one, never as a substitute.
+quantities never carry Gamma factors.  Equality is tested by normalizing
+both sides and comparing term maps, with distinct bases treated as
+independent.  The test is sound (a zero difference proves equality) but
+not complete: reflection and Gauss multiplication relate Gamma at distinct
+bases, so Gamma(1/6)*Gamma(5/6) and 2*Gamma(1/2)**2 compare unequal though
+they are equal.  The float path exists only as a cross-check on the exact
+one, never as a substitute.
 """
 from __future__ import annotations
 
@@ -37,7 +40,6 @@ __all__ = [
     "GammaMonomial",
     "GammaPolynomial",
     "gamma_of",
-    "to_float",
     "parse_gamma_polynomial",
 ]
 
@@ -390,10 +392,6 @@ class GammaPolynomial:
 
     def __repr__(self) -> str:
         return f"GammaPolynomial({self.render()!r})"
-
-
-def to_float(p: GammaPolynomial) -> float:
-    return _coerce_poly(p).to_float()
 
 
 def parse_gamma_polynomial(text: str) -> GammaPolynomial:

@@ -26,22 +26,11 @@ from .exact import (
 from .special import falling
 
 __all__ = [
-    "Grid",
     "GridFunction",
     "sample_falling_power",
     "sample_closure",
     "delta_n",
 ]
-
-
-@dataclass(frozen=True)
-class Grid:
-    """The shifted integer lattice {origin + k : k = 0, 1, 2, ...}."""
-
-    origin: Fraction
-
-    def point(self, k: int) -> Fraction:
-        return self.origin + k
 
 
 @dataclass(frozen=True, eq=True)

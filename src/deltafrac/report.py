@@ -6,6 +6,7 @@ cross-check the exact path and to classify near-misses honestly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -76,20 +77,32 @@ class VerificationReport:
         return doc
 
 
+def _finite_float(value: GammaPolynomial) -> float | None:
+    """The float value, or None when it does not fit in a double."""
+    try:
+        result = value.to_float()
+    except OverflowError:
+        return None
+    return result if math.isfinite(result) else None
+
+
 def report_compare(identity: str, params: Mapping[str, object], lhs, rhs) -> VerificationReport:
     """Compare two values and classify the outcome.
 
     ``lhs`` and ``rhs`` may be GammaPolynomial, GammaMonomial, Fraction or
-    int.  The comparison is exact; floats only grade a formal failure.
+    int.  The comparison is exact; floats only grade a formal failure, and
+    a side that does not fit in a double leaves the gap None.
     """
     lhs = _coerce_poly(lhs)
     rhs = _coerce_poly(rhs)
-    lhs_float = lhs.to_float()
-    rhs_float = rhs.to_float()
-    gap = abs(lhs_float - rhs_float)
+    lhs_float = _finite_float(lhs)
+    rhs_float = _finite_float(rhs)
+    gap = None
+    if lhs_float is not None and rhs_float is not None and math.isfinite(lhs_float - rhs_float):
+        gap = abs(lhs_float - rhs_float)
     if (lhs - rhs).is_zero:
         status = EXACT
-    elif gap <= FLOAT_RTOL * (1 + max(abs(lhs_float), abs(rhs_float))):
+    elif gap is not None and gap <= FLOAT_RTOL * (1 + max(abs(lhs_float), abs(rhs_float))):
         status = FLOAT_ONLY
     else:
         status = MISMATCH

@@ -13,6 +13,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -41,6 +42,7 @@ from .special import falling_poch_bridge_check, index_law_check
 
 __all__ = [
     "DEFAULT_SEED",
+    "PARAMS",
     "SweepConfig",
     "rational_range",
     "run_identity",
@@ -51,6 +53,20 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 1729
+
+RATIONAL, INT, SIZE, FLAG = "rational", "int", "size", "flag"
+
+# Every sweep parameter and its kind; a size is an int that must be >= 0.
+# The verify flags and the config loader are both built from this table.
+PARAMS: dict[str, str] = {
+    "t": RATIONAL, "alpha": RATIONAL, "beta": RATIONAL, "gamma": RATIONAL,
+    "a": RATIONAL, "mu": RATIONAL, "nu": RATIONAL, "p": RATIONAL,
+    "x": RATIONAL, "y": RATIONAL, "b": RATIONAL, "c": RATIONAL,
+    "n": INT, "m": INT, "k": INT, "t_index": INT,
+    "n_max": SIZE, "m_max": SIZE, "t_extra": SIZE, "n_extra": SIZE,
+    "count": SIZE, "seed": INT, "window": SIZE, "max_window": SIZE,
+    "force": FLAG,
+}
 
 _Q = Fraction
 
@@ -120,14 +136,6 @@ def _run_binom(ov: Mapping, check: Callable) -> Iterator[VerificationReport]:
         y = _as_list(ov["y"])[0] if "y" in ov else _random_rational(rng)
         n = _int_scalar(ov, "n", -1) if "n" in ov else rng.randint(0, n_max)
         yield check(x, y, n)
-
-
-def _run_binom_falling(ov: Mapping) -> Iterator[VerificationReport]:
-    return _run_binom(ov, binom_falling_check)
-
-
-def _run_binom_poch(ov: Mapping) -> Iterator[VerificationReport]:
-    return _run_binom(ov, binom_poch_check)
 
 
 def _run_alt_sum(ov: Mapping) -> Iterator[VerificationReport]:
@@ -303,12 +311,12 @@ REGISTRY: dict[str, IdentityEntry] = {
         IdentityEntry(
             "binom-falling",
             frozenset({"x", "y", "n", "n_max"} | _COMMON_RANDOM),
-            _run_binom_falling,
+            partial(_run_binom, check=binom_falling_check),
         ),
         IdentityEntry(
             "binom-poch",
             frozenset({"x", "y", "n", "n_max"} | _COMMON_RANDOM),
-            _run_binom_poch,
+            partial(_run_binom, check=binom_poch_check),
         ),
         IdentityEntry(
             "alt-sum",
@@ -343,20 +351,7 @@ REGISTRY: dict[str, IdentityEntry] = {
     ]
 }
 
-SUITE_ORDER = [
-    "bridge",
-    "index-law",
-    "binom-falling",
-    "binom-poch",
-    "alt-sum",
-    "power-rule",
-    "gamma-sum",
-    "nabla-zero",
-    "mr-ae",
-    "leibniz",
-    "form1",
-    "saalschutz",
-]
+SUITE_ORDER = list(REGISTRY)
 
 
 def identity_names() -> list[str]:
@@ -373,6 +368,9 @@ def run_identity(name: str, overrides: Mapping | None = None) -> Iterator[Verifi
         raise ValueError(
             f"unknown parameters for {name}: {', '.join(sorted(unknown))}"
         )
+    for key in sorted(ov):
+        if PARAMS[key] == SIZE and _int_scalar(ov, key, 0) < 0:
+            raise ValueError(f"{key} must be nonnegative, got {ov[key]}")
     return entry.run(ov)
 
 
@@ -387,40 +385,23 @@ def default_suite() -> list[SweepConfig]:
     return [SweepConfig(name) for name in SUITE_ORDER]
 
 
-_INT_KEYS = {
-    "seed",
-    "count",
-    "n_max",
-    "m_max",
-    "window",
-    "max_window",
-    "t_extra",
-    "n_extra",
-    "n",
-    "m",
-    "k",
-    "t_index",
-}
-_TOP_LEVEL_SCALARS = _INT_KEYS | {"force"}
+_TOP_LEVEL_SCALARS = {key for key, kind in PARAMS.items() if kind != RATIONAL}
 
 
 def _convert_scalar(key: str, raw) -> object:
-    if key == "force":
+    kind = PARAMS.get(key, RATIONAL)
+    if kind == FLAG:
         if not isinstance(raw, bool):
-            raise ValueError("force must be true or false")
+            raise ValueError(f"{key} must be true or false")
         return raw
-    if isinstance(raw, bool):
+    if isinstance(raw, bool) or not isinstance(raw, (int, str)):
         raise ValueError(f"bad value for {key}: {raw!r}")
-    if isinstance(raw, int):
-        return raw if key in _INT_KEYS else Fraction(raw)
-    if isinstance(raw, str):
-        value = parse_rational(raw)
-        if key in _INT_KEYS:
-            if value.denominator != 1:
-                raise ValueError(f"{key} must be an integer, got {raw!r}")
-            return int(value)
+    value = parse_rational(raw) if isinstance(raw, str) else Fraction(raw)
+    if kind == RATIONAL:
         return value
-    raise ValueError(f"bad value for {key}: {raw!r}")
+    if value.denominator != 1:
+        raise ValueError(f"{key} must be an integer, got {raw!r}")
+    return int(value)
 
 
 def _convert_sweep(key: str, raw) -> list:

@@ -1,14 +1,18 @@
 """Command line behavior: values, reports, formats, exit codes, determinism."""
+import hashlib
 import json
+import math
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import deltafrac.sweeps as sweeps
 from deltafrac import GridFunction, ae_frac_diff, report_compare
 from deltafrac.cli import main
-from deltafrac.sweeps import IdentityEntry
+from deltafrac.sweeps import FLAG, INT, PARAMS, RATIONAL, REGISTRY, SIZE, IdentityEntry
 
 
 @pytest.fixture()
@@ -85,6 +89,13 @@ class TestEval:
         )
         assert result.exit_code == 2
         assert "outside the output window" in result.output
+
+    def test_value_beyond_a_double_prints_null_float(self, runner):
+        result = runner.invoke(main, ["eval", "falling", "--x", "400", "--y", "200", "--format", "json"])
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert doc["float"] is None
+        assert doc["value"] == str(math.factorial(400) // math.factorial(200))
 
     def test_table_window_spec(self, runner):
         # f(k) = k^2 given as an explicit table; half difference at the first
@@ -197,6 +208,45 @@ class TestVerify:
         assert result.exit_code in (0, 1)
         assert "saalschutz" in result.output
 
+    def test_float_overflow_leaves_exact_verdict(self, runner):
+        result = runner.invoke(main, ["verify", "bridge", "--t", "400", "--alpha", "200", "--format", "json"])
+        assert result.exit_code == 0
+        doc = json.loads(result.stdout)
+        assert doc["status"] == "exact"
+        assert doc["abs_float_gap"] is None
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["leibniz", "--count", "-1"], "count"),
+            (["mr-ae", "--count", "-2"], "count"),
+            (["saalschutz", "--m-max", "-1"], "m_max"),
+            (["gamma-sum", "--n-extra", "-3"], "n_extra"),
+            (["nabla-zero", "--t-extra", "-5"], "t_extra"),
+            (["form1", "--n-max", "-1"], "n_max"),
+            (["binom-poch", "--n-max", "-1"], "n_max"),
+            (["alt-sum", "--window", "-1"], "window"),
+            (["mr-ae", "--max-window", "-1"], "max_window"),
+        ],
+    )
+    def test_negative_size_exits_2(self, runner, argv, key):
+        result = runner.invoke(main, ["verify", *argv])
+        assert result.exit_code == 2
+        assert f"{key} must be nonnegative" in result.output
+        assert result.stdout == ""
+
+    def test_zero_count_runs_no_points(self, runner):
+        result = runner.invoke(main, ["verify", "leibniz", "--count", "0"])
+        assert result.exit_code == 0
+        assert "checked 0 parameter points" in result.output
+
+    def test_negative_size_in_config_exits_2(self, runner, tmp_path):
+        config = tmp_path / "sweeps.json"
+        config.write_text(json.dumps({"identity": "leibniz", "count": -1}))
+        result = runner.invoke(main, ["verify", "all", "--config", str(config)])
+        assert result.exit_code == 2
+        assert "count must be nonnegative" in result.output
+
     def test_deterministic_output(self, runner):
         args = ["verify", "leibniz", "--count", "3", "--format", "json"]
         one = runner.invoke(main, args)
@@ -226,6 +276,63 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "rigged"])
         assert result.exit_code == 1
         assert "[float_only]" in result.output
+
+
+def test_verify_all_golden_digest(runner):
+    """The default suite's JSON stream, float gaps aside, is pinned."""
+    result = runner.invoke(main, ["verify", "all", "--format", "json"])
+    assert result.exit_code == 0
+    digest = hashlib.sha256()
+    statuses = Counter()
+    lines = result.stdout.splitlines()
+    for line in lines:
+        doc = json.loads(line)
+        del doc["abs_float_gap"]
+        statuses[doc["status"]] += 1
+        digest.update((json.dumps(doc, sort_keys=True) + "\n").encode())
+    assert len(lines) == 5697
+    assert statuses == {"exact": 5691, "domain_excluded": 3, "pole": 3}
+    assert digest.hexdigest() == "bf26bdf4bc30da4ebf387794c88069ac3a6a60f3e9f8a7b2b08360321e8541a9"
+
+
+# Small values for each parameter kind, so that every drawn sweep stays cheap.
+# bridge and index-law are cheap at any point and take large rationals too.
+_SMALL_RATIONALS = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+_LARGE_RATIONALS = st.fractions(min_value=-500, max_value=500, max_denominator=6)
+_KIND_VALUES = {
+    INT: st.integers(min_value=-3, max_value=8),
+    SIZE: st.integers(min_value=0, max_value=3),
+    FLAG: st.just(True),
+}
+
+
+@st.composite
+def _verify_argv(draw):
+    verify = main.commands["verify"]
+    flags = {param.name: param.opts[0] for param in verify.params}
+    identity = draw(st.sampled_from(sorted(REGISTRY)))
+    allowed = sorted(REGISTRY[identity].allowed)
+    # every size is pinned small: the defaults would run full sweeps
+    keys = draw(st.sets(st.sampled_from(allowed))) | {k for k in allowed if PARAMS[k] == SIZE}
+    rationals = _LARGE_RATIONALS if identity in ("bridge", "index-law") else _SMALL_RATIONALS
+    argv = ["verify", identity]
+    for key in sorted(keys):
+        kind = PARAMS[key]
+        value = draw(rationals if kind == RATIONAL else _KIND_VALUES[kind])
+        argv += [flags[key]] if kind == FLAG else [flags[key], str(value)]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_verify_argv())
+def test_exit_code_contract(argv):
+    """Exit 0, 1 or 2, never a traceback, and 1 only after a failure report."""
+    result = CliRunner().invoke(main, argv)
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.output
+    assert result.exit_code in (0, 1, 2)
+    if result.exit_code == 1:
+        lines = result.stdout.splitlines()
+        assert any(line.startswith(("[mismatch]", "[float_only]")) for line in lines)
 
 
 class TestTable:

@@ -13,7 +13,6 @@ from deltafrac import (
     parse_gamma_polynomial,
     parse_rational,
     render_rational,
-    to_float,
 )
 from deltafrac.exact import (
     is_integer,
@@ -207,4 +206,4 @@ class TestGammaPolynomial:
 
     def test_to_float_value(self):
         half = poly(gamma_of(Q(3, 2)))
-        assert to_float(half) == pytest.approx(0.8862269254527580, rel=1e-12)
+        assert half.to_float() == pytest.approx(0.8862269254527580, rel=1e-12)

@@ -46,6 +46,23 @@ def test_mismatch_when_values_differ():
     assert rep.abs_float_gap == 1.0
 
 
+def test_value_beyond_a_double_has_no_float_gap():
+    # 10**400 overflows float(); 10**308 * Gamma(1/4) comes out as inf
+    for big in (Q(10**400), Q(10**308) * poly(gamma_of(Q(1, 4)))):
+        rep = report_compare("t", {}, big, big)
+        assert rep.status == EXACT
+        assert rep.abs_float_gap is None and rep.lhs_float is None
+        assert rep.to_json_dict()["abs_float_gap"] is None
+
+
+def test_formal_difference_without_a_float_gap_is_mismatch():
+    assert report_compare("t", {}, Q(10**400), Q(10**400) + 1).status == MISMATCH
+    # both sides fit in a double, their difference does not
+    rep = report_compare("t", {}, Q(10**308), -Q(10**308))
+    assert rep.status == MISMATCH
+    assert rep.abs_float_gap is None
+
+
 def test_accepts_bare_rationals_and_monomials():
     assert report_compare("t", {}, Q(3, 2), GammaPolynomial.from_rational(Q(3, 2))).status == EXACT
     # bare GammaMonomial arguments are coerced too

@@ -13,7 +13,7 @@ from deltafrac import (
     run_identity,
     run_sweep,
 )
-from deltafrac.sweeps import parse_config_entry
+from deltafrac.sweeps import PARAMS, REGISTRY, parse_config_entry
 
 
 class TestRationalRange:
@@ -46,6 +46,10 @@ class TestRegistry:
             "form1",
             "saalschutz",
         ]
+
+    def test_allowed_keys_are_params(self):
+        for entry in REGISTRY.values():
+            assert entry.allowed <= set(PARAMS), entry.name
 
     def test_unknown_identity(self):
         with pytest.raises(ValueError, match="unknown identity"):
@@ -153,6 +157,11 @@ class TestConfig:
     def test_rejects_float_values(self):
         with pytest.raises(ValueError):
             parse_config_entry({"identity": "bridge", "fixed": {"t": "0.5"}})
+
+    def test_size_keys_reject_negatives(self):
+        cfg = parse_config_entry({"identity": "form1", "n_max": -1})
+        with pytest.raises(ValueError, match="n_max must be nonnegative"):
+            run_sweep(cfg)
 
     def test_rejects_bad_output(self):
         with pytest.raises(ValueError, match="output"):
