@@ -61,8 +61,6 @@ class RationalParam(click.ParamType):
     def convert(self, value, param, ctx):
         if isinstance(value, Fraction):
             return value
-        if isinstance(value, int):
-            return Fraction(value)
         try:
             return parse_rational(value)
         except ValueError as exc:

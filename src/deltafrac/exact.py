@@ -22,7 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import GammaPole
 
@@ -170,10 +170,6 @@ class GammaMonomial:
     def one(cls) -> "GammaMonomial":
         return cls(Fraction(1))
 
-    @property
-    def is_rational(self) -> bool:
-        return not self.factors
-
     def as_fraction(self) -> Fraction:
         if self.factors:
             raise ValueError(f"not a rational value: {self.render()}")
@@ -304,10 +300,6 @@ class GammaPolynomial:
     def terms(self) -> dict:
         return dict(self._terms)
 
-    def monomials(self) -> Iterator[GammaMonomial]:
-        for signature in sorted(self._terms):
-            yield GammaMonomial(self._terms[signature], signature)
-
     def as_fraction(self) -> Fraction:
         if not self._terms:
             return Fraction(0)
@@ -355,12 +347,6 @@ class GammaPolynomial:
         except TypeError:
             return NotImplemented
         return self._terms == other._terms
-
-    def __ne__(self, other) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
 
     __hash__ = None  # mutable-dict backed; identity-level hashing is a bug
 

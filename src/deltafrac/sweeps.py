@@ -2,9 +2,11 @@
 
 Each identity registers a runner that yields VerificationReports in a
 fixed order.  Default sweeps are seeded, so two runs of the same
-invocation produce byte-identical report streams.  Overrides come from
-CLI flags or from a JSON sweep configuration; pinning every parameter of
-a grid identity collapses the sweep to a single point.
+invocation produce byte-identical report streams.  Each registry entry
+holds the one table of its identity's parameters and their defaults.
+Overrides come from CLI flags, a JSON sweep configuration or the Python
+API, and one resolver checks and converts them all; pinning every
+parameter of a grid identity collapses the sweep to a single point.
 """
 from __future__ import annotations
 
@@ -15,10 +17,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .exact import (
-    as_rational,
     is_negative_integer,
     is_nonpositive_integer,
     parse_rational,
@@ -57,7 +58,7 @@ DEFAULT_SEED = 1729
 RATIONAL, INT, SIZE, FLAG = "rational", "int", "size", "flag"
 
 # Every sweep parameter and its kind; a size is an int that must be >= 0.
-# The verify flags and the config loader are both built from this table.
+# The verify flags and the resolver that checks every override read this table.
 PARAMS: dict[str, str] = {
     "t": RATIONAL, "alpha": RATIONAL, "beta": RATIONAL, "gamma": RATIONAL,
     "a": RATIONAL, "mu": RATIONAL, "nu": RATIONAL, "p": RATIONAL,
@@ -91,91 +92,52 @@ def _random_values(rng: random.Random, length: int) -> tuple:
     )
 
 
-def _as_list(value) -> list:
-    return list(value) if isinstance(value, (list, tuple)) else [value]
-
-
-def _grid(ov: Mapping, key: str, default: Iterable) -> list:
-    return _as_list(ov[key]) if key in ov else list(default)
-
-
-def _int_scalar(ov: Mapping, key: str, default: int) -> int:
-    value = ov.get(key, default)
-    if isinstance(value, (list, tuple)):
-        raise ValueError(f"{key} takes a single value")
-    value = as_rational(value) if not isinstance(value, int) else Fraction(value)
-    if value.denominator != 1:
-        raise ValueError(f"{key} must be an integer")
-    return int(value)
-
-
 def _run_bridge(ov: Mapping) -> Iterator[VerificationReport]:
-    ts = _grid(ov, "t", [_Q(3), _Q(1, 2), _Q(1, 3), _Q(5, 2), _Q(-1, 2), _Q(-2)])
-    alphas = _grid(ov, "alpha", [_Q(2), _Q(0), _Q(1, 2), _Q(1, 3), _Q(-1, 2), _Q(5, 2)])
-    for t, alpha in product(ts, alphas):
+    for t, alpha in product(ov["t"], ov["alpha"]):
         yield falling_poch_bridge_check(t, alpha)
 
 
 def _run_index_law(ov: Mapping) -> Iterator[VerificationReport]:
-    ts = _grid(ov, "t", [_Q(5), _Q(7, 2), _Q(1, 2), _Q(-1, 3), _Q(9, 4)])
-    alphas = _grid(ov, "alpha", [_Q(1), _Q(1, 2), _Q(1, 3), _Q(-1, 2)])
-    betas = _grid(ov, "beta", [_Q(0), _Q(2), _Q(1, 3), _Q(-5, 2)])
-    for t, alpha, beta in product(ts, alphas, betas):
+    for t, alpha, beta in product(ov["t"], ov["alpha"], ov["beta"]):
         yield index_law_check(t, alpha, beta)
 
 
-def _run_binom(ov: Mapping, check: Callable) -> Iterator[VerificationReport]:
-    rng = random.Random(_int_scalar(ov, "seed", DEFAULT_SEED))
-    count = _int_scalar(ov, "count", 200)
-    n_max = _int_scalar(ov, "n_max", 12)
-    if all(key in ov for key in ("x", "y", "n")):
-        yield check(_as_list(ov["x"])[0], _as_list(ov["y"])[0], _int_scalar(ov, "n", 0))
+def _run_binom(check: Callable, ov: Mapping) -> Iterator[VerificationReport]:
+    rng = random.Random(ov["seed"])
+    x, y, n = ov["x"], ov["y"], ov["n"]
+    if x is not None and y is not None and n is not None:
+        yield check(x[0], y[0], n)
         return
-    for _ in range(count):
-        x = _as_list(ov["x"])[0] if "x" in ov else _random_rational(rng)
-        y = _as_list(ov["y"])[0] if "y" in ov else _random_rational(rng)
-        n = _int_scalar(ov, "n", -1) if "n" in ov else rng.randint(0, n_max)
-        yield check(x, y, n)
+    for _ in range(ov["count"]):
+        yield check(
+            x[0] if x is not None else _random_rational(rng),
+            y[0] if y is not None else _random_rational(rng),
+            n if n is not None else rng.randint(0, ov["n_max"]),
+        )
 
 
 def _run_alt_sum(ov: Mapping) -> Iterator[VerificationReport]:
-    rng = random.Random(_int_scalar(ov, "seed", DEFAULT_SEED))
-    count = _int_scalar(ov, "count", 200)
-    window = _int_scalar(ov, "window", 13)
-    for _ in range(count):
+    rng = random.Random(ov["seed"])
+    window = ov["window"]
+    for _ in range(ov["count"]):
         origin = _random_rational(rng)
         g = GridFunction(origin, _random_values(rng, window))
-        alpha = _as_list(ov["alpha"])[0] if "alpha" in ov else _random_rational(rng)
-        k = _int_scalar(ov, "k", 0) if "k" in ov else rng.randint(0, window - 1)
-        t_index = (
-            _int_scalar(ov, "t_index", 0)
-            if "t_index" in ov
-            else rng.randint(k, window - 1)
-        )
+        alpha = ov["alpha"][0] if ov["alpha"] is not None else _random_rational(rng)
+        k = ov["k"] if ov["k"] is not None else rng.randint(0, window - 1)
+        t_index = ov["t_index"] if ov["t_index"] is not None else rng.randint(k, window - 1)
         yield alt_sum_lemma_check(g, alpha, k, t_index)
 
 
 def _run_power_rule(ov: Mapping) -> Iterator[VerificationReport]:
-    a_values = _grid(ov, "a", [_Q(0), _Q(1, 4), _Q(-3)])
-    mu_values = _grid(ov, "mu", [_Q(0), _Q(1, 2), _Q(1, 3), _Q(5, 2), _Q(-1, 2)])
-    nu_values = _grid(ov, "nu", [_Q(1, 2), _Q(3, 2), _Q(-1, 2), _Q(-5, 2), _Q(2)])
-    n_max = _int_scalar(ov, "n_max", 12)
-    for a, mu, nu in product(a_values, mu_values, nu_values):
+    for a, mu, nu in product(ov["a"], ov["mu"], ov["nu"]):
         if is_negative_integer(mu) or is_nonpositive_integer(nu):
             continue
-        yield from power_rule_verify(a, mu, nu, n_max)
+        yield from power_rule_verify(a, mu, nu, ov["n_max"])
 
 
 def _run_gamma_sum(ov: Mapping) -> Iterator[VerificationReport]:
-    mu_values = _grid(ov, "mu", [_Q(1, 2), _Q(1, 3)])
-    m_values = _grid(ov, "m", [1, 2, 3])
-    n_extra = _int_scalar(ov, "n_extra", 8)
-    for mu in mu_values:
-        mu = as_rational(mu)
-        if "nu" in ov:
-            nu_values = [as_rational(v) for v in _as_list(ov["nu"])]
-        else:
-            nu_values = [-as_rational(m) - mu for m in m_values]
+    for mu in ov["mu"]:
+        nu_values = ov["nu"] if ov["nu"] is not None else [-m - mu for m in ov["m"]]
         for nu in nu_values:
             total_order = mu + nu
             if not is_negative_integer(total_order):
@@ -183,51 +145,37 @@ def _run_gamma_sum(ov: Mapping) -> Iterator[VerificationReport]:
                 yield gamma_sum_check(mu, nu, 0)
                 continue
             m = int(-total_order)
-            if "n" in ov:
-                ns = [_int_scalar(ov, "n", 0)]
-            else:
-                ns = list(range(m, m + n_extra + 1))
+            ns = [ov["n"]] if ov["n"] is not None else range(m, m + ov["n_extra"] + 1)
             for n in ns:
                 yield gamma_sum_check(mu, nu, n)
 
 
 def _run_nabla_zero(ov: Mapping) -> Iterator[VerificationReport]:
-    a_values = _grid(ov, "a", [_Q(0), _Q(1, 4), _Q(-2)])
-    p_values = _grid(ov, "p", [_Q(1, 2), _Q(1, 3)])
-    m_values = _grid(ov, "m", [1, 2, 3])
-    t_extra = _int_scalar(ov, "t_extra", 6)
-    for a, p in product(a_values, p_values):
-        p = as_rational(p)
-        if "alpha" in ov:
-            alpha_values = [as_rational(v) for v in _as_list(ov["alpha"])]
-        else:
-            alpha_values = [p + as_rational(m) for m in m_values]
+    for a, p in product(ov["a"], ov["p"]):
+        alpha_values = ov["alpha"] if ov["alpha"] is not None else [p + m for m in ov["m"]]
         for alpha in alpha_values:
             m = alpha - p
             if m.denominator != 1 or m < 1:
                 # surfaces the precondition as a DomainError
                 yield nabla_zero_check(a, p, alpha, 1)
                 continue
-            if "t_index" in ov:
-                ts = [_int_scalar(ov, "t_index", 1)]
+            if ov["t_index"] is not None:
+                ts = [ov["t_index"]]
             else:
-                ts = list(range(1 + int(m), 1 + int(m) + t_extra + 1))
+                ts = range(1 + int(m), 1 + int(m) + ov["t_extra"] + 1)
             for t_index in ts:
                 yield nabla_zero_check(a, p, alpha, t_index)
 
 
 def _run_mr_ae(ov: Mapping) -> Iterator[VerificationReport]:
-    rng = random.Random(_int_scalar(ov, "seed", DEFAULT_SEED))
-    count = _int_scalar(ov, "count", 50)
-    max_window = _int_scalar(ov, "max_window", 12)
-    mu_values = _grid(ov, "mu", [_Q(1, 2), _Q(1, 3), _Q(2, 3), _Q(3, 2)])
+    rng = random.Random(ov["seed"])
+    max_window = ov["max_window"]
     low = min(4, max_window)
-    for i in range(count):
+    for i in range(ov["count"]):
         length = rng.randint(low, max_window) if max_window > low else low
         origin = _random_rational(rng)
         f = GridFunction(origin, _random_values(rng, length))
-        for mu in mu_values:
-            mu = as_rational(mu)
+        for mu in ov["mu"]:
             n = math.ceil(mu)
             stepped = ae_frac_diff(f, mu)
             if 0 < mu < 1:
@@ -244,110 +192,101 @@ def _run_mr_ae(ov: Mapping) -> Iterator[VerificationReport]:
 
 
 def _run_leibniz(ov: Mapping) -> Iterator[VerificationReport]:
-    rng = random.Random(_int_scalar(ov, "seed", DEFAULT_SEED))
-    count = _int_scalar(ov, "count", 50)
-    window = _int_scalar(ov, "window", 10)
-    alpha_values = _grid(ov, "alpha", [_Q(1, 2), _Q(1, 3), _Q(5, 2)])
-    for _ in range(count):
+    rng = random.Random(ov["seed"])
+    for _ in range(ov["count"]):
         origin = _random_rational(rng)
-        f = GridFunction(origin, _random_values(rng, window))
-        g = GridFunction(origin, _random_values(rng, window))
-        for alpha in alpha_values:
+        f = GridFunction(origin, _random_values(rng, ov["window"]))
+        g = GridFunction(origin, _random_values(rng, ov["window"]))
+        for alpha in ov["alpha"]:
             yield from leibniz_sweep(f, g, alpha)
 
 
 def _run_form1(ov: Mapping) -> Iterator[VerificationReport]:
-    alpha_values = _grid(ov, "alpha", [_Q(1, 2), _Q(3, 2)])
-    beta_values = _grid(ov, "beta", [_Q(1, 4), _Q(1, 2)])
-    gamma_values = _grid(ov, "gamma", [_Q(1, 3), _Q(2), _Q(5, 2)])
-    n_max = _int_scalar(ov, "n_max", 8)
-    ns = [_int_scalar(ov, "n", 0)] if "n" in ov else list(range(n_max + 1))
-    for alpha, beta, gamma in product(alpha_values, beta_values, gamma_values):
+    ns = [ov["n"]] if ov["n"] is not None else range(ov["n_max"] + 1)
+    for alpha, beta, gamma in product(ov["alpha"], ov["beta"], ov["gamma"]):
         for n in ns:
             yield prop_form1_check(alpha, beta, gamma, n)
 
 
 def _run_saalschutz(ov: Mapping) -> Iterator[VerificationReport]:
-    a_values = _grid(ov, "a", [_Q(1, 2), _Q(-1, 2), _Q(1, 3), _Q(1, 5), _Q(3, 2)])
-    b_values = _grid(ov, "b", [_Q(1, 2), _Q(-1, 2), _Q(1, 3), _Q(1, 5), _Q(3, 2)])
-    c_values = _grid(ov, "c", [_Q(2), _Q(7, 4), _Q(5, 3)])
-    force = bool(ov.get("force", False))
-    if "m" in ov:
-        ms = [_int_scalar(ov, "m", 0)]
-    else:
-        ms = list(range(_int_scalar(ov, "m_max", 10) + 1))
+    force = ov["force"]
+    ms = [ov["m"]] if ov["m"] is not None else range(ov["m_max"] + 1)
     # a single fully-pinned point reports its exclusion instead of vanishing
-    point_mode = all(
-        key in ov and not isinstance(ov[key], (list, tuple))
-        for key in ("a", "b", "c", "m")
-    )
-    for a, b, c, m in product(a_values, b_values, c_values, ms):
+    point_mode = ov["m"] is not None and all(isinstance(ov[key], tuple) for key in "abc")
+    for a, b, c, m in product(ov["a"], ov["b"], ov["c"], ms):
         violation = saalschutz_hypothesis_violation(a, b, c, m)
         if violation is None or force:
             yield saalschutz_verify(a, b, c, m, force=force)
         elif point_mode:
-            yield report_excluded(
-                "saalschutz",
-                {"a": as_rational(a), "b": as_rational(b), "c": as_rational(c), "m": m},
-                violation,
-            )
+            yield report_excluded("saalschutz", {"a": a, "b": b, "c": c, "m": m}, violation)
         # swept points outside the hypotheses are filtered silently
 
 
 @dataclass(frozen=True)
 class IdentityEntry:
+    """An identity's runner and the one table of the parameters it takes.
+
+    ``defaults`` maps every key to its default: a list is a grid the sweep
+    runs over, ``None`` means drawn or derived unless pinned, and a scalar
+    is a size, seed or flag default.
+    """
+
     name: str
-    allowed: frozenset
+    defaults: Mapping
     run: Callable[[Mapping], Iterator[VerificationReport]]
 
 
-_COMMON_RANDOM = {"seed", "count"}
+_BINOM_DEFAULTS = {"x": None, "y": None, "n": None, "n_max": 12, "seed": DEFAULT_SEED, "count": 200}
 
 REGISTRY: dict[str, IdentityEntry] = {
     entry.name: entry
     for entry in [
-        IdentityEntry("bridge", frozenset({"t", "alpha"}), _run_bridge),
-        IdentityEntry("index-law", frozenset({"t", "alpha", "beta"}), _run_index_law),
-        IdentityEntry(
-            "binom-falling",
-            frozenset({"x", "y", "n", "n_max"} | _COMMON_RANDOM),
-            partial(_run_binom, check=binom_falling_check),
-        ),
-        IdentityEntry(
-            "binom-poch",
-            frozenset({"x", "y", "n", "n_max"} | _COMMON_RANDOM),
-            partial(_run_binom, check=binom_poch_check),
-        ),
-        IdentityEntry(
-            "alt-sum",
-            frozenset({"alpha", "k", "t_index", "window"} | _COMMON_RANDOM),
-            _run_alt_sum,
-        ),
-        IdentityEntry(
-            "power-rule", frozenset({"a", "mu", "nu", "n_max"}), _run_power_rule
-        ),
-        IdentityEntry(
-            "gamma-sum", frozenset({"mu", "nu", "m", "n", "n_extra"}), _run_gamma_sum
-        ),
-        IdentityEntry(
-            "nabla-zero",
-            frozenset({"a", "p", "alpha", "m", "t_index", "t_extra"}),
-            _run_nabla_zero,
-        ),
-        IdentityEntry(
-            "mr-ae", frozenset({"mu", "max_window"} | _COMMON_RANDOM), _run_mr_ae
-        ),
-        IdentityEntry(
-            "leibniz", frozenset({"alpha", "window"} | _COMMON_RANDOM), _run_leibniz
-        ),
-        IdentityEntry(
-            "form1", frozenset({"alpha", "beta", "gamma", "n", "n_max"}), _run_form1
-        ),
-        IdentityEntry(
-            "saalschutz",
-            frozenset({"a", "b", "c", "m", "m_max", "force"}),
-            _run_saalschutz,
-        ),
+        IdentityEntry("bridge", {
+            "t": [_Q(3), _Q(1, 2), _Q(1, 3), _Q(5, 2), _Q(-1, 2), _Q(-2)],
+            "alpha": [_Q(2), _Q(0), _Q(1, 2), _Q(1, 3), _Q(-1, 2), _Q(5, 2)],
+        }, _run_bridge),
+        IdentityEntry("index-law", {
+            "t": [_Q(5), _Q(7, 2), _Q(1, 2), _Q(-1, 3), _Q(9, 4)],
+            "alpha": [_Q(1), _Q(1, 2), _Q(1, 3), _Q(-1, 2)],
+            "beta": [_Q(0), _Q(2), _Q(1, 3), _Q(-5, 2)],
+        }, _run_index_law),
+        IdentityEntry("binom-falling", _BINOM_DEFAULTS, partial(_run_binom, binom_falling_check)),
+        IdentityEntry("binom-poch", _BINOM_DEFAULTS, partial(_run_binom, binom_poch_check)),
+        IdentityEntry("alt-sum", {
+            "alpha": None, "k": None, "t_index": None,
+            "window": 13, "seed": DEFAULT_SEED, "count": 200,
+        }, _run_alt_sum),
+        IdentityEntry("power-rule", {
+            "a": [_Q(0), _Q(1, 4), _Q(-3)],
+            "mu": [_Q(0), _Q(1, 2), _Q(1, 3), _Q(5, 2), _Q(-1, 2)],
+            "nu": [_Q(1, 2), _Q(3, 2), _Q(-1, 2), _Q(-5, 2), _Q(2)],
+            "n_max": 12,
+        }, _run_power_rule),
+        IdentityEntry("gamma-sum", {
+            "mu": [_Q(1, 2), _Q(1, 3)], "nu": None, "m": [1, 2, 3], "n": None, "n_extra": 8,
+        }, _run_gamma_sum),
+        IdentityEntry("nabla-zero", {
+            "a": [_Q(0), _Q(1, 4), _Q(-2)], "p": [_Q(1, 2), _Q(1, 3)],
+            "alpha": None, "m": [1, 2, 3], "t_index": None, "t_extra": 6,
+        }, _run_nabla_zero),
+        IdentityEntry("mr-ae", {
+            "mu": [_Q(1, 2), _Q(1, 3), _Q(2, 3), _Q(3, 2)],
+            "max_window": 12, "seed": DEFAULT_SEED, "count": 50,
+        }, _run_mr_ae),
+        IdentityEntry("leibniz", {
+            "alpha": [_Q(1, 2), _Q(1, 3), _Q(5, 2)],
+            "window": 10, "seed": DEFAULT_SEED, "count": 50,
+        }, _run_leibniz),
+        IdentityEntry("form1", {
+            "alpha": [_Q(1, 2), _Q(3, 2)], "beta": [_Q(1, 4), _Q(1, 2)],
+            "gamma": [_Q(1, 3), _Q(2), _Q(5, 2)], "n": None, "n_max": 8,
+        }, _run_form1),
+        IdentityEntry("saalschutz", {
+            "a": [_Q(1, 2), _Q(-1, 2), _Q(1, 3), _Q(1, 5), _Q(3, 2)],
+            "b": [_Q(1, 2), _Q(-1, 2), _Q(1, 3), _Q(1, 5), _Q(3, 2)],
+            "c": [_Q(2), _Q(7, 4), _Q(5, 3)],
+            "m": None, "m_max": 10, "force": False,
+        }, _run_saalschutz),
     ]
 }
 
@@ -358,20 +297,55 @@ def identity_names() -> list[str]:
     return list(SUITE_ORDER)
 
 
-def run_identity(name: str, overrides: Mapping | None = None) -> Iterator[VerificationReport]:
+def _convert(kind: str, key: str, raw) -> object:
+    """One value of the given kind from a str, int or Fraction (a bool for a flag)."""
+    if kind == FLAG:
+        if not isinstance(raw, bool):
+            raise ValueError(f"{key} must be true or false")
+        return raw
+    if isinstance(raw, bool) or not isinstance(raw, (int, str, Fraction)):
+        raise ValueError(f"bad value for {key}: {raw!r}")
+    value = parse_rational(raw) if isinstance(raw, str) else Fraction(raw)
+    if kind == RATIONAL:
+        return value
+    if value.denominator != 1:
+        raise ValueError(f"{key} must be an integer, got {raw!r}")
+    if kind == SIZE and value < 0:
+        raise ValueError(f"{key} must be nonnegative, got {raw}")
+    return int(value)
+
+
+def _resolve(name: str, overrides: Mapping) -> dict:
+    """Check overrides against the identity's table and fill in its defaults.
+
+    A rational key, or a key whose default is a grid, takes a list, which
+    sweeps it, or a single value, which pins it and resolves to a
+    one-element tuple, so that a runner can tell a pin from a one-point
+    sweep.  Every other key takes a single value.
+    """
     entry = REGISTRY.get(name)
     if entry is None:
         raise ValueError(f"unknown identity: {name}")
-    ov = dict(overrides or {})
-    unknown = set(ov) - entry.allowed
+    unknown = set(overrides) - set(entry.defaults)
     if unknown:
-        raise ValueError(
-            f"unknown parameters for {name}: {', '.join(sorted(unknown))}"
-        )
-    for key in sorted(ov):
-        if PARAMS[key] == SIZE and _int_scalar(ov, key, 0) < 0:
-            raise ValueError(f"{key} must be nonnegative, got {ov[key]}")
-    return entry.run(ov)
+        raise ValueError(f"unknown parameters for {name}: {', '.join(sorted(unknown))}")
+    ov = dict(entry.defaults)
+    for key in sorted(overrides):
+        raw, kind = overrides[key], PARAMS[key]
+        takes_list = kind == RATIONAL or isinstance(entry.defaults[key], list)
+        if isinstance(raw, (list, tuple)):
+            if not takes_list:
+                raise ValueError(f"{key} takes a single value")
+            ov[key] = [_convert(kind, key, item) for item in raw]
+        else:
+            value = _convert(kind, key, raw)
+            ov[key] = (value,) if takes_list else value
+    return ov
+
+
+def run_identity(name: str, overrides: Mapping | None = None) -> Iterator[VerificationReport]:
+    ov = _resolve(name, overrides or {})
+    return REGISTRY[name].run(ov)
 
 
 @dataclass(frozen=True)
@@ -388,36 +362,21 @@ def default_suite() -> list[SweepConfig]:
 _TOP_LEVEL_SCALARS = {key for key, kind in PARAMS.items() if kind != RATIONAL}
 
 
-def _convert_scalar(key: str, raw) -> object:
-    kind = PARAMS.get(key, RATIONAL)
-    if kind == FLAG:
-        if not isinstance(raw, bool):
-            raise ValueError(f"{key} must be true or false")
-        return raw
-    if isinstance(raw, bool) or not isinstance(raw, (int, str)):
-        raise ValueError(f"bad value for {key}: {raw!r}")
-    value = parse_rational(raw) if isinstance(raw, str) else Fraction(raw)
-    if kind == RATIONAL:
-        return value
-    if value.denominator != 1:
-        raise ValueError(f"{key} must be an integer, got {raw!r}")
-    return int(value)
-
-
-def _convert_sweep(key: str, raw) -> list:
+def _sweep_values(key: str, raw) -> list:
     if isinstance(raw, dict):
         spec = {"num_min": -8, "num_max": 8, "den_max": 6}
         unknown = set(raw) - set(spec)
         if unknown:
             raise ValueError(f"unknown range fields: {', '.join(sorted(unknown))}")
-        spec.update({k: int(v) for k, v in raw.items()})
+        spec.update({k: _convert(INT, k, v) for k, v in raw.items()})
         return rational_range(**spec)
     if isinstance(raw, list):
-        return [_convert_scalar(key, item) for item in raw]
+        return raw
     raise ValueError(f"swept parameter {key} needs a list or a range object")
 
 
 def parse_config_entry(doc: Mapping) -> SweepConfig:
+    """One sweep entry, checked whole against its identity's parameter table."""
     if not isinstance(doc, Mapping):
         raise ValueError("each sweep entry must be a JSON object")
     known = {"identity", "fixed", "sweep", "output"} | _TOP_LEVEL_SCALARS
@@ -427,14 +386,19 @@ def parse_config_entry(doc: Mapping) -> SweepConfig:
     identity = doc.get("identity")
     if not isinstance(identity, str):
         raise ValueError("config entry needs an 'identity' name")
-    overrides: dict = {}
-    for key, raw in (doc.get("fixed") or {}).items():
-        overrides[key] = _convert_scalar(key, raw)
-    for key, raw in (doc.get("sweep") or {}).items():
-        overrides[key] = _convert_sweep(key, raw)
-    for key in _TOP_LEVEL_SCALARS:
-        if key in doc:
-            overrides[key] = _convert_scalar(key, doc[key])
+    fixed = doc.get("fixed") or {}
+    scalars = {key: doc[key] for key in _TOP_LEVEL_SCALARS if key in doc}
+    for key, raw in [*fixed.items(), *scalars.items()]:
+        if isinstance(raw, list):
+            raise ValueError(f"bad value for {key}: {raw!r}")
+    swept = {key: _sweep_values(key, raw) for key, raw in (doc.get("sweep") or {}).items()}
+    overrides = {**fixed, **swept, **scalars}
+    resolved = _resolve(identity, overrides)
+    # a pin resolves to a one-element tuple; the config keeps it bare
+    overrides = {
+        key: resolved[key][0] if isinstance(resolved[key], tuple) else resolved[key]
+        for key in overrides
+    }
     output = doc.get("output")
     if output is not None and output not in ("json", "csv"):
         raise ValueError(f"output must be 'json' or 'csv', got {output!r}")

@@ -247,6 +247,23 @@ class TestVerify:
         assert result.exit_code == 2
         assert "count must be nonnegative" in result.output
 
+    @pytest.mark.parametrize(
+        "bad_entry, message",
+        [
+            ({"identity": "leibniz", "count": -1}, "count must be nonnegative"),
+            ({"identity": "bridge", "count": 3}, "unknown parameters for bridge: count"),
+            ({"identity": "bridge", "sweep": {"t": {"num_max": 2.9}}}, "bad value for num_max"),
+            ({"identity": "bridge", "sweep": {"t": {"num_max": True}}}, "bad value for num_max"),
+        ],
+    )
+    def test_bad_later_config_entry_prints_no_report(self, runner, tmp_path, bad_entry, message):
+        config = tmp_path / "sweeps.json"
+        config.write_text(json.dumps([{"identity": "bridge"}, bad_entry]))
+        result = runner.invoke(main, ["verify", "all", "--config", str(config)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"bad config: {message}" in result.output
+
     def test_deterministic_output(self, runner):
         args = ["verify", "leibniz", "--count", "3", "--format", "json"]
         one = runner.invoke(main, args)
@@ -258,7 +275,7 @@ class TestVerify:
             yield report_compare("rigged", {"k": 1}, 1, 2)
 
         monkeypatch.setitem(
-            sweeps.REGISTRY, "rigged", IdentityEntry("rigged", frozenset(), run_rigged)
+            sweeps.REGISTRY, "rigged", IdentityEntry("rigged", {}, run_rigged)
         )
         monkeypatch.setattr(sweeps, "SUITE_ORDER", ["rigged"])
         result = runner.invoke(main, ["verify", "rigged"])
@@ -270,7 +287,7 @@ class TestVerify:
             yield report_compare("rigged", {}, 1, Q(10**30 + 1, 10**30))
 
         monkeypatch.setitem(
-            sweeps.REGISTRY, "rigged", IdentityEntry("rigged", frozenset(), run_rigged)
+            sweeps.REGISTRY, "rigged", IdentityEntry("rigged", {}, run_rigged)
         )
         monkeypatch.setattr(sweeps, "SUITE_ORDER", ["rigged"])
         result = runner.invoke(main, ["verify", "rigged"])
@@ -311,7 +328,7 @@ def _verify_argv(draw):
     verify = main.commands["verify"]
     flags = {param.name: param.opts[0] for param in verify.params}
     identity = draw(st.sampled_from(sorted(REGISTRY)))
-    allowed = sorted(REGISTRY[identity].allowed)
+    allowed = sorted(REGISTRY[identity].defaults)
     # every size is pinned small: the defaults would run full sweeps
     keys = draw(st.sets(st.sampled_from(allowed))) | {k for k in allowed if PARAMS[k] == SIZE}
     rationals = _LARGE_RATIONALS if identity in ("bridge", "index-law") else _SMALL_RATIONALS

@@ -49,7 +49,7 @@ class TestRegistry:
 
     def test_allowed_keys_are_params(self):
         for entry in REGISTRY.values():
-            assert entry.allowed <= set(PARAMS), entry.name
+            assert set(entry.defaults) <= set(PARAMS), entry.name
 
     def test_unknown_identity(self):
         with pytest.raises(ValueError, match="unknown identity"):
@@ -142,6 +142,11 @@ class TestConfig:
         )
         assert cfg.overrides == {"t": [Q(0), Q(1), Q(2)]}
 
+    @pytest.mark.parametrize("field, value", [("num_max", 2.9), ("den_max", True), ("num_min", "-1/2")])
+    def test_range_fields_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            parse_config_entry({"identity": "bridge", "sweep": {"t": {field: value}}})
+
     def test_scalar_keys(self):
         cfg = parse_config_entry({"identity": "leibniz", "seed": 9, "count": 3})
         assert cfg.overrides == {"seed": 9, "count": 3}
@@ -159,9 +164,8 @@ class TestConfig:
             parse_config_entry({"identity": "bridge", "fixed": {"t": "0.5"}})
 
     def test_size_keys_reject_negatives(self):
-        cfg = parse_config_entry({"identity": "form1", "n_max": -1})
         with pytest.raises(ValueError, match="n_max must be nonnegative"):
-            run_sweep(cfg)
+            parse_config_entry({"identity": "form1", "n_max": -1})
 
     def test_rejects_bad_output(self):
         with pytest.raises(ValueError, match="output"):
