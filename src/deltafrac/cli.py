@@ -70,8 +70,9 @@ class RationalParam(click.ParamType):
 RATIONAL = RationalParam()
 
 
+# Every echo names its stream: click's default-stream cache keeps each stdout it sees alive.
 def _fail(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    click.echo(f"error: {message}", file=sys.stderr)
     sys.exit(2)
 
 
@@ -186,9 +187,10 @@ def cmd_eval(subject, fmt, **opts):
         value = value.values[at]
     rendered, float_value = _render_value(value)
     if fmt == "json":
-        click.echo(json.dumps({"subject": subject, "value": rendered, "float": float_value}))
+        doc = {"subject": subject, "value": rendered, "float": float_value}
+        click.echo(json.dumps(doc), file=sys.stdout)
     else:
-        click.echo(rendered)
+        click.echo(rendered, file=sys.stdout)
 
 
 def _text_line(rep: VerificationReport) -> str:
@@ -277,21 +279,21 @@ def cmd_verify(identity, pa, config_path, fmt, **params):
         for config in configs:
             entry_fmt = config.output or fmt
             if entry_fmt == "csv" and not csv_header_done:
-                click.echo(_CSV_HEADER)
+                click.echo(_CSV_HEADER, file=sys.stdout)
                 csv_header_done = True
             for rep in run_sweep(config):
                 counts[rep.status] += 1
                 if entry_fmt == "json":
-                    click.echo(json.dumps(rep.to_json_dict()))
+                    click.echo(json.dumps(rep.to_json_dict()), file=sys.stdout)
                 elif entry_fmt == "csv":
-                    click.echo(_csv_line(rep))
+                    click.echo(_csv_line(rep), file=sys.stdout)
                 else:
-                    click.echo(_text_line(rep))
+                    click.echo(_text_line(rep), file=sys.stdout)
     except (DeltafracError, ValueError) as exc:
         _fail(str(exc))
     total = sum(counts.values())
     summary = ", ".join(f"{counts[status]} {status}" for status in _STATUS_ORDER)
-    click.echo(f"checked {total} parameter points: {summary}", err=True)
+    click.echo(f"checked {total} parameter points: {summary}", file=sys.stderr)
     sys.exit(1 if counts[MISMATCH] or counts[FLOAT_ONLY] else 0)
 
 
@@ -307,11 +309,11 @@ def cmd_table(subject, fmt, **opts):
     """Print a whole output window, one row per grid point."""
     gf = _evaluate("table", subject, opts)
     if fmt == "json":
-        click.echo(json.dumps(gf.to_json_dict()))
+        click.echo(json.dumps(gf.to_json_dict()), file=sys.stdout)
     else:
-        click.echo("point,value")
+        click.echo("point,value", file=sys.stdout)
         for i in range(len(gf)):
-            click.echo(f"{render_rational(gf.point(i))},{gf.values[i].render()}")
+            click.echo(f"{render_rational(gf.point(i))},{gf.values[i].render()}", file=sys.stdout)
 
 
 if __name__ == "__main__":

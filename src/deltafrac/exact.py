@@ -13,7 +13,8 @@ both sides and comparing term maps, with distinct bases treated as
 independent.  The test is sound (a zero difference proves equality) but
 not complete: reflection and Gauss multiplication relate Gamma at distinct
 bases, so Gamma(1/6)*Gamma(5/6) and 2*Gamma(1/2)**2 compare unequal though
-they are equal.  The float path exists only as a cross-check on the exact
+they are equal.  Every polynomial sum goes through weighted_sum,
+GammaPolynomial's + and - included.  The float path exists only as a cross-check on the exact
 one, never as a substitute.
 """
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import GammaPole
 
@@ -41,6 +42,7 @@ __all__ = [
     "GammaPolynomial",
     "gamma_of",
     "parse_gamma_polynomial",
+    "weighted_sum",
 ]
 
 Rational = Fraction
@@ -252,13 +254,7 @@ def gamma_of(x: RationalLike) -> GammaMonomial:
 
 
 def _coerce_poly(value) -> "GammaPolynomial":
-    if isinstance(value, GammaPolynomial):
-        return value
-    if isinstance(value, GammaMonomial):
-        return GammaPolynomial.from_monomial(value)
-    if isinstance(value, (int, Fraction)):
-        return GammaPolynomial.from_rational(value)
-    raise TypeError(f"cannot interpret {type(value).__name__} as a Gamma polynomial")
+    return value if isinstance(value, GammaPolynomial) else weighted_sum(((value, 1),))
 
 
 class GammaPolynomial:
@@ -286,8 +282,7 @@ class GammaPolynomial:
 
     @classmethod
     def from_rational(cls, q: RationalLike) -> "GammaPolynomial":
-        q = as_rational(q)
-        return cls({(): q} if q else None)
+        return cls({(): as_rational(q)})
 
     @classmethod
     def from_monomial(cls, m: GammaMonomial) -> "GammaPolynomial":
@@ -308,35 +303,28 @@ class GammaPolynomial:
         raise ValueError(f"not a rational value: {self.render()}")
 
     def __add__(self, other) -> "GammaPolynomial":
-        other = _coerce_poly(other)
-        merged = dict(self._terms)
-        for signature, coeff in other._terms.items():
-            merged[signature] = merged.get(signature, Fraction(0)) + coeff
-        return GammaPolynomial(merged)
+        return weighted_sum(((self, 1), (other, 1)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "GammaPolynomial":
-        return GammaPolynomial({s: -c for s, c in self._terms.items()})
+        return weighted_sum(((self, -1),))
 
     def __sub__(self, other) -> "GammaPolynomial":
-        return self + (-_coerce_poly(other))
+        return weighted_sum(((self, 1), (other, -1)))
 
     def __rsub__(self, other) -> "GammaPolynomial":
-        return _coerce_poly(other) + (-self)
+        return weighted_sum(((other, 1), (self, -1)))
 
     def __mul__(self, other) -> "GammaPolynomial":
         if isinstance(other, (int, Fraction)):
-            q = as_rational(other)
-            return GammaPolynomial({s: c * q for s, c in self._terms.items()})
+            return weighted_sum(((self, other),))
         other = _coerce_poly(other)
         product: dict[tuple, Fraction] = {}
         for sig_a, coeff_a in self._terms.items():
             for sig_b, coeff_b in other._terms.items():
                 signature = _merge_factors(sig_a, sig_b)
-                product[signature] = (
-                    product.get(signature, Fraction(0)) + coeff_a * coeff_b
-                )
+                product[signature] = product.get(signature, 0) + coeff_a * coeff_b
         return GammaPolynomial(product)
 
     __rmul__ = __mul__
@@ -380,13 +368,31 @@ class GammaPolynomial:
         return f"GammaPolynomial({self.render()!r})"
 
 
+def weighted_sum(pairs: Iterable[tuple[object, int | Fraction]]) -> GammaPolynomial:
+    """Sum weight * value over (value, weight) pairs into one polynomial.
+
+    A value is an int, Fraction, GammaMonomial or GammaPolynomial and a
+    weight an int or Fraction; the polynomial is built once, at the end.
+    """
+    folded: dict[tuple, Fraction] = {}
+    for value, weight in pairs:
+        if isinstance(value, GammaPolynomial):
+            items = value._terms.items()
+        elif isinstance(value, GammaMonomial):
+            items = ((value.factors, value.coeff),)
+        elif isinstance(value, (int, Fraction)):
+            items = (((), value),)
+        else:
+            raise TypeError(f"cannot interpret {type(value).__name__} as a Gamma polynomial")
+        for signature, coeff in items:
+            folded[signature] = folded.get(signature, 0) + coeff * weight
+    return GammaPolynomial(folded)
+
+
 def parse_gamma_polynomial(text: str) -> GammaPolynomial:
     """Parse the canonical rendering back into a polynomial."""
-    text = text.strip()
-    if text == "0":
-        return GammaPolynomial.zero()
-    terms: dict[tuple, Fraction] = {}
-    for chunk in text.split(" + "):
+    monomials = []
+    for chunk in text.strip().split(" + "):
         pieces = chunk.split("*")
         coeff = parse_rational(pieces[0])
         factor_map: dict[Fraction, int] = {}
@@ -396,6 +402,5 @@ def parse_gamma_polynomial(text: str) -> GammaPolynomial:
                 raise ValueError(f"bad Gamma factor: {piece!r}")
             base = parse_rational(match.group(1))
             factor_map[base] = factor_map.get(base, 0) + int(match.group(2))
-        signature = _canonical_factors(factor_map)
-        terms[signature] = terms.get(signature, Fraction(0)) + coeff
-    return GammaPolynomial(terms)
+        monomials.append((GammaMonomial(coeff, _canonical_factors(factor_map)), 1))
+    return weighted_sum(monomials)

@@ -25,6 +25,7 @@ from .exact import (
     as_rational,
     gamma_of,
     is_nonpositive_integer,
+    weighted_sum,
 )
 from .gridfn import GridFunction, delta_n
 from .special import pochhammer
@@ -80,13 +81,11 @@ def frac_sum_diff(f: GridFunction, nu: OrderLike) -> GridFunction:
     """
     nu = order_value(nu)
     weights = conv_weights(nu, len(f))
-    values = []
-    for n in range(len(f)):
-        total = GammaPolynomial.zero()
-        for i in range(n + 1):
-            total = total + f.values[i] * weights[n - i]
-        values.append(total)
-    return GridFunction(f.origin + nu, tuple(values))
+    values = tuple(
+        weighted_sum((f.values[i], weights[n - i]) for i in range(n + 1))
+        for n in range(len(f))
+    )
+    return GridFunction(f.origin + nu, values)
 
 
 def mr_frac_diff(f: GridFunction, mu: RationalLike) -> GridFunction:
@@ -127,9 +126,9 @@ def nabla_poch_diff(
 
         (1/Gamma(-alpha)) * sum_{j=1..t_index} (t_index-j+1)_{-alpha-1} (j)_p
 
-    entirely in Gamma-monomial arithmetic.  The shift a cancels from the
-    summand, so only t_index enters the value.  A pole in any summand
-    raises SpecialValuePole rather than being silently dropped.
+    as one weighted sum, scaled once by 1/Gamma(-alpha).  The shift a cancels
+    from the summand, so only t_index enters the value.  A pole in any
+    summand raises SpecialValuePole rather than being silently dropped.
     """
     as_rational(a)
     p = as_rational(p)
@@ -138,17 +137,13 @@ def nabla_poch_diff(
         raise DomainError(f"alpha must not be an integer (got {alpha})")
     if t_index < 1:
         raise DomainError(f"t_index must be at least 1 (got {t_index})")
-    scale = gamma_of(-alpha) ** -1
-    total = GammaPolynomial.zero()
+    summands = []
     for j in range(1, t_index + 1):
         kernel = pochhammer(t_index - j + 1, -alpha - 1)
         sample = pochhammer(j, p)
         if kernel.is_pole or sample.is_pole:
-            raise SpecialValuePole(
-                f"summand at j={j} has an unresolved Gamma pole"
-            )
+            raise SpecialValuePole(f"summand at j={j} has an unresolved Gamma pole")
         term = kernel * sample
-        if term.is_zero:
-            continue
-        total = total + GammaPolynomial.from_monomial(term.monomial * scale)
-    return total
+        if term.is_finite:
+            summands.append((term.monomial, 1))
+    return weighted_sum(summands) * gamma_of(-alpha) ** -1

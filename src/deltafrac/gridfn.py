@@ -22,6 +22,7 @@ from .exact import (
     is_negative_integer,
     parse_gamma_polynomial,
     parse_rational,
+    weighted_sum,
 )
 from .special import falling
 
@@ -155,10 +156,8 @@ def delta_n(f: GridFunction, n: int) -> GridFunction:
     if n == 0:
         return f
     signs = [(-1) ** (n - j) * math.comb(n, j) for j in range(n + 1)]
-    values = []
-    for k in range(len(f) - n):
-        total = GammaPolynomial.zero()
-        for j in range(n + 1):
-            total = total + f.values[k + j] * signs[j]
-        values.append(total)
-    return GridFunction(f.origin, tuple(values))
+    values = tuple(
+        weighted_sum((f.values[k + j], signs[j]) for j in range(n + 1))
+        for k in range(len(f) - n)
+    )
+    return GridFunction(f.origin, values)

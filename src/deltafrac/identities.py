@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Callable
 
 from .errors import DenominatorPochhammerZero, DomainError, WindowTooShort
 from .exact import (
@@ -23,6 +24,7 @@ from .exact import (
     is_negative_integer,
     is_nonpositive_integer,
     is_positive_integer,
+    weighted_sum,
 )
 from .fracops import FracOrder, OrderLike, frac_sum_diff, nabla_poch_diff, order_value
 from .gridfn import GridFunction, delta_n, sample_falling_power
@@ -48,6 +50,11 @@ __all__ = [
 ]
 
 
+def _binomial_sum(power: Callable, x: Fraction, y: Fraction, n: int) -> Fraction:
+    """sum(C(n,k) * power(x, n-k) * power(y, k) for k <= n), over the rationals."""
+    return sum(math.comb(n, k) * power(x, n - k) * power(y, k) for k in range(n + 1))
+
+
 def binom_falling_check(x: RationalLike, y: RationalLike, n: int) -> VerificationReport:
     """Binomial expansion of a falling power of a sum, order n >= 0."""
     x = as_rational(x)
@@ -55,9 +62,7 @@ def binom_falling_check(x: RationalLike, y: RationalLike, n: int) -> Verificatio
     if n < 0:
         raise DomainError("n must be a nonnegative integer")
     lhs = falling_int(x + y, n)
-    rhs = Fraction(0)
-    for k in range(n + 1):
-        rhs += math.comb(n, k) * falling_int(x, n - k) * falling_int(y, k)
+    rhs = _binomial_sum(falling_int, x, y, n)
     return report_compare("binom-falling", {"x": x, "y": y, "n": n}, lhs, rhs)
 
 
@@ -68,9 +73,7 @@ def binom_poch_check(x: RationalLike, y: RationalLike, n: int) -> VerificationRe
     if n < 0:
         raise DomainError("n must be a nonnegative integer")
     lhs = poch_int(x + y, n)
-    rhs = Fraction(0)
-    for k in range(n + 1):
-        rhs += math.comb(n, k) * poch_int(x, n - k) * poch_int(y, k)
+    rhs = _binomial_sum(poch_int, x, y, n)
     return report_compare("binom-poch", {"x": x, "y": y, "n": n}, lhs, rhs)
 
 
@@ -96,7 +99,7 @@ def power_rule_closed(
     if n < 0:
         raise DomainError("n must be a nonnegative integer")
     coeff = poch_int(mu + nu + 1, n) / math.factorial(n)
-    return GammaPolynomial.from_monomial(gamma_of(mu + 1)) * coeff
+    return GammaPolynomial.from_monomial(gamma_of(mu + 1) * coeff)
 
 
 def corollary_closed(
@@ -176,9 +179,7 @@ def gamma_sum_check(mu: RationalLike, nu: RationalLike, n: int) -> VerificationR
         raise DomainError(f"nu must not be a nonpositive integer (got {nu})")
     if n < 0:
         raise DomainError("n must be a nonnegative integer")
-    total = Fraction(0)
-    for k in range(n + 1):
-        total += math.comb(n, k) * poch_int(nu, n - k) * poch_int(mu + 1, k)
+    total = _binomial_sum(poch_int, nu, mu + 1, n)
     if n < -total_order:
         return report_excluded(
             "gamma-sum", params, "n must be at least -(mu+nu)", boundary=total
@@ -234,13 +235,12 @@ def alt_sum_lemma_check(
         return report_excluded(
             "alt-sum", params, "t must lie on the shifted grid (t_index >= k)"
         )
-    lhs = GammaPolynomial.zero()
-    level = g
-    for n in range(k + 1):
-        term = level.values[t_index - n] * ((-1) ** n * math.comb(k, n))
-        lhs = lhs + term
-        if n < k:
-            level = delta_n(level, 1)
+    levels = [g]
+    for _ in range(k):
+        levels.append(delta_n(levels[-1], 1))
+    lhs = weighted_sum(
+        (levels[n].values[t_index - n], (-1) ** n * math.comb(k, n)) for n in range(k + 1)
+    )
     rhs = g.values[t_index - k]
     return report_compare("alt-sum", params, lhs, rhs)
 
@@ -273,14 +273,13 @@ def leibniz_sweep(
     differences = [g]
     for n in range(1, t_max + 1):
         differences.append(delta_n(differences[n - 1], 1))
+    weights = [gen_binomial(-alpha, n) for n in range(t_max + 1)]
     reports = []
     for t in range(t_max + 1):
-        rhs = GammaPolynomial.zero()
-        for n in range(t + 1):
-            weight = gen_binomial(-alpha, n)
-            rhs = rhs + (
-                transforms[n].values[t - n] * differences[n].values[t - n] * weight
-            )
+        rhs = weighted_sum(
+            (transforms[n].values[t - n] * differences[n].values[t - n], weights[n])
+            for n in range(t + 1)
+        )
         reports.append(
             report_compare(
                 "leibniz",
@@ -330,10 +329,9 @@ def prop_form1_check(
     if n < 0:
         raise DomainError("n must be a nonnegative integer")
     prefactor = gamma_of(beta + gamma + 1) / gamma_of(beta + 1)
-    lhs = GammaPolynomial.from_monomial(prefactor) * (
-        poch_int(alpha + beta + gamma + 1, n) / math.factorial(n)
-    )
-    rhs = GammaPolynomial.zero()
+    scale = poch_int(alpha + beta + gamma + 1, n) / math.factorial(n)
+    lhs = GammaPolynomial.from_monomial(prefactor * scale)
+    summands = []
     for j in range(n + 1):
         coeff = (
             gen_binomial(-alpha, j)
@@ -350,8 +348,8 @@ def prop_form1_check(
                 params,
                 f"falling(t-alpha-j, gamma-j) has a pole at j={j}",
             )
-        rhs = rhs + tail.as_polynomial() * coeff
-    return report_compare("form1", params, lhs, rhs)
+        summands.append((tail.as_polynomial(), coeff))
+    return report_compare("form1", params, lhs, weighted_sum(summands))
 
 
 def hyp3f2_terminating(
@@ -382,16 +380,11 @@ def hyp3f2_terminating(
             raise DenominatorPochhammerZero(
                 f"({name})_k vanishes at k={first_zero_k} for {name}={b}"
             )
-    total = Fraction(0)
-    for k in range(m + 1):
-        numerator = (
-            poch_int(a1, k) * poch_int(a2, k) * poch_int(-m, k) * z**k
-        )
-        denominator = (
-            poch_int(b1, k) * poch_int(b2, k) * math.factorial(k)
-        )
-        total += numerator / denominator
-    return total
+    return sum(
+        poch_int(a1, k) * poch_int(a2, k) * poch_int(-m, k) * z**k
+        / (poch_int(b1, k) * poch_int(b2, k) * math.factorial(k))
+        for k in range(m + 1)
+    )
 
 
 def saalschutz_lhs(

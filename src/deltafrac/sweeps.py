@@ -336,6 +336,8 @@ def _resolve(name: str, overrides: Mapping) -> dict:
         if isinstance(raw, (list, tuple)):
             if not takes_list:
                 raise ValueError(f"{key} takes a single value")
+            if not raw:
+                raise ValueError(f"{key} needs at least one value")
             ov[key] = [_convert(kind, key, item) for item in raw]
         else:
             value = _convert(kind, key, raw)
@@ -386,12 +388,15 @@ def parse_config_entry(doc: Mapping) -> SweepConfig:
     identity = doc.get("identity")
     if not isinstance(identity, str):
         raise ValueError("config entry needs an 'identity' name")
-    fixed = doc.get("fixed") or {}
+    fixed, sweep = doc.get("fixed", {}), doc.get("sweep", {})
+    for name, section in (("fixed", fixed), ("sweep", sweep)):
+        if not isinstance(section, Mapping):
+            raise ValueError(f"{name} must be a JSON object, got {section!r}")
     scalars = {key: doc[key] for key in _TOP_LEVEL_SCALARS if key in doc}
     for key, raw in [*fixed.items(), *scalars.items()]:
         if isinstance(raw, list):
             raise ValueError(f"bad value for {key}: {raw!r}")
-    swept = {key: _sweep_values(key, raw) for key, raw in (doc.get("sweep") or {}).items()}
+    swept = {key: _sweep_values(key, raw) for key, raw in sweep.items()}
     overrides = {**fixed, **swept, **scalars}
     resolved = _resolve(identity, overrides)
     # a pin resolves to a one-element tuple; the config keeps it bare

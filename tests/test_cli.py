@@ -1,7 +1,11 @@
 """Command line behavior: values, reports, formats, exit codes, determinism."""
+import gc
 import hashlib
+import io
 import json
 import math
+import sys
+import weakref
 from collections import Counter
 from fractions import Fraction as Q
 
@@ -208,6 +212,28 @@ class TestVerify:
         assert result.exit_code in (0, 1)
         assert "saalschutz" in result.output
 
+    def test_zero_sides_print_a_float_gap(self, runner):
+        result = runner.invoke(main, ["verify", "nabla-zero", "--format", "json"])
+        assert result.exit_code == 0
+        assert '"lhs": "0", "rhs": "0", "abs_float_gap": 0.0}' in result.stdout
+
+    def test_releases_a_replaced_stdout(self):
+        # click caches a wrapper per stream it writes to by default; one that
+        # holds its key keeps every replaced stdout alive for the process.
+        saved = sys.stdout, sys.stderr
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        sys.stdout, sys.stderr = out, io.StringIO()
+        try:
+            main(["verify", "binom-falling", "--count", "1"], standalone_mode=False)
+        except SystemExit as exc:
+            assert exc.code == 0
+        finally:
+            sys.stdout, sys.stderr = saved
+        released = weakref.ref(out)
+        del out
+        gc.collect()
+        assert released() is None
+
     def test_float_overflow_leaves_exact_verdict(self, runner):
         result = runner.invoke(main, ["verify", "bridge", "--t", "400", "--alpha", "200", "--format", "json"])
         assert result.exit_code == 0
@@ -254,6 +280,12 @@ class TestVerify:
             ({"identity": "bridge", "count": 3}, "unknown parameters for bridge: count"),
             ({"identity": "bridge", "sweep": {"t": {"num_max": 2.9}}}, "bad value for num_max"),
             ({"identity": "bridge", "sweep": {"t": {"num_max": True}}}, "bad value for num_max"),
+            ({"identity": "bridge", "fixed": [1]}, "fixed must be a JSON object"),
+            ({"identity": "bridge", "sweep": [1]}, "sweep must be a JSON object"),
+            ({"identity": "bridge", "sweep": "t"}, "sweep must be a JSON object"),
+            ({"identity": "binom-poch", "sweep": {"x": []}}, "x needs at least one value"),
+            ({"identity": "alt-sum", "sweep": {"alpha": []}}, "alpha needs at least one value"),
+            ({"identity": "bridge", "sweep": {"t": {"den_max": 0}}}, "t needs at least one value"),
         ],
     )
     def test_bad_later_config_entry_prints_no_report(self, runner, tmp_path, bad_entry, message):
@@ -340,16 +372,74 @@ def _verify_argv(draw):
     return argv
 
 
-@settings(max_examples=200, deadline=None)
-@given(_verify_argv())
-def test_exit_code_contract(argv):
+def _assert_exit_code_contract(result):
     """Exit 0, 1 or 2, never a traceback, and 1 only after a failure report."""
-    result = CliRunner().invoke(main, argv)
     assert result.exception is None or isinstance(result.exception, SystemExit), result.output
     assert result.exit_code in (0, 1, 2)
     if result.exit_code == 1:
         lines = result.stdout.splitlines()
         assert any(line.startswith(("[mismatch]", "[float_only]")) for line in lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_verify_argv())
+def test_exit_code_contract(argv):
+    _assert_exit_code_contract(CliRunner().invoke(main, argv))
+
+
+# JSON-shaped config values.  Numbers stay small and a range object spans at
+# most seven values, so that every drawn sweep stays cheap.
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=8),
+    st.sampled_from([0.5, -2.0]),
+    _SMALL_RATIONALS.map(str),
+    st.sampled_from(["", "x", "1/0"]),
+)
+_RANGE_OBJECTS = st.one_of(
+    st.fixed_dictionaries({
+        "num_min": st.integers(min_value=-2, max_value=1),
+        "num_max": st.integers(min_value=-1, max_value=2),
+        "den_max": st.integers(min_value=0, max_value=2),
+    }),
+    st.sampled_from([{"num_max": 1.5}, {"den_max": True}, {"step": 1}]),
+)
+_JSON_VALUES = st.one_of(
+    _JSON_LEAVES,
+    st.lists(_JSON_LEAVES, max_size=3),
+    _RANGE_OBJECTS,
+    st.dictionaries(st.sampled_from(["t", "bogus"]), _JSON_LEAVES, max_size=2),
+)
+
+
+@st.composite
+def _config_entry(draw):
+    identity = draw(st.sampled_from(sorted(REGISTRY)))
+    defaults = REGISTRY[identity].defaults
+    keys = st.sampled_from(sorted(defaults) + ["bogus"])
+    section = st.one_of(st.dictionaries(keys, _JSON_VALUES, max_size=3), _JSON_VALUES)
+    entry = {"identity": identity}
+    for name in draw(st.sets(st.sampled_from(["fixed", "sweep"]))):
+        entry[name] = draw(section)
+    top_level = sorted({key for key in defaults if PARAMS[key] != RATIONAL} | {"seed"})
+    entry.update(draw(st.dictionaries(st.sampled_from(top_level), _JSON_VALUES, max_size=2)))
+    # every size is pinned small at the top level, which overrides fixed and sweep
+    for key in defaults:
+        if PARAMS[key] == SIZE:
+            entry[key] = draw(_KIND_VALUES[SIZE])
+    return entry
+
+
+@settings(max_examples=200, deadline=None)
+@given(_config_entry())
+def test_config_exit_code_contract(entry):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("sweeps.json", "w", encoding="utf-8") as handle:
+            json.dump(entry, handle)
+        result = runner.invoke(main, ["verify", "all", "--config", "sweeps.json"])
+    _assert_exit_code_contract(result)
 
 
 class TestTable:

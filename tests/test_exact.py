@@ -19,6 +19,7 @@ from deltafrac.exact import (
     is_negative_integer,
     is_nonpositive_integer,
     is_positive_integer,
+    weighted_sum,
 )
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
@@ -158,6 +159,9 @@ class TestGammaPolynomial:
         rhs = poly(gamma_of(Q(-3, 2))) * poly(gamma_of(Q(5, 2)))
         assert (lhs + rhs).is_zero
 
+    def test_zero_float_is_a_float(self):
+        assert type(GammaPolynomial.zero().to_float()) is float
+
     def test_render_examples(self):
         assert GammaPolynomial.zero().render() == "0"
         p = poly(3) + poly(gamma_of(Q(1, 2))) * -2
@@ -166,6 +170,10 @@ class TestGammaPolynomial:
     @given(gamma_polys)
     def test_render_parse_round_trip(self, p):
         assert parse_gamma_polynomial(p.render()) == p
+
+    def test_parse_rejects_a_base_outside_the_unit_interval(self):
+        with pytest.raises(ValueError, match="base out of range"):
+            parse_gamma_polynomial("1*G(3/2)^1")
 
     @given(gamma_polys, gamma_polys)
     def test_addition_commutes(self, p, q):
@@ -207,3 +215,48 @@ class TestGammaPolynomial:
     def test_to_float_value(self):
         half = poly(gamma_of(Q(3, 2)))
         assert half.to_float() == pytest.approx(0.8862269254527580, rel=1e-12)
+
+
+def _term_map(value) -> dict:
+    if isinstance(value, GammaPolynomial):
+        return value.terms()
+    if isinstance(value, GammaMonomial):
+        return {value.factors: value.coeff}
+    return {(): Q(value)}
+
+
+summands = st.one_of(
+    st.integers(min_value=-5, max_value=5), rationals, gamma_monomials, gamma_polys
+)
+weights = st.one_of(st.integers(min_value=-3, max_value=3), rationals)
+
+
+class TestWeightedSum:
+    def test_empty_is_zero(self):
+        assert weighted_sum([]).is_zero
+        assert weighted_sum(iter(())).terms() == {}
+
+    def test_cancelled_terms_are_dropped(self):
+        half = gamma_of(Q(1, 2))
+        total = weighted_sum([(half, 2), (gamma_of(Q(3, 2)), -4), (Q(1, 3), 3)])
+        assert total.terms() == {(): Q(1)}
+        assert weighted_sum([(half, 1), (poly(half), -1)]).terms() == {}
+
+    def test_accepts_int_fraction_monomial_and_polynomial(self):
+        half = gamma_of(Q(1, 2))
+        total = weighted_sum([(3, Q(1, 2)), (Q(1, 4), 2), (half, 1), (poly(half), Q(1, 2))])
+        assert total.render() == "2 + 3/2*G(1/2)^1"
+        assert all(type(c) is Q for c in weighted_sum([(3, 2)]).terms().values())
+
+    def test_rejects_other_values(self):
+        with pytest.raises(TypeError, match="cannot interpret float"):
+            weighted_sum([(0.5, 1)])
+
+    @given(st.lists(st.tuples(summands, weights), max_size=6))
+    def test_matches_a_term_map_fold(self, pairs):
+        expected: dict = {}
+        for value, weight in pairs:
+            for signature, coeff in _term_map(value).items():
+                expected[signature] = expected.get(signature, Q(0)) + coeff * weight
+        expected = {s: c for s, c in expected.items() if c != 0}
+        assert weighted_sum(pairs).terms() == expected

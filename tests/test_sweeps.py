@@ -59,6 +59,11 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown parameters for bridge"):
             list(run_identity("bridge", {"x": Q(1)}))
 
+    @pytest.mark.parametrize("name, key", [("binom-poch", "x"), ("alt-sum", "alpha"), ("bridge", "t")])
+    def test_empty_grid_is_refused(self, name, key):
+        with pytest.raises(ValueError, match=f"{key} needs at least one value"):
+            run_identity(name, {key: []})
+
     def test_pinning_collapses_to_one_point(self):
         reports = list(run_identity("bridge", {"t": Q(1, 2), "alpha": Q(5, 2)}))
         assert len(reports) == 1
@@ -146,6 +151,12 @@ class TestConfig:
     def test_range_fields_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=field):
             parse_config_entry({"identity": "bridge", "sweep": {"t": {field: value}}})
+
+    @pytest.mark.parametrize("section", ["fixed", "sweep"])
+    @pytest.mark.parametrize("value", [[1], "t", 3, None])
+    def test_sections_must_be_objects(self, section, value):
+        with pytest.raises(ValueError, match=f"{section} must be a JSON object"):
+            parse_config_entry({"identity": "bridge", section: value})
 
     def test_scalar_keys(self):
         cfg = parse_config_entry({"identity": "leibniz", "seed": 9, "count": 3})
