@@ -10,11 +10,11 @@ wherever both are defined.
 """
 from fractions import Fraction as Q
 
-from deltafrac import FracOrder, GridFunction, ae_frac_diff, frac_sum_diff, mr_frac_diff
+from deltafrac import GridFunction, ae_frac_diff, frac_sum_diff, mr_frac_diff
 
 # half-order sum of the constant 1 on the natural numbers
 f = GridFunction(0, [1] * 6)
-half_sum = frac_sum_diff(f, FracOrder(Q(1, 2)))
+half_sum = frac_sum_diff(f, Q(1, 2))
 print("half sum of 1 starts at", half_sum.origin)
 for point, value in zip(half_sum.points(), half_sum.values):
     print(f"  t = {point}: {value}")
@@ -42,7 +42,7 @@ print("routes agree on the shared domain:", agree)
 # direct convolution with a negative non-integer order
 g = GridFunction(0, [Q(3, 7), Q(-2), Q(5, 3), 0, Q(9, 4), Q(1, 6)])
 three_halves = ae_frac_diff(g, Q(3, 2))
-via_order = frac_sum_diff(g, FracOrder(Q(-3, 2)))
+via_order = frac_sum_diff(g, Q(-3, 2))
 print(
     "order 3/2 agreement:",
     all(three_halves.values[k] == via_order.values[k + 2] for k in range(len(three_halves))),

@@ -19,9 +19,8 @@ from fractions import Fraction
 import click
 
 from .errors import DeltafracError
-from .exact import _coerce_poly, parse_rational, render_rational
+from .exact import as_polynomial, parse_rational, render_rational
 from .fracops import (
-    FracOrder,
     ae_frac_diff,
     frac_sum_diff,
     mr_frac_diff,
@@ -107,7 +106,7 @@ def _render_value(value) -> tuple[str, float | None]:
         if value.is_pole:
             return "pole", None
         value = value.as_polynomial()
-    value = _coerce_poly(value)
+    value = as_polynomial(value)
     return value.render(), _finite_float(value)
 
 
@@ -120,7 +119,7 @@ _SUBJECTS = {
     "binom": (("alpha", "n"), ("eval",), lambda o: gen_binomial(o["alpha"], o["n"])),
     "fracsum": (
         ("nu",), ("eval", "table"),
-        lambda o: frac_sum_diff(_source_window(o), FracOrder(o["nu"])),
+        lambda o: frac_sum_diff(_source_window(o), o["nu"]),
     ),
     "mrdiff": (("mu",), ("eval", "table"), lambda o: mr_frac_diff(_source_window(o), o["mu"])),
     "aediff": (("mu",), ("eval", "table"), lambda o: ae_frac_diff(_source_window(o), o["mu"])),
@@ -185,9 +184,9 @@ def cmd_eval(subject, fmt, **opts):
         if not 0 <= at < len(value):
             _fail(f"--at {at} is outside the output window (length {len(value)})")
         value = value.values[at]
-    rendered, float_value = _render_value(value)
+    rendered, as_float = _render_value(value)
     if fmt == "json":
-        doc = {"subject": subject, "value": rendered, "float": float_value}
+        doc = {"subject": subject, "value": rendered, "float": as_float}
         click.echo(json.dumps(doc), file=sys.stdout)
     else:
         click.echo(rendered, file=sys.stdout)
@@ -274,18 +273,15 @@ def cmd_verify(identity, pa, config_path, fmt, **params):
         configs = [SweepConfig(identity, overrides)]
 
     counts = {status: 0 for status in _STATUS_ORDER}
-    csv_header_done = False
+    if fmt == "csv":
+        click.echo(_CSV_HEADER, file=sys.stdout)
     try:
         for config in configs:
-            entry_fmt = config.output or fmt
-            if entry_fmt == "csv" and not csv_header_done:
-                click.echo(_CSV_HEADER, file=sys.stdout)
-                csv_header_done = True
             for rep in run_sweep(config):
                 counts[rep.status] += 1
-                if entry_fmt == "json":
+                if fmt == "json":
                     click.echo(json.dumps(rep.to_json_dict()), file=sys.stdout)
-                elif entry_fmt == "csv":
+                elif fmt == "csv":
                     click.echo(_csv_line(rep), file=sys.stdout)
                 else:
                     click.echo(_text_line(rep), file=sys.stdout)

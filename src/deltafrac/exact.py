@@ -14,8 +14,10 @@ independent.  The test is sound (a zero difference proves equality) but
 not complete: reflection and Gauss multiplication relate Gamma at distinct
 bases, so Gamma(1/6)*Gamma(5/6) and 2*Gamma(1/2)**2 compare unequal though
 they are equal.  Every polynomial sum goes through weighted_sum,
-GammaPolynomial's + and - included.  The float path exists only as a cross-check on the exact
-one, never as a substitute.
+GammaPolynomial's + and - included, and as_polynomial is the one
+conversion of an int, Fraction or GammaMonomial to a polynomial; the zero
+polynomial is GammaPolynomial().  The float path exists only as a
+cross-check on the exact one, never as a substitute.
 """
 from __future__ import annotations
 
@@ -40,6 +42,7 @@ __all__ = [
     "FactorSignature",
     "GammaMonomial",
     "GammaPolynomial",
+    "as_polynomial",
     "gamma_of",
     "parse_gamma_polynomial",
     "weighted_sum",
@@ -164,22 +167,6 @@ class GammaMonomial:
                 raise ValueError("factor bases must be strictly increasing")
             previous = base
 
-    @classmethod
-    def from_rational(cls, q: RationalLike) -> "GammaMonomial":
-        return cls(as_rational(q))
-
-    @classmethod
-    def one(cls) -> "GammaMonomial":
-        return cls(Fraction(1))
-
-    def as_fraction(self) -> Fraction:
-        if self.factors:
-            raise ValueError(f"not a rational value: {self.render()}")
-        return self.coeff
-
-    def __neg__(self) -> "GammaMonomial":
-        return GammaMonomial(-self.coeff, self.factors)
-
     def __mul__(self, other) -> "GammaMonomial":
         if isinstance(other, GammaMonomial):
             coeff = self.coeff * other.coeff
@@ -204,22 +191,6 @@ class GammaMonomial:
         if isinstance(other, (int, Fraction)):
             return GammaMonomial(self.coeff / as_rational(other), self.factors)
         return NotImplemented
-
-    def __pow__(self, exponent: int) -> "GammaMonomial":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent == 0:
-            return GammaMonomial.one()
-        if self.coeff == 0:
-            if exponent < 0:
-                raise ZeroDivisionError("zero monomial to a negative power")
-            return self
-        coeff = self.coeff ** exponent
-        factors = _canonical_factors({b: e * exponent for b, e in self.factors})
-        return GammaMonomial(coeff, factors)
-
-    def float_value(self) -> float:
-        return float(self.coeff) * _factors_float(self.factors)
 
     def render(self) -> str:
         return _render_term(self.coeff, self.factors)
@@ -253,7 +224,8 @@ def gamma_of(x: RationalLike) -> GammaMonomial:
     return GammaMonomial(coeff, ((base, 1),))
 
 
-def _coerce_poly(value) -> "GammaPolynomial":
+def as_polynomial(value) -> "GammaPolynomial":
+    """A polynomial as is; an int, Fraction or GammaMonomial as a new one; else TypeError."""
     return value if isinstance(value, GammaPolynomial) else weighted_sum(((value, 1),))
 
 
@@ -275,18 +247,6 @@ class GammaPolynomial:
                 if coeff != 0:
                     canonical[signature] = coeff
         self._terms = canonical
-
-    @classmethod
-    def zero(cls) -> "GammaPolynomial":
-        return cls()
-
-    @classmethod
-    def from_rational(cls, q: RationalLike) -> "GammaPolynomial":
-        return cls({(): as_rational(q)})
-
-    @classmethod
-    def from_monomial(cls, m: GammaMonomial) -> "GammaPolynomial":
-        return cls({m.factors: m.coeff} if m.coeff else None)
 
     @property
     def is_zero(self) -> bool:
@@ -319,7 +279,7 @@ class GammaPolynomial:
     def __mul__(self, other) -> "GammaPolynomial":
         if isinstance(other, (int, Fraction)):
             return weighted_sum(((self, other),))
-        other = _coerce_poly(other)
+        other = as_polynomial(other)
         product: dict[tuple, Fraction] = {}
         for sig_a, coeff_a in self._terms.items():
             for sig_b, coeff_b in other._terms.items():
@@ -331,7 +291,7 @@ class GammaPolynomial:
 
     def __eq__(self, other) -> bool:
         try:
-            other = _coerce_poly(other)
+            other = as_polynomial(other)
         except TypeError:
             return NotImplemented
         return self._terms == other._terms

@@ -14,12 +14,11 @@ their common domain, and a nabla-kernel evaluation completes the set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .errors import DomainError, SpecialValuePole, WindowTooShort
 from .exact import (
+    GammaMonomial,
     GammaPolynomial,
     RationalLike,
     as_rational,
@@ -31,8 +30,6 @@ from .gridfn import GridFunction, delta_n
 from .special import pochhammer
 
 __all__ = [
-    "FracOrder",
-    "OrderLike",
     "conv_weights",
     "frac_sum_diff",
     "mr_frac_diff",
@@ -41,45 +38,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FracOrder:
-    """An admissible operator order: any rational except 0, -1, -2, ..."""
-
-    nu: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nu", as_rational(self.nu))
-        if is_nonpositive_integer(self.nu):
-            raise DomainError(
-                f"nu must not be a nonpositive integer (got {self.nu})"
-            )
-
-
-OrderLike = Union[FracOrder, Fraction, int, str]
-
-
-def order_value(nu: OrderLike) -> Fraction:
-    if isinstance(nu, FracOrder):
-        return nu.nu
-    return FracOrder(as_rational(nu)).nu
-
-
-def conv_weights(nu: OrderLike, count: int) -> list[Fraction]:
-    """The first ``count`` convolution weights (nu)_j / j!."""
-    nu = order_value(nu)
+def conv_weights(nu: RationalLike, count: int) -> list[Fraction]:
+    """The first ``count`` convolution weights (nu)_j / j!; nu must not be 0, -1, -2, ..."""
+    nu = as_rational(nu)
+    if is_nonpositive_integer(nu):
+        raise DomainError(f"nu must not be a nonpositive integer (got {nu})")
     weights = [Fraction(1)]
     for j in range(1, count):
         weights.append(weights[-1] * (nu + j - 1) / j)
     return weights
 
 
-def frac_sum_diff(f: GridFunction, nu: OrderLike) -> GridFunction:
+def frac_sum_diff(f: GridFunction, nu: RationalLike) -> GridFunction:
     """Fractional sum (nu > 0) or difference (nu < 0, non-integer) of f.
 
     Output index N holds sum(w_{N-i} * f_i for i <= N); the output window
     starts at f.origin + nu and has the same length as the input.
     """
-    nu = order_value(nu)
+    nu = as_rational(nu)
     weights = conv_weights(nu, len(f))
     values = tuple(
         weighted_sum((f.values[i], weights[n - i]) for i in range(n + 1))
@@ -96,7 +72,7 @@ def mr_frac_diff(f: GridFunction, mu: RationalLike) -> GridFunction:
     mu = as_rational(mu)
     if not (0 < mu < 1):
         raise DomainError(f"mu must lie strictly between 0 and 1 (got {mu})")
-    return frac_sum_diff(f, FracOrder(-mu))
+    return frac_sum_diff(f, -mu)
 
 
 def ae_frac_diff(f: GridFunction, mu: RationalLike) -> GridFunction:
@@ -114,7 +90,7 @@ def ae_frac_diff(f: GridFunction, mu: RationalLike) -> GridFunction:
         raise WindowTooShort(
             f"window of length {len(f)} is too short for order {mu} (needs {n + 1})"
         )
-    return delta_n(frac_sum_diff(f, FracOrder(n - mu)), n)
+    return delta_n(frac_sum_diff(f, n - mu), n)
 
 
 def nabla_poch_diff(
@@ -143,7 +119,5 @@ def nabla_poch_diff(
         sample = pochhammer(j, p)
         if kernel.is_pole or sample.is_pole:
             raise SpecialValuePole(f"summand at j={j} has an unresolved Gamma pole")
-        term = kernel * sample
-        if term.is_finite:
-            summands.append((term.monomial, 1))
-    return weighted_sum(summands) * gamma_of(-alpha) ** -1
+        summands.append(((kernel * sample).value, 1))
+    return weighted_sum(summands) * (GammaMonomial(1) / gamma_of(-alpha))

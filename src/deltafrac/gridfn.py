@@ -11,13 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .errors import DomainError, WindowTooShort
 from .exact import (
-    GammaPolynomial,
     RationalLike,
-    _coerce_poly,
+    as_polynomial,
     as_rational,
     is_negative_integer,
     parse_gamma_polynomial,
@@ -29,7 +27,6 @@ from .special import falling
 __all__ = [
     "GridFunction",
     "sample_falling_power",
-    "sample_closure",
     "delta_n",
 ]
 
@@ -44,7 +41,7 @@ class GridFunction:
     def __post_init__(self) -> None:
         object.__setattr__(self, "origin", as_rational(self.origin))
         object.__setattr__(
-            self, "values", tuple(_coerce_poly(v) for v in self.values)
+            self, "values", tuple(as_polynomial(v) for v in self.values)
         )
         if not self.values:
             raise WindowTooShort("a grid function needs at least one value")
@@ -60,19 +57,12 @@ class GridFunction:
     def points(self) -> list[Fraction]:
         return [self.origin + k for k in range(len(self.values))]
 
-    def value(self, k: int) -> GammaPolynomial:
-        return self.values[k]
-
     def index_of(self, t: RationalLike) -> int:
         """Window index of the grid point t; t must lie on the grid."""
         offset = as_rational(t) - self.origin
         if offset.denominator != 1 or offset < 0 or offset >= len(self.values):
             raise DomainError(f"point {t} is not in this window")
         return int(offset)
-
-    def scale(self, q: RationalLike) -> "GridFunction":
-        q = as_rational(q)
-        return GridFunction(self.origin, tuple(v * q for v in self.values))
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         if not isinstance(other, GridFunction):
@@ -96,7 +86,7 @@ class GridFunction:
                 tuple(self.values[i] * other.values[i] for i in range(n)),
             )
         if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+            return GridFunction(self.origin, tuple(v * other for v in self.values))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -131,15 +121,6 @@ def sample_falling_power(a: RationalLike, mu: RationalLike, length: int) -> Grid
         falling(mu + i, mu).as_polynomial() for i in range(length)
     )
     return GridFunction(a + mu, values)
-
-
-def sample_closure(
-    a: RationalLike, length: int, source: Callable[[int], object]
-) -> GridFunction:
-    """Tabulate source(k) for k = 0..length-1 on the grid starting at a."""
-    if length < 1:
-        raise WindowTooShort("length must be at least 1")
-    return GridFunction(as_rational(a), tuple(source(k) for k in range(length)))
 
 
 def delta_n(f: GridFunction, n: int) -> GridFunction:

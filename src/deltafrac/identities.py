@@ -18,6 +18,7 @@ from .errors import DenominatorPochhammerZero, DomainError, WindowTooShort
 from .exact import (
     GammaPolynomial,
     RationalLike,
+    as_polynomial,
     as_rational,
     gamma_of,
     is_integer,
@@ -26,7 +27,7 @@ from .exact import (
     is_positive_integer,
     weighted_sum,
 )
-from .fracops import FracOrder, OrderLike, frac_sum_diff, nabla_poch_diff, order_value
+from .fracops import frac_sum_diff, nabla_poch_diff
 from .gridfn import GridFunction, delta_n, sample_falling_power
 from .report import VerificationReport, report_compare, report_excluded
 from .special import falling, falling_int, gen_binomial, poch_int
@@ -85,7 +86,7 @@ def _validate_power_rule_params(mu: Fraction, nu: Fraction) -> None:
 
 
 def power_rule_closed(
-    a: RationalLike, mu: RationalLike, nu: OrderLike, n: int
+    a: RationalLike, mu: RationalLike, nu: RationalLike, n: int
 ) -> GammaPolynomial:
     """Closed form of the order-nu sum of a falling power, at offset n.
 
@@ -94,16 +95,16 @@ def power_rule_closed(
     """
     as_rational(a)
     mu = as_rational(mu)
-    nu = order_value(nu)
+    nu = as_rational(nu)
     _validate_power_rule_params(mu, nu)
     if n < 0:
         raise DomainError("n must be a nonnegative integer")
     coeff = poch_int(mu + nu + 1, n) / math.factorial(n)
-    return GammaPolynomial.from_monomial(gamma_of(mu + 1) * coeff)
+    return as_polynomial(gamma_of(mu + 1) * coeff)
 
 
 def corollary_closed(
-    a: RationalLike, mu: RationalLike, nu: OrderLike, n: int
+    a: RationalLike, mu: RationalLike, nu: RationalLike, n: int
 ) -> GammaPolynomial:
     """Falling-power form of the same closed value, at offset n.
 
@@ -114,7 +115,7 @@ def corollary_closed(
     """
     as_rational(a)
     mu = as_rational(mu)
-    nu = order_value(nu)
+    nu = as_rational(nu)
     _validate_power_rule_params(mu, nu)
     if n < 0:
         raise DomainError("n must be a nonnegative integer")
@@ -124,14 +125,14 @@ def corollary_closed(
             raise DomainError(
                 "the vanishing form only covers n >= -(mu+nu)"
             )
-        return GammaPolynomial.zero()
+        return GammaPolynomial()
     prefactor = gamma_of(mu + 1) / gamma_of(total_order + 1)
     tail = falling(total_order + n, total_order).as_polynomial()
-    return GammaPolynomial.from_monomial(prefactor) * tail
+    return as_polynomial(prefactor) * tail
 
 
 def power_rule_verify(
-    a: RationalLike, mu: RationalLike, nu: OrderLike, n_max: int
+    a: RationalLike, mu: RationalLike, nu: RationalLike, n_max: int
 ) -> list[VerificationReport]:
     """Operator evaluation against the closed form, for every offset <= n_max.
 
@@ -141,12 +142,12 @@ def power_rule_verify(
     """
     a = as_rational(a)
     mu = as_rational(mu)
-    nu = order_value(nu)
+    nu = as_rational(nu)
     _validate_power_rule_params(mu, nu)
     if n_max < 0:
         raise DomainError("n_max must be a nonnegative integer")
     sampled = sample_falling_power(a, mu, n_max + 1)
-    summed = frac_sum_diff(sampled, FracOrder(nu))
+    summed = frac_sum_diff(sampled, nu)
     reports = []
     for n in range(n_max + 1):
         reports.append(
@@ -246,7 +247,7 @@ def alt_sum_lemma_check(
 
 
 def leibniz_sweep(
-    f: GridFunction, g: GridFunction, alpha: OrderLike, t_max: int | None = None
+    f: GridFunction, g: GridFunction, alpha: RationalLike, t_max: int | None = None
 ) -> list[VerificationReport]:
     """Product-rule check at every admissible point of a shared window.
 
@@ -254,7 +255,7 @@ def leibniz_sweep(
     assembles binomially weighted transforms of f against iterated
     differences of g.  Tables are shared across the sweep.
     """
-    alpha = order_value(alpha)
+    alpha = as_rational(alpha)
     if f.origin != g.origin:
         raise DomainError("f and g must share a grid origin")
     limit = min(len(f), len(g)) - 1
@@ -266,9 +267,9 @@ def leibniz_sweep(
         raise WindowTooShort(
             f"windows of length {len(f)} and {len(g)} do not reach index {t_max}"
         )
-    lhs_all = frac_sum_diff(f * g, FracOrder(alpha))
+    lhs_all = frac_sum_diff(f * g, alpha)
     transforms = [
-        frac_sum_diff(f, FracOrder(alpha + n)) for n in range(t_max + 1)
+        frac_sum_diff(f, alpha + n) for n in range(t_max + 1)
     ]
     differences = [g]
     for n in range(1, t_max + 1):
@@ -292,7 +293,7 @@ def leibniz_sweep(
 
 
 def leibniz_verify(
-    f: GridFunction, g: GridFunction, alpha: OrderLike, t_index: int
+    f: GridFunction, g: GridFunction, alpha: RationalLike, t_index: int
 ) -> VerificationReport:
     """Product-rule check at a single output point."""
     if t_index < 0:
@@ -330,7 +331,7 @@ def prop_form1_check(
         raise DomainError("n must be a nonnegative integer")
     prefactor = gamma_of(beta + gamma + 1) / gamma_of(beta + 1)
     scale = poch_int(alpha + beta + gamma + 1, n) / math.factorial(n)
-    lhs = GammaPolynomial.from_monomial(prefactor * scale)
+    lhs = as_polynomial(prefactor * scale)
     summands = []
     for j in range(n + 1):
         coeff = (

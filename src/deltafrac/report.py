@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .exact import GammaPolynomial, _coerce_poly, render_rational
+from .exact import GammaPolynomial, as_polynomial, render_rational
 
 __all__ = [
     "EXACT",
@@ -93,8 +93,8 @@ def report_compare(identity: str, params: Mapping[str, object], lhs, rhs) -> Ver
     int.  The comparison is exact; floats only grade a formal failure, and
     a side that does not fit in a double leaves the gap None.
     """
-    lhs = _coerce_poly(lhs)
-    rhs = _coerce_poly(rhs)
+    lhs = as_polynomial(lhs)
+    rhs = as_polynomial(rhs)
     lhs_float = _finite_float(lhs)
     rhs_float = _finite_float(rhs)
     gap = None
@@ -131,7 +131,7 @@ def report_excluded(
     """
     lhs = ""
     if boundary is not None:
-        lhs = _coerce_poly(boundary).render()
+        lhs = as_polynomial(boundary).render()
     return VerificationReport(
         identity=identity,
         params=dict(params),

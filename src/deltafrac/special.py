@@ -18,6 +18,7 @@ from .exact import (
     GammaMonomial,
     GammaPolynomial,
     RationalLike,
+    as_polynomial,
     as_rational,
     gamma_of,
     is_negative_integer,
@@ -55,17 +56,13 @@ class SpecialValue:
     value: GammaMonomial | None = None
 
     @classmethod
-    def finite(cls, monomial: GammaMonomial) -> "SpecialValue":
-        if monomial.coeff == 0:
+    def finite(cls, value: GammaMonomial | RationalLike) -> "SpecialValue":
+        """A finite value from a monomial or a rational; zero gives ZERO."""
+        if not isinstance(value, GammaMonomial):
+            value = GammaMonomial(value)
+        if value.coeff == 0:
             return ZERO
-        return cls("finite", monomial)
-
-    @classmethod
-    def from_rational(cls, q: RationalLike) -> "SpecialValue":
-        q = as_rational(q)
-        if q == 0:
-            return ZERO
-        return cls("finite", GammaMonomial(q))
+        return cls("finite", value)
 
     @property
     def is_finite(self) -> bool:
@@ -79,38 +76,22 @@ class SpecialValue:
     def is_pole(self) -> bool:
         return self.kind == "pole"
 
-    @property
-    def monomial(self) -> GammaMonomial:
-        if self.kind != "finite":
-            raise SpecialValuePole(f"no finite value to take: {self.render()}")
-        return self.value
-
     def as_polynomial(self) -> GammaPolynomial:
-        if self.kind == "zero":
-            return GammaPolynomial.zero()
-        if self.kind == "finite":
-            return GammaPolynomial.from_monomial(self.value)
-        raise SpecialValuePole("cannot convert a pole to a polynomial")
+        if self.kind == "pole":
+            raise SpecialValuePole("cannot convert a pole to a polynomial")
+        return as_polynomial(self.value)
 
     def as_fraction(self) -> Fraction:
-        if self.kind == "zero":
-            return Fraction(0)
-        if self.kind == "finite":
-            return self.value.as_fraction()
-        raise SpecialValuePole("cannot convert a pole to a rational")
+        return self.as_polynomial().as_fraction()
 
     def __mul__(self, other) -> "SpecialValue":
         if not isinstance(other, SpecialValue):
             return NotImplemented
         if self.is_pole or other.is_pole:
             return POLE_VALUE
-        if self.is_zero or other.is_zero:
-            return ZERO
         return SpecialValue.finite(self.value * other.value)
 
     def render(self) -> str:
-        if self.kind == "zero":
-            return "0"
         if self.kind == "pole":
             return "pole"
         return self.value.render()
@@ -119,7 +100,7 @@ class SpecialValue:
         return self.render()
 
 
-ZERO = SpecialValue("zero")
+ZERO = SpecialValue("zero", GammaMonomial(Fraction(0)))
 POLE_VALUE = SpecialValue("pole")
 
 
@@ -163,9 +144,9 @@ def falling(x: RationalLike, y: RationalLike) -> SpecialValue:
     x = as_rational(x)
     y = as_rational(y)
     if is_positive_integer(y):
-        return SpecialValue.from_rational(falling_int(x, int(y)))
+        return SpecialValue.finite(falling_int(x, int(y)))
     if y == 0:
-        return SpecialValue.from_rational(1)
+        return SpecialValue.finite(1)
     top_pole = is_negative_integer(x)
     bottom_pole = is_negative_integer(x - y)
     if not top_pole and not bottom_pole:
@@ -188,9 +169,9 @@ def pochhammer(x: RationalLike, y: RationalLike) -> SpecialValue:
     x = as_rational(x)
     y = as_rational(y)
     if is_positive_integer(y):
-        return SpecialValue.from_rational(poch_int(x, int(y)))
+        return SpecialValue.finite(poch_int(x, int(y)))
     if y == 0:
-        return SpecialValue.from_rational(1)
+        return SpecialValue.finite(1)
     top_pole = is_nonpositive_integer(x + y)
     bottom_pole = is_nonpositive_integer(x)
     if not bottom_pole and not top_pole:

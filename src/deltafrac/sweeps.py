@@ -24,7 +24,7 @@ from .exact import (
     is_nonpositive_integer,
     parse_rational,
 )
-from .fracops import FracOrder, ae_frac_diff, frac_sum_diff, mr_frac_diff
+from .fracops import ae_frac_diff, frac_sum_diff, mr_frac_diff
 from .gridfn import GridFunction
 from .identities import (
     alt_sum_lemma_check,
@@ -119,6 +119,8 @@ def _run_binom(check: Callable, ov: Mapping) -> Iterator[VerificationReport]:
 def _run_alt_sum(ov: Mapping) -> Iterator[VerificationReport]:
     rng = random.Random(ov["seed"])
     window = ov["window"]
+    if ov["k"] is not None and ov["k"] >= window:
+        raise ValueError(f"k must be less than window (got k={ov['k']}, window={window})")
     for _ in range(ov["count"]):
         origin = _random_rational(rng)
         g = GridFunction(origin, _random_values(rng, window))
@@ -181,7 +183,7 @@ def _run_mr_ae(ov: Mapping) -> Iterator[VerificationReport]:
             if 0 < mu < 1:
                 direct = mr_frac_diff(f, mu)
             else:
-                direct = frac_sum_diff(f, FracOrder(-mu))
+                direct = frac_sum_diff(f, -mu)
             for k in range(len(stepped)):
                 yield report_compare(
                     "mr-ae",
@@ -354,7 +356,6 @@ def run_identity(name: str, overrides: Mapping | None = None) -> Iterator[Verifi
 class SweepConfig:
     identity: str
     overrides: dict = field(default_factory=dict)
-    output: str | None = None
 
 
 def default_suite() -> list[SweepConfig]:
@@ -381,7 +382,7 @@ def parse_config_entry(doc: Mapping) -> SweepConfig:
     """One sweep entry, checked whole against its identity's parameter table."""
     if not isinstance(doc, Mapping):
         raise ValueError("each sweep entry must be a JSON object")
-    known = {"identity", "fixed", "sweep", "output"} | _TOP_LEVEL_SCALARS
+    known = {"identity", "fixed", "sweep"} | _TOP_LEVEL_SCALARS
     unknown = set(doc) - known
     if unknown:
         raise ValueError(f"unknown config fields: {', '.join(sorted(unknown))}")
@@ -404,10 +405,7 @@ def parse_config_entry(doc: Mapping) -> SweepConfig:
         key: resolved[key][0] if isinstance(resolved[key], tuple) else resolved[key]
         for key in overrides
     }
-    output = doc.get("output")
-    if output is not None and output not in ("json", "csv"):
-        raise ValueError(f"output must be 'json' or 'csv', got {output!r}")
-    return SweepConfig(identity=identity, overrides=overrides, output=output)
+    return SweepConfig(identity=identity, overrides=overrides)
 
 
 def load_config(path: str) -> list[SweepConfig]:

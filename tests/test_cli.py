@@ -1,9 +1,11 @@
 """Command line behavior: values, reports, formats, exit codes, determinism."""
 import gc
 import hashlib
+import importlib
 import io
 import json
 import math
+import pkgutil
 import sys
 import weakref
 from collections import Counter
@@ -13,6 +15,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import deltafrac
 import deltafrac.sweeps as sweeps
 from deltafrac import GridFunction, ae_frac_diff, report_compare
 from deltafrac.cli import main
@@ -266,6 +269,12 @@ class TestVerify:
         assert result.exit_code == 0
         assert "checked 0 parameter points" in result.output
 
+    def test_pinned_k_past_the_window_exits_2(self, runner):
+        argv = ["verify", "alt-sum", "--k", "8", "--window", "3", "--count", "1"]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2
+        assert "k must be less than window (got k=8, window=3)" in result.output
+
     def test_negative_size_in_config_exits_2(self, runner, tmp_path):
         config = tmp_path / "sweeps.json"
         config.write_text(json.dumps({"identity": "leibniz", "count": -1}))
@@ -477,3 +486,17 @@ class TestTable:
             main, ["table", "aediff", "--mu", "5/2", "--f", "const:1", "--len", "2"]
         )
         assert result.exit_code == 2
+
+
+_EXPORTING_MODULES = ["deltafrac"] + [
+    f"deltafrac.{info.name}"
+    for info in pkgutil.iter_modules(deltafrac.__path__)
+    if hasattr(importlib.import_module(f"deltafrac.{info.name}"), "__all__")
+]
+
+
+@pytest.mark.parametrize("module_name", _EXPORTING_MODULES)
+def test_every_export_resolves(module_name):
+    # the benchmark tracer calls getattr on every __all__ name
+    module = importlib.import_module(module_name)
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from deltafrac import (
     DomainError,
-    FracOrder,
     GridFunction,
     SpecialValuePole,
     WindowTooShort,
@@ -19,19 +18,19 @@ from deltafrac import (
 from deltafrac import ae_frac_diff, delta_n, gen_binomial
 
 
-class TestFracOrder:
+class TestConvWeights:
     def test_accepts_nonintegers_and_positive_integers(self):
-        assert FracOrder(Q(1, 2)).nu == Q(1, 2)
-        assert FracOrder(3).nu == 3
-        assert FracOrder("-5/2").nu == Q(-5, 2)
+        # the second weight is nu itself
+        assert conv_weights(Q(1, 2), 2) == [1, Q(1, 2)]
+        assert conv_weights(3, 2) == [1, 3]
+        assert conv_weights("-5/2", 2) == [1, Q(-5, 2)]
 
     @pytest.mark.parametrize("bad", [0, -1, -7])
     def test_rejects_nonpositive_integers(self, bad):
-        with pytest.raises(DomainError, match="nu must not be a nonpositive integer"):
-            FracOrder(bad)
+        message = rf"nu must not be a nonpositive integer \(got {bad}\)"
+        with pytest.raises(DomainError, match=message):
+            conv_weights(bad, 3)
 
-
-class TestConvWeights:
     def test_half_order_weights(self):
         # (nu)_j / j! for nu = 1/2: 1, 1/2, 3/8, 5/16
         assert conv_weights(Q(1, 2), 4) == [1, Q(1, 2), Q(3, 8), Q(5, 16)]
@@ -54,7 +53,7 @@ class TestConvWeights:
 class TestFracSumDiff:
     def test_const_one_half_order(self):
         f = GridFunction(0, [1, 1, 1, 1])
-        out = frac_sum_diff(f, FracOrder(Q(1, 2)))
+        out = frac_sum_diff(f, Q(1, 2))
         assert out.origin == Q(1, 2)
         assert [v.as_fraction() for v in out.values] == [1, Q(3, 2), Q(15, 8), Q(35, 16)]
 
@@ -66,7 +65,7 @@ class TestFracSumDiff:
 
     def test_accepts_order_like_values(self):
         f = GridFunction(0, [1, 1])
-        assert frac_sum_diff(f, Q(1, 2)) == frac_sum_diff(f, FracOrder(Q(1, 2)))
+        assert frac_sum_diff(f, 1) == frac_sum_diff(f, Q(1))
         assert frac_sum_diff(f, "1/2") == frac_sum_diff(f, Q(1, 2))
 
     def test_rejects_nonpositive_integer_order(self):
@@ -117,7 +116,7 @@ class TestDirectAndSteppedFractionalDifference:
         f = GridFunction(0, [Q(4), Q(1, 5), Q(-3), Q(2, 7), Q(6)])
         mu = Q(3, 2)
         direct = ae_frac_diff(f, mu)
-        unrolled = delta_n(frac_sum_diff(f, FracOrder(2 - mu)), 2)
+        unrolled = delta_n(frac_sum_diff(f, 2 - mu), 2)
         assert direct == unrolled
 
     def test_ae_rejects_bad_orders(self):

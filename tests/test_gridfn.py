@@ -5,12 +5,11 @@ import pytest
 
 from deltafrac import (
     DomainError,
-    GammaPolynomial,
     GridFunction,
     WindowTooShort,
+    as_polynomial,
     delta_n,
     gamma_of,
-    sample_closure,
     sample_falling_power,
 )
 
@@ -21,7 +20,7 @@ def test_window_basics():
     assert f.point(0) == Q(1, 2)
     assert f.point(2) == Q(5, 2)
     assert f.points() == [Q(1, 2), Q(3, 2), Q(5, 2)]
-    assert f.value(1) == GammaPolynomial.from_rational(2)
+    assert f.values[1] == as_polynomial(2)
     assert f.index_of(Q(3, 2)) == 1
 
 
@@ -40,7 +39,7 @@ def test_empty_window_rejected():
 
 def test_values_coerce_to_polynomials():
     f = GridFunction(0, [Q(1, 2), gamma_of(Q(1, 2))])
-    assert f.value(1).render() == "1*G(1/2)^1"
+    assert f.values[1].render() == "1*G(1/2)^1"
 
 
 def test_pointwise_algebra():
@@ -48,7 +47,7 @@ def test_pointwise_algebra():
     g = GridFunction(0, [5, 7, 11])
     assert [(v.as_fraction()) for v in (f + g).values] == [6, 9, 14]
     assert [(v.as_fraction()) for v in (f * g).values] == [5, 14, 33]
-    assert [(v.as_fraction()) for v in f.scale(Q(1, 2)).values] == [
+    assert [(v.as_fraction()) for v in (f * Q(1, 2)).values] == [
         Q(1, 2),
         1,
         Q(3, 2),
@@ -77,18 +76,12 @@ def test_sample_falling_power():
     # fractional power: t^{1/2} at t = 1/2 is Gamma(3/2)/Gamma(1)
     g = sample_falling_power(0, Q(1, 2), 2)
     assert g.origin == Q(1, 2)
-    assert g.value(0).render() == "1/2*G(1/2)^1"
+    assert g.values[0].render() == "1/2*G(1/2)^1"
 
 
 def test_sample_falling_power_rejects_negative_integer_exponent():
     with pytest.raises(DomainError):
         sample_falling_power(0, -2, 3)
-
-
-def test_sample_closure():
-    f = sample_closure(Q(1, 3), 4, lambda k: Q(k * k))
-    assert f.origin == Q(1, 3)
-    assert [v.as_fraction() for v in f.values] == [0, 1, 4, 9]
 
 
 class TestDeltaN:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from deltafrac import (
-    GammaPolynomial,
+    GammaMonomial,
     SpecialValuePole,
+    as_polynomial,
     falling,
     falling_int,
     falling_poch_bridge_check,
@@ -57,7 +58,7 @@ class TestFallingCases:
 
     def test_gamma_ratio_case(self):
         v = falling(Q(1, 2), Q(1, 2))
-        expected = GammaPolynomial.from_monomial(
+        expected = as_polynomial(
             gamma_of(Q(3, 2)) / gamma_of(1)
         )
         assert v.as_polynomial() == expected
@@ -108,7 +109,9 @@ class TestPochhammerCases:
 class TestSpecialValue:
     def test_monomial_access(self):
         with pytest.raises(SpecialValuePole):
-            POLE_VALUE.monomial()
+            POLE_VALUE.as_polynomial()
+        assert ZERO.value == GammaMonomial(0)
+        assert SpecialValue.finite(0) is ZERO
         assert ZERO.as_polynomial().is_zero
         assert ZERO.render() == "0"
         assert POLE_VALUE.render() == "pole"
