@@ -11,8 +11,8 @@ from collections import Counter
 from fractions import Fraction as Q
 
 from deltafrac import (
-    leibniz_verify,
     GridFunction,
+    leibniz_sweep,
     power_rule_verify,
     run_identity,
     saalschutz_lhs,
@@ -28,7 +28,7 @@ print("  N = 2 value:", reports[2].lhs)
 # product rule at one point: both sides of the expansion, exactly
 f = GridFunction(0, [1] * 6)
 g = GridFunction(0, [Q(k) for k in range(6)])
-rep = leibniz_verify(f, g, Q(1, 2), 3)
+rep = leibniz_sweep(f, g, Q(1, 2))[3]
 print("product rule at t_index 3:", rep.status, "both sides", rep.lhs)
 
 # terminating series closed form: a ratio of four Pochhammer products

@@ -204,7 +204,7 @@ def _text_line(rep: VerificationReport) -> str:
             parts.append(f"lhs={rep.lhs}")
         if rep.rhs:
             parts.append(f"rhs={rep.rhs}")
-        if rep.status in (FLOAT_ONLY, MISMATCH) and rep.abs_float_gap is not None:
+        if rep.is_failure and rep.abs_float_gap is not None:
             parts.append(f"gap={rep.abs_float_gap!r}")
     return " ".join(parts)
 
@@ -273,12 +273,14 @@ def cmd_verify(identity, pa, config_path, fmt, **params):
         configs = [SweepConfig(identity, overrides)]
 
     counts = {status: 0 for status in _STATUS_ORDER}
+    failed = False
     if fmt == "csv":
         click.echo(_CSV_HEADER, file=sys.stdout)
     try:
         for config in configs:
             for rep in run_sweep(config):
                 counts[rep.status] += 1
+                failed = failed or rep.is_failure
                 if fmt == "json":
                     click.echo(json.dumps(rep.to_json_dict()), file=sys.stdout)
                 elif fmt == "csv":
@@ -290,7 +292,7 @@ def cmd_verify(identity, pa, config_path, fmt, **params):
     total = sum(counts.values())
     summary = ", ".join(f"{counts[status]} {status}" for status in _STATUS_ORDER)
     click.echo(f"checked {total} parameter points: {summary}", file=sys.stderr)
-    sys.exit(1 if counts[MISMATCH] or counts[FLOAT_ONLY] else 0)
+    sys.exit(1 if failed else 0)
 
 
 @main.command("table")

@@ -114,7 +114,7 @@ def sample_falling_power(a: RationalLike, mu: RationalLike, length: int) -> Grid
     a = as_rational(a)
     mu = as_rational(mu)
     if is_negative_integer(mu):
-        raise DomainError("mu must not be a negative integer")
+        raise DomainError(f"mu must not be a negative integer (got {mu})")
     if length < 1:
         raise WindowTooShort("length must be at least 1")
     values = tuple(

@@ -4,9 +4,10 @@ Every verifier computes both sides of an identity along fully independent
 paths (operator evaluation against closed form, product against series)
 and returns a VerificationReport.  Checks are exact: a report says
 ``exact`` only when the formal difference of the two sides is the zero
-Gamma polynomial.  Points an identity does not claim come back as
-``domain_excluded`` with the violated precondition named, never silently
-dropped and never counted as passes.
+Gamma polynomial.  A verifier raises DomainError for parameters outside
+its identity's statement and reports ``domain_excluded`` for the points
+the statement names.  The power-rule sweep skips orders off the rule; the
+Saalschutz sweep drops excluded points unless pinned or ``force`` is set.
 """
 from __future__ import annotations
 
@@ -41,7 +42,6 @@ __all__ = [
     "gamma_sum_check",
     "nabla_zero_check",
     "alt_sum_lemma_check",
-    "leibniz_verify",
     "leibniz_sweep",
     "prop_form1_check",
     "hyp3f2_terminating",
@@ -143,7 +143,6 @@ def power_rule_verify(
     a = as_rational(a)
     mu = as_rational(mu)
     nu = as_rational(nu)
-    _validate_power_rule_params(mu, nu)
     if n_max < 0:
         raise DomainError("n_max must be a nonnegative integer")
     sampled = sample_falling_power(a, mu, n_max + 1)
@@ -247,9 +246,9 @@ def alt_sum_lemma_check(
 
 
 def leibniz_sweep(
-    f: GridFunction, g: GridFunction, alpha: RationalLike, t_max: int | None = None
+    f: GridFunction, g: GridFunction, alpha: RationalLike
 ) -> list[VerificationReport]:
-    """Product-rule check at every admissible point of a shared window.
+    """Product-rule check at every point of the window f and g share.
 
     The left side transforms the pointwise product once; the right side
     assembles binomially weighted transforms of f against iterated
@@ -258,15 +257,7 @@ def leibniz_sweep(
     alpha = as_rational(alpha)
     if f.origin != g.origin:
         raise DomainError("f and g must share a grid origin")
-    limit = min(len(f), len(g)) - 1
-    if t_max is None:
-        t_max = limit
-    if t_max < 0:
-        raise DomainError("t_max must be a nonnegative integer")
-    if t_max > limit:
-        raise WindowTooShort(
-            f"windows of length {len(f)} and {len(g)} do not reach index {t_max}"
-        )
+    t_max = min(len(f), len(g)) - 1
     lhs_all = frac_sum_diff(f * g, alpha)
     transforms = [
         frac_sum_diff(f, alpha + n) for n in range(t_max + 1)
@@ -290,15 +281,6 @@ def leibniz_sweep(
             )
         )
     return reports
-
-
-def leibniz_verify(
-    f: GridFunction, g: GridFunction, alpha: RationalLike, t_index: int
-) -> VerificationReport:
-    """Product-rule check at a single output point."""
-    if t_index < 0:
-        raise DomainError("t_index must be a nonnegative integer")
-    return leibniz_sweep(f, g, alpha, t_max=t_index)[-1]
 
 
 def prop_form1_check(
@@ -435,9 +417,9 @@ def saalschutz_verify(
 ) -> VerificationReport:
     """Product side against the terminating series, entirely in rationals.
 
-    Outside the hypotheses the check raises DomainError unless ``force``
-    is set, in which case the point is evaluated honestly and reported
-    for whatever it turns out to be.
+    Outside the hypotheses the point is reported ``domain_excluded``,
+    naming the violated hypothesis, unless ``force`` is set, in which case
+    it is evaluated honestly and reported for whatever it turns out to be.
     """
     a = as_rational(a)
     b = as_rational(b)
@@ -445,7 +427,7 @@ def saalschutz_verify(
     params = {"a": a, "b": b, "c": c, "m": m}
     violation = saalschutz_hypothesis_violation(a, b, c, m)
     if violation is not None and not force:
-        raise DomainError(violation)
+        return report_excluded("saalschutz", params, violation)
     try:
         lhs = saalschutz_lhs(a, b, c, m)
         rhs = hyp3f2_terminating(a, b, m, c, 1 + a + b - c - m, 1)

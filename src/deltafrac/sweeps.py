@@ -24,7 +24,7 @@ from .exact import (
     is_nonpositive_integer,
     parse_rational,
 )
-from .fracops import ae_frac_diff, frac_sum_diff, mr_frac_diff
+from .fracops import ae_frac_diff, frac_sum_diff
 from .gridfn import GridFunction
 from .identities import (
     alt_sum_lemma_check,
@@ -35,10 +35,9 @@ from .identities import (
     nabla_zero_check,
     power_rule_verify,
     prop_form1_check,
-    saalschutz_hypothesis_violation,
     saalschutz_verify,
 )
-from .report import VerificationReport, report_compare, report_excluded
+from .report import DOMAIN_EXCLUDED, VerificationReport, report_compare
 from .special import falling_poch_bridge_check, index_law_check
 
 __all__ = [
@@ -116,11 +115,14 @@ def _run_binom(check: Callable, ov: Mapping) -> Iterator[VerificationReport]:
         )
 
 
+def _check_alt_sum(ov: Mapping) -> None:
+    if ov["k"] is not None and ov["k"] >= ov["window"]:
+        raise ValueError(f"k must be less than window (got k={ov['k']}, window={ov['window']})")
+
+
 def _run_alt_sum(ov: Mapping) -> Iterator[VerificationReport]:
     rng = random.Random(ov["seed"])
     window = ov["window"]
-    if ov["k"] is not None and ov["k"] >= window:
-        raise ValueError(f"k must be less than window (got k={ov['k']}, window={window})")
     for _ in range(ov["count"]):
         origin = _random_rational(rng)
         g = GridFunction(origin, _random_values(rng, window))
@@ -141,12 +143,8 @@ def _run_gamma_sum(ov: Mapping) -> Iterator[VerificationReport]:
     for mu in ov["mu"]:
         nu_values = ov["nu"] if ov["nu"] is not None else [-m - mu for m in ov["m"]]
         for nu in nu_values:
-            total_order = mu + nu
-            if not is_negative_integer(total_order):
-                # surfaces the precondition as a DomainError
-                yield gamma_sum_check(mu, nu, 0)
-                continue
-            m = int(-total_order)
+            # off the claim, gamma_sum_check raises on the first n
+            m = int(-(mu + nu))
             ns = [ov["n"]] if ov["n"] is not None else range(m, m + ov["n_extra"] + 1)
             for n in ns:
                 yield gamma_sum_check(mu, nu, n)
@@ -156,15 +154,12 @@ def _run_nabla_zero(ov: Mapping) -> Iterator[VerificationReport]:
     for a, p in product(ov["a"], ov["p"]):
         alpha_values = ov["alpha"] if ov["alpha"] is not None else [p + m for m in ov["m"]]
         for alpha in alpha_values:
-            m = alpha - p
-            if m.denominator != 1 or m < 1:
-                # surfaces the precondition as a DomainError
-                yield nabla_zero_check(a, p, alpha, 1)
-                continue
+            # off the claim, nabla_zero_check raises on the first t_index
+            m = int(alpha - p)
             if ov["t_index"] is not None:
                 ts = [ov["t_index"]]
             else:
-                ts = range(1 + int(m), 1 + int(m) + ov["t_extra"] + 1)
+                ts = range(1 + m, 1 + m + ov["t_extra"] + 1)
             for t_index in ts:
                 yield nabla_zero_check(a, p, alpha, t_index)
 
@@ -180,10 +175,7 @@ def _run_mr_ae(ov: Mapping) -> Iterator[VerificationReport]:
         for mu in ov["mu"]:
             n = math.ceil(mu)
             stepped = ae_frac_diff(f, mu)
-            if 0 < mu < 1:
-                direct = mr_frac_diff(f, mu)
-            else:
-                direct = frac_sum_diff(f, -mu)
+            direct = frac_sum_diff(f, -mu)
             for k in range(len(stepped)):
                 yield report_compare(
                     "mr-ae",
@@ -216,12 +208,10 @@ def _run_saalschutz(ov: Mapping) -> Iterator[VerificationReport]:
     # a single fully-pinned point reports its exclusion instead of vanishing
     point_mode = ov["m"] is not None and all(isinstance(ov[key], tuple) for key in "abc")
     for a, b, c, m in product(ov["a"], ov["b"], ov["c"], ms):
-        violation = saalschutz_hypothesis_violation(a, b, c, m)
-        if violation is None or force:
-            yield saalschutz_verify(a, b, c, m, force=force)
-        elif point_mode:
-            yield report_excluded("saalschutz", {"a": a, "b": b, "c": c, "m": m}, violation)
+        report = saalschutz_verify(a, b, c, m, force=force)
         # swept points outside the hypotheses are filtered silently
+        if report.status != DOMAIN_EXCLUDED or force or point_mode:
+            yield report
 
 
 @dataclass(frozen=True)
@@ -230,12 +220,14 @@ class IdentityEntry:
 
     ``defaults`` maps every key to its default: a list is a grid the sweep
     runs over, ``None`` means drawn or derived unless pinned, and a scalar
-    is a size, seed or flag default.
+    is a size, seed or flag default.  ``check``, if given, refuses resolved
+    parameters that are each valid but do not fit together.
     """
 
     name: str
     defaults: Mapping
     run: Callable[[Mapping], Iterator[VerificationReport]]
+    check: Callable[[Mapping], None] | None = None
 
 
 _BINOM_DEFAULTS = {"x": None, "y": None, "n": None, "n_max": 12, "seed": DEFAULT_SEED, "count": 200}
@@ -257,7 +249,7 @@ REGISTRY: dict[str, IdentityEntry] = {
         IdentityEntry("alt-sum", {
             "alpha": None, "k": None, "t_index": None,
             "window": 13, "seed": DEFAULT_SEED, "count": 200,
-        }, _run_alt_sum),
+        }, _run_alt_sum, _check_alt_sum),
         IdentityEntry("power-rule", {
             "a": [_Q(0), _Q(1, 4), _Q(-3)],
             "mu": [_Q(0), _Q(1, 2), _Q(1, 3), _Q(5, 2), _Q(-1, 2)],
@@ -344,6 +336,8 @@ def _resolve(name: str, overrides: Mapping) -> dict:
         else:
             value = _convert(kind, key, raw)
             ov[key] = (value,) if takes_list else value
+    if entry.check is not None:
+        entry.check(ov)
     return ov
 
 

@@ -201,11 +201,22 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "all", "--config", "/nonexistent.json"])
         assert result.exit_code == 2
 
-    def test_domain_error_exits_2(self, runner):
-        result = runner.invoke(
-            main, ["verify", "gamma-sum", "--mu", "1/2", "--nu", "-1/2"]
-        )
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gamma-sum", "--mu", "1/2", "--nu", "-1/2"], "mu+nu must be a negative integer"),
+            (["gamma-sum", "--mu", "1/2", "--nu", "1/2"], "mu+nu must be a negative integer"),
+            (["gamma-sum", "--mu", "1/2", "--nu", "1/2", "--n", "3"], "mu+nu must be a negative integer"),
+            (["nabla-zero", "--p", "1/2", "--alpha", "1/3"], "alpha - p must be a positive integer"),
+            (["nabla-zero", "--p", "1/2", "--alpha", "1/2", "--t-index", "4"],
+             "alpha - p must be a positive integer"),
+        ],
+    )
+    def test_domain_error_exits_2(self, runner, argv, message):
+        result = runner.invoke(main, ["verify", *argv])
         assert result.exit_code == 2
+        assert result.stdout == ""
+        assert message in result.output
 
     def test_force_reaches_excluded_points(self, runner):
         result = runner.invoke(
@@ -295,6 +306,7 @@ class TestVerify:
             ({"identity": "binom-poch", "sweep": {"x": []}}, "x needs at least one value"),
             ({"identity": "alt-sum", "sweep": {"alpha": []}}, "alpha needs at least one value"),
             ({"identity": "bridge", "sweep": {"t": {"den_max": 0}}}, "t needs at least one value"),
+            ({"identity": "alt-sum", "k": 8, "window": 3}, "k must be less than window (got k=8, window=3)"),
         ],
     )
     def test_bad_later_config_entry_prints_no_report(self, runner, tmp_path, bad_entry, message):

@@ -17,7 +17,6 @@ from deltafrac import (
     gamma_sum_check,
     hyp3f2_terminating,
     leibniz_sweep,
-    leibniz_verify,
     nabla_zero_check,
     power_rule_closed,
     power_rule_verify,
@@ -86,7 +85,7 @@ class TestPowerRule:
             assert corollary_closed(0, 0, 1, n).as_fraction() == n + 1
 
     def test_parameter_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"mu must not be a negative integer \(got -2\)"):
             power_rule_verify(0, -2, Q(1, 2), 3)  # mu negative integer
         with pytest.raises(DomainError):
             power_rule_verify(0, Q(1, 2), -1, 3)  # nu nonpositive integer
@@ -154,7 +153,7 @@ class TestLeibniz:
     def test_product_with_constant(self):
         f = GridFunction(0, [1] * 6)
         g = GridFunction(0, [Q(k) for k in range(6)])
-        rep = leibniz_verify(f, g, Q(1, 2), 3)
+        rep = leibniz_sweep(f, g, Q(1, 2))[3]
         assert rep.status == "exact"
         assert rep.lhs == "35/8"
 
@@ -272,8 +271,10 @@ class TestSaalschutz:
         assert saalschutz_hypothesis_violation(Q(1, 2), Q(1, 2), 2, 1) is None
 
     def test_verify_enforces_hypotheses(self):
-        with pytest.raises(DomainError):
-            saalschutz_verify(0, Q(1, 2), 2, 1)
+        rep = saalschutz_verify(0, Q(1, 2), 2, 1)
+        assert rep.status == "domain_excluded"
+        assert rep.params == {"a": 0, "b": Q(1, 2), "c": 2, "m": 1}
+        assert rep.excluded_by == "a must not be a nonpositive integer"
 
     def test_force_evaluates_anyway(self):
         rep = saalschutz_verify(Q(1, 2), Q(1, 2), Q(3, 2), 1, force=True)
