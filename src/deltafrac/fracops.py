@@ -8,13 +8,19 @@ The central operator maps a window on {a, a+1, ...} to a window on
 computed through the recurrence w_0 = 1, w_j = w_{j-1} (nu + j - 1) / j.
 Positive orders are fractional sums, negative non-integer orders are
 fractional differences; order zero and negative integers are excluded.
-Two classical difference constructions are layered on top and agree on
-their common domain, and a nabla-kernel evaluation completes the set.
+The convolution runs on integer columns: once per call, the window is
+split into one column per Gamma factor signature, each column and the
+weights are written as integer numerators over their common denominators,
+and every output coefficient is one integer dot product reduced by a
+single gcd.  Two classical difference constructions are layered on top
+and agree on their common domain, and a nabla-kernel evaluation
+completes the set.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import DomainError, SpecialValuePole, WindowTooShort
 from .exact import (
@@ -53,15 +59,47 @@ def frac_sum_diff(f: GridFunction, nu: RationalLike) -> GridFunction:
     """Fractional sum (nu > 0) or difference (nu < 0, non-integer) of f.
 
     Output index N holds sum(w_{N-i} * f_i for i <= N); the output window
-    starts at f.origin + nu and has the same length as the input.
+    starts at f.origin + nu and has the same length as the input.  Each
+    factor signature of the window is convolved as an integer column over
+    one common denominator, so every output coefficient is normalized once.
     """
     nu = as_rational(nu)
     weights = conv_weights(nu, len(f))
-    values = tuple(
-        weighted_sum((f.values[i], weights[n - i]) for i in range(n + 1))
-        for n in range(len(f))
+    return GridFunction(f.origin + nu, _convolve_columns(f.values, weights))
+
+
+def _over_common_denominator(column: list[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of the column over the lcm of its denominators."""
+    denominator = math.lcm(*(q.denominator for q in column))
+    return [q.numerator * (denominator // q.denominator) for q in column], denominator
+
+
+def _convolve_columns(values: tuple, weights: list[Fraction]) -> tuple:
+    """Causal convolution of Gamma-polynomial values with rational weights.
+
+    Output n of signature s is sum(weights[n - i] * coeff_s(values[i])),
+    computed on ints over the weights' and the column's denominators.
+    """
+    length = len(values)
+    columns: dict[tuple, list] = {}
+    for i, value in enumerate(values):
+        for signature, coeff in value.terms().items():
+            if signature not in columns:
+                columns[signature] = [Fraction(0)] * length
+            columns[signature][i] = coeff
+    numerators, weight_den = _over_common_denominator(weights)
+    reversed_weights = numerators[::-1]
+    convolved = {}
+    for signature, column in columns.items():
+        coeffs, column_den = _over_common_denominator(column)
+        denominator = weight_den * column_den
+        convolved[signature] = [
+            Fraction(sum(map(mul, reversed_weights[length - 1 - n:], coeffs)), denominator)
+            for n in range(length)
+        ]
+    return tuple(
+        GammaPolynomial({s: out[n] for s, out in convolved.items()}) for n in range(length)
     )
-    return GridFunction(f.origin + nu, values)
 
 
 def mr_frac_diff(f: GridFunction, mu: RationalLike) -> GridFunction:

@@ -6,8 +6,9 @@ and returns a VerificationReport.  Checks are exact: a report says
 ``exact`` only when the formal difference of the two sides is the zero
 Gamma polynomial.  A verifier raises DomainError for parameters outside
 its identity's statement and reports ``domain_excluded`` for the points
-the statement names.  The power-rule sweep skips orders off the rule; the
-Saalschutz sweep drops excluded points unless pinned or ``force`` is set.
+the statement names.  The power-rule sweep skips swept orders off the rule
+and refuses a pinned one; the Saalschutz sweep drops excluded points
+unless pinned or ``force`` is set.
 """
 from __future__ import annotations
 
@@ -255,8 +256,6 @@ def leibniz_sweep(
     differences of g.  Tables are shared across the sweep.
     """
     alpha = as_rational(alpha)
-    if f.origin != g.origin:
-        raise DomainError("f and g must share a grid origin")
     t_max = min(len(f), len(g)) - 1
     lhs_all = frac_sum_diff(f * g, alpha)
     transforms = [

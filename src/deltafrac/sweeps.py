@@ -19,6 +19,7 @@ from functools import partial
 from itertools import product
 from typing import Callable, Iterator, Mapping
 
+from .errors import DomainError
 from .exact import (
     is_negative_integer,
     is_nonpositive_integer,
@@ -130,6 +131,15 @@ def _run_alt_sum(ov: Mapping) -> Iterator[VerificationReport]:
         k = ov["k"] if ov["k"] is not None else rng.randint(0, window - 1)
         t_index = ov["t_index"] if ov["t_index"] is not None else rng.randint(k, window - 1)
         yield alt_sum_lemma_check(g, alpha, k, t_index)
+
+
+def _check_power_rule(ov: Mapping) -> None:
+    # a pinned order off the rule is refused; a swept grid skips such points
+    mu, nu = ov["mu"], ov["nu"]
+    if isinstance(mu, tuple) and is_negative_integer(mu[0]):
+        raise DomainError(f"mu must not be a negative integer (got {mu[0]})")
+    if isinstance(nu, tuple) and is_nonpositive_integer(nu[0]):
+        raise DomainError(f"nu must not be a nonpositive integer (got {nu[0]})")
 
 
 def _run_power_rule(ov: Mapping) -> Iterator[VerificationReport]:
@@ -255,7 +265,7 @@ REGISTRY: dict[str, IdentityEntry] = {
             "mu": [_Q(0), _Q(1, 2), _Q(1, 3), _Q(5, 2), _Q(-1, 2)],
             "nu": [_Q(1, 2), _Q(3, 2), _Q(-1, 2), _Q(-5, 2), _Q(2)],
             "n_max": 12,
-        }, _run_power_rule),
+        }, _run_power_rule, _check_power_rule),
         IdentityEntry("gamma-sum", {
             "mu": [_Q(1, 2), _Q(1, 3)], "nu": None, "m": [1, 2, 3], "n": None, "n_extra": 8,
         }, _run_gamma_sum),

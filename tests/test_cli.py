@@ -210,6 +210,8 @@ class TestVerify:
             (["nabla-zero", "--p", "1/2", "--alpha", "1/3"], "alpha - p must be a positive integer"),
             (["nabla-zero", "--p", "1/2", "--alpha", "1/2", "--t-index", "4"],
              "alpha - p must be a positive integer"),
+            (["power-rule", "--mu", "-1"], "mu must not be a negative integer (got -1)"),
+            (["power-rule", "--nu", "-1", "--n-max", "2"], "nu must not be a nonpositive integer (got -1)"),
         ],
     )
     def test_domain_error_exits_2(self, runner, argv, message):
@@ -307,6 +309,7 @@ class TestVerify:
             ({"identity": "alt-sum", "sweep": {"alpha": []}}, "alpha needs at least one value"),
             ({"identity": "bridge", "sweep": {"t": {"den_max": 0}}}, "t needs at least one value"),
             ({"identity": "alt-sum", "k": 8, "window": 3}, "k must be less than window (got k=8, window=3)"),
+            ({"identity": "power-rule", "fixed": {"mu": -1}}, "mu must not be a negative integer (got -1)"),
         ],
     )
     def test_bad_later_config_entry_prints_no_report(self, runner, tmp_path, bad_entry, message):

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from deltafrac import (
     DomainError,
+    GammaPolynomial,
     GridFunction,
     SpecialValuePole,
     WindowTooShort,
@@ -50,7 +51,66 @@ class TestConvWeights:
         assert weights[j] == (-1) ** j * gen_binomial(-nu, j)
 
 
+SIGNATURES = [(), ((Q(1, 3), 1),), ((Q(1, 2), 1),)]
+coefficients = st.one_of(
+    st.just(Q(0)), st.fractions(min_value=-9, max_value=9, max_denominator=9)
+)
+non_integer_orders = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(
+    lambda q: q.denominator != 1
+)
+orders = st.one_of(non_integer_orders, st.integers(1, 5).map(Q))
+
+
+@st.composite
+def signature_columns(draw):
+    """One coefficient column of a common length L = 1..12 per drawn signature."""
+    length = draw(st.integers(1, 12))
+    signatures = draw(st.lists(st.sampled_from(SIGNATURES), min_size=1, max_size=3, unique=True))
+    return {s: draw(st.lists(coefficients, min_size=length, max_size=length)) for s in signatures}
+
+
+def termwise_convolution(columns, nu):
+    """Term maps of sum_i w_{n-i} f_i, summed coefficient by coefficient in Fraction."""
+    length = len(next(iter(columns.values())))
+    weights = [Q(1)]
+    for j in range(1, length):
+        weights.append(weights[-1] * (nu + j - 1) / j)
+    expected = []
+    for n in range(length):
+        terms = {}
+        for signature, column in columns.items():
+            total = sum((column[i] * weights[n - i] for i in range(n + 1)), Q(0))
+            if total != 0:
+                terms[signature] = total
+        expected.append(terms)
+    return expected
+
+
 class TestFracSumDiff:
+    @given(signature_columns(), orders)
+    def test_matches_termwise_convolution(self, columns, nu):
+        length = len(next(iter(columns.values())))
+        values = [GammaPolynomial({s: c[i] for s, c in columns.items()}) for i in range(length)]
+        out = frac_sum_diff(GridFunction(Q(1, 4), values), nu)
+        assert out.origin == Q(1, 4) + nu
+        assert [v.terms() for v in out.values] == termwise_convolution(columns, nu)
+
+    def test_all_zero_window_gives_zero_polynomials(self):
+        out = frac_sum_diff(GridFunction(0, [0, 0, 0]), Q(-1, 3))
+        assert out.values == (GammaPolynomial(),) * 3
+
+    def test_length_one_returns_the_value_at_the_shifted_origin(self):
+        value = GammaPolynomial({(): Q(-7, 4), ((Q(1, 3), 1),): Q(2, 5)})
+        out = frac_sum_diff(GridFunction(Q(1, 3), [value]), Q(5, 2))
+        assert out.origin == Q(1, 3) + Q(5, 2)
+        assert out.values == (value,)
+
+    def test_cancelling_terms_are_dropped(self):
+        # index 1 is 1 * 1/2 + (-1/2) * 1 = 0
+        out = frac_sum_diff(GridFunction(0, [1, Q(-1, 2)]), Q(1, 2))
+        assert out.values[1] == GammaPolynomial()
+        assert out.values[1].terms() == {}
+
     def test_const_one_half_order(self):
         f = GridFunction(0, [1, 1, 1, 1])
         out = frac_sum_diff(f, Q(1, 2))

@@ -169,10 +169,10 @@ class TestLeibniz:
         reports = leibniz_sweep(f, g, Q(1, 3))
         assert [r.params["t_index"] for r in reports] == [0, 1, 2, 3]
 
-    def test_mismatched_windows_rejected(self):
+    def test_rejects_different_origins(self):
         f = GridFunction(0, [1] * 4)
         g = GridFunction(Q(1, 2), [1] * 4)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^cannot multiply grid functions with different origins$"):
             leibniz_sweep(f, g, Q(1, 2))
 
 

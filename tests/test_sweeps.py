@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from deltafrac import (
+    DomainError,
     SweepConfig,
     default_suite,
     identity_names,
@@ -88,6 +89,16 @@ class TestRegistry:
         )
         assert len(reports) == 1
         assert reports[0].status == "exact"
+
+    def test_power_rule_refuses_a_pin_off_the_rule_and_skips_a_swept_one(self):
+        with pytest.raises(DomainError, match=r"^mu must not be a negative integer \(got -1\)$"):
+            run_identity("power-rule", {"mu": Q(-1)})
+        with pytest.raises(DomainError, match=r"^nu must not be a nonpositive integer \(got 0\)$"):
+            run_identity("power-rule", {"nu": 0})
+        reports = list(
+            run_identity("power-rule", {"a": Q(0), "mu": [Q(-1), Q(1, 2)], "nu": Q(1, 2), "n_max": 1})
+        )
+        assert [r.params["mu"] for r in reports] == [Q(1, 2)] * 2
 
     def test_seeded_sweeps_are_deterministic(self):
         one = [r.to_json_dict() for r in run_identity("leibniz", {"count": 3})]
