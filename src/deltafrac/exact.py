@@ -14,9 +14,11 @@ independent.  The test is sound (a zero difference proves equality) but
 not complete: reflection and Gauss multiplication relate Gamma at distinct
 bases, so Gamma(1/6)*Gamma(5/6) and 2*Gamma(1/2)**2 compare unequal though
 they are equal.  Every polynomial sum goes through weighted_sum,
-GammaPolynomial's + and - included, except the fractional convolution in
-fracops.frac_sum_diff, which sums integer columns over one common
-denominator per factor signature; as_polynomial is the one
+GammaPolynomial's + and - included, except two rational sums in fracops:
+the fractional convolution in frac_sum_diff, which sums integer columns
+over one common denominator per factor signature, and the ratio sum in
+nabla_poch_diff, which adds each summand's ratio to the first on ints over
+one running denominator; as_polynomial is the one
 conversion of an int, Fraction or GammaMonomial to a polynomial; the zero
 polynomial is GammaPolynomial().  The float path exists only as a
 cross-check on the exact one, never as a substitute.

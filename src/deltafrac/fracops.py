@@ -14,7 +14,9 @@ weights are written as integer numerators over their common denominators,
 and every output coefficient is one integer dot product reduced by a
 single gcd.  Two classical difference constructions are layered on top
 and agree on their common domain, and a nabla-kernel evaluation
-completes the set.
+completes the set: it takes its first summand from pochhammer and steps
+to each later one by a rational ratio on ints, reducing the sum once.
+Only the first summand can hold a Gamma pole, so only it is checked.
 """
 from __future__ import annotations
 
@@ -140,9 +142,16 @@ def nabla_poch_diff(
 
         (1/Gamma(-alpha)) * sum_{j=1..t_index} (t_index-j+1)_{-alpha-1} (j)_p
 
-    as one weighted sum, scaled once by 1/Gamma(-alpha).  The shift a cancels
-    from the summand, so only t_index enters the value.  A pole in any
-    summand raises SpecialValuePole rather than being silently dropped.
+    The shift a cancels from the summand, so only t_index enters the value.
+    Summand j = 1 is taken from pochhammer; with x = t_index - j + 1, each
+    later summand is the one before times the rational ratio
+
+        (x - 1)(j + p) / ((x - 2 - alpha) j),
+
+    so the sum is summand 1 times a rational that is accumulated on ints
+    over one running denominator and reduced once, then scaled once by
+    1/Gamma(-alpha).  A pole in summand 1 raises SpecialValuePole rather
+    than being silently dropped; no later summand can hold one.
     """
     as_rational(a)
     p = as_rational(p)
@@ -151,11 +160,23 @@ def nabla_poch_diff(
         raise DomainError(f"alpha must not be an integer (got {alpha})")
     if t_index < 1:
         raise DomainError(f"t_index must be at least 1 (got {t_index})")
-    summands = []
-    for j in range(1, t_index + 1):
-        kernel = pochhammer(t_index - j + 1, -alpha - 1)
-        sample = pochhammer(j, p)
-        if kernel.is_pole or sample.is_pole:
-            raise SpecialValuePole(f"summand at j={j} has an unresolved Gamma pole")
-        summands.append(((kernel * sample).value, 1))
-    return weighted_sum(summands) * (GammaMonomial(1) / gamma_of(-alpha))
+    kernel = pochhammer(t_index, -alpha - 1)
+    sample = pochhammer(1, p)
+    if kernel.is_pole or sample.is_pole:
+        raise SpecialValuePole("summand at j=1 has an unresolved Gamma pole")
+    # Only summand 1 can hold a pole.  alpha is not an integer, so the kernel
+    # (x)_{-alpha-1} at a positive integer x never has one; (j)_p has one only
+    # when j + p is 0, -1, -2, ..., and if j = 1 misses that set so does
+    # every larger j.  So every ratio below is finite and nonzero.
+    pn, pd = p.numerator, p.denominator
+    an, ad = alpha.numerator, alpha.denominator
+    # summand j over summand 1 is ratio / den, and the partial sum is total / den
+    ratio = den = total = 1
+    for j in range(1, t_index):
+        x = t_index - j + 1
+        step_den = ((x - 2) * ad - an) * j * pd
+        ratio *= (x - 1) * (j * pd + pn) * ad
+        total = total * step_den + ratio
+        den *= step_den
+    first = (kernel * sample).value
+    return weighted_sum(((first, Fraction(total, den)),)) * (GammaMonomial(1) / gamma_of(-alpha))

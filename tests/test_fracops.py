@@ -1,22 +1,28 @@
 """Fractional sum and difference operators."""
+import math
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from deltafrac import (
     DomainError,
+    GammaMonomial,
     GammaPolynomial,
     GridFunction,
     SpecialValuePole,
     WindowTooShort,
+    as_polynomial,
     conv_weights,
     frac_sum_diff,
     gamma_of,
     mr_frac_diff,
     nabla_poch_diff,
+    poch_int,
+    pochhammer,
 )
 from deltafrac import ae_frac_diff, delta_n, gen_binomial
+from deltafrac.exact import weighted_sum
 
 
 class TestConvWeights:
@@ -192,6 +198,28 @@ class TestDirectAndSteppedFractionalDifference:
             ae_frac_diff(f, Q(5, 2))
 
 
+@st.composite
+def nabla_p_alpha(draw):
+    """p non-integer, 0, a positive or a negative integer; alpha non-integer, often p + m."""
+    p = draw(st.one_of(non_integer_orders, st.just(Q(0)), st.integers(1, 5).map(Q),
+                       st.integers(-5, -1).map(Q)))
+    if p.denominator != 1 and draw(st.booleans()):
+        return p, p + draw(st.integers(0, 6))
+    return p, draw(non_integer_orders)
+
+
+def termwise_nabla(p, alpha, t_index):
+    """The nabla sum with two pochhammer calls per summand, scaled by 1/Gamma(-alpha)."""
+    pairs = []
+    for j in range(1, t_index + 1):
+        kernel = pochhammer(t_index - j + 1, -alpha - 1)
+        sample = pochhammer(j, p)
+        if kernel.is_pole or sample.is_pole:
+            raise SpecialValuePole(f"summand at j={j} has an unresolved Gamma pole")
+        pairs.append(((kernel * sample).value, 1))
+    return weighted_sum(pairs) * (GammaMonomial(1) / gamma_of(-alpha))
+
+
 class TestNablaPochDiff:
     def test_counterexample_value(self):
         v = nabla_poch_diff(0, Q(1, 2), Q(3, 2), 1)
@@ -220,11 +248,41 @@ class TestNablaPochDiff:
             nabla_poch_diff(0, Q(1, 2), Q(3, 2), 0)
 
     def test_pole_in_summand(self):
-        # p = -1 makes poch(j, p) hit Gamma(j - 1) / Gamma(j) ... j = 1 is fine,
-        # but p = -3/2 with j = 1: poch(1, -3/2) = Gamma(-1/2)/Gamma(1), finite.
-        # A genuine pole needs j + p at a nonpositive integer with j not: p = -2 is
-        # integer (rejected), so drive the kernel instead: alpha = -1/2 gives
-        # poch(t_index - j + 1, -alpha - 1 = -1/2) finite. Use p = -1 (integer j
-        # shifts): poch(1, -1) = Gamma(0)/Gamma(1) pole.
-        with pytest.raises(SpecialValuePole):
-            nabla_poch_diff(0, -1, Q(1, 2), 1)
+        # Only an integer alpha is rejected; an integer p is allowed.  A
+        # negative integer p puts summand 1 on a pole: (1)_p = Gamma(1 + p),
+        # and 1 + p is 0, -1, -2, ...
+        for p in (-1, -3):
+            with pytest.raises(SpecialValuePole, match="summand at j=1 has"):
+                nabla_poch_diff(0, p, Q(1, 2), 4)
+
+    @given(nabla_p_alpha(), st.integers(1, 20))
+    @example((Q(0), Q(5, 3)), 7)
+    @example((Q(2), Q(5, 3)), 7)
+    def test_matches_termwise_sum(self, p_alpha, t_index):
+        p, alpha = p_alpha
+        try:
+            expected = termwise_nabla(p, alpha, t_index)
+        except SpecialValuePole as pole:
+            with pytest.raises(SpecialValuePole) as raised:
+                nabla_poch_diff(Q(1, 4), p, alpha, t_index)
+            assert str(raised.value) == str(pole)
+        else:
+            assert nabla_poch_diff(Q(1, 4), p, alpha, t_index).terms() == expected.terms()
+
+    @pytest.mark.parametrize(
+        "p, alpha",
+        [(Q(1, 3), Q(7, 3)), (Q(1, 2), Q(3, 2)), (Q(-7, 3), Q(5, 3)),
+         (Q(-5, 4), Q(1, 4)), (2, Q(1, 2)), (0, Q(-3, 2))],
+    )
+    def test_closed_form_at_large_t(self, p, alpha):
+        # Chu-Vandermonde: the sum is Gamma(1 + p) (1 + p - alpha)_{t-1} / (t-1)!,
+        # which vanishes from t = 1 + m on when alpha - p = m is a nonnegative integer
+        m = alpha - p
+        for t_index in (1, 2, 3, 5, 17, 128, 500, 2000):
+            closed = gamma_of(1 + p) * (
+                poch_int(1 + p - alpha, t_index - 1) / math.factorial(t_index - 1)
+            )
+            value = nabla_poch_diff(0, p, alpha, t_index)
+            assert value.terms() == as_polynomial(closed).terms()
+            if m.denominator == 1 and 0 <= m <= t_index - 1:
+                assert value.is_zero
