@@ -220,9 +220,6 @@ def _csv_line(rep: VerificationReport) -> str:
 _CSV_HEADER = "identity,status,params,lhs,rhs,abs_float_gap,excluded_by"
 
 
-# Flags spelled other than --key: the hypergeometric b and c.  The
-# hypergeometric a also takes --pa, an alias of --a.
-_FLAG_NAMES = {"b": "--pb", "c": "--pc"}
 _FLAG_HELP = {
     "b": "hypergeometric b",
     "c": "hypergeometric c",
@@ -232,9 +229,9 @@ _KIND_TYPES = {RATIONAL_KIND: RATIONAL, INT: int, SIZE: int}
 
 
 def _param_options(command):
-    """One verify flag per sweep parameter, with the type its kind names."""
+    """One verify flag per sweep parameter, --key, with the type its kind names."""
     for key, kind in reversed(PARAMS.items()):
-        flag = _FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
+        flag = "--" + key.replace("_", "-")
         kind_args = {"is_flag": True} if kind == FLAG else {"type": _KIND_TYPES[kind]}
         command = click.option(flag, key, default=None, help=_FLAG_HELP.get(key), **kind_args)(command)
     return command
@@ -243,15 +240,10 @@ def _param_options(command):
 @main.command("verify")
 @click.argument("identity")
 @_param_options
-@click.option("--pa", type=RATIONAL, default=None, help="hypergeometric a")
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
-def cmd_verify(identity, pa, config_path, fmt, **params):
+def cmd_verify(identity, config_path, fmt, **params):
     """Check IDENTITY (or 'all') over a sweep, streaming one report per point."""
-    if pa is not None:
-        if params["a"] is not None:
-            _fail("give either --a or --pa, not both")
-        params["a"] = pa
     overrides = {key: value for key, value in params.items() if value is not None}
 
     if config_path is not None:

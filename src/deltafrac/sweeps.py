@@ -4,9 +4,14 @@ Each identity registers a runner that yields VerificationReports in a
 fixed order.  Default sweeps are seeded, so two runs of the same
 invocation produce byte-identical report streams.  Each registry entry
 holds the one table of its identity's parameters and their defaults.
-Overrides come from CLI flags, a JSON sweep configuration or the Python
-API, and one resolver checks and converts them all; pinning every
-parameter of a grid identity collapses the sweep to a single point.
+A parameter has one name, its PARAMS key, as a verify flag (--key), a
+config entry key and a run_identity override: one value pins it, a list
+sweeps it, and in a config a range object expands to a list.  Pinning
+every parameter of a grid identity collapses the sweep to one point.
+One resolver checks names, kinds, shapes, size signs and each entry's
+registered clashes before anything runs.  An identity's own
+preconditions fire only when its runner reaches them, after the
+reports of the config entries before it.
 """
 from __future__ import annotations
 
@@ -102,6 +107,13 @@ def _run_index_law(ov: Mapping) -> Iterator[VerificationReport]:
         yield index_law_check(t, alpha, beta)
 
 
+def _check_single(ov: Mapping, keys: tuple[str, ...]) -> None:
+    # a key that is pinned or drawn, never swept, is read as its first value
+    for key in keys:
+        if ov[key] is not None and len(ov[key]) > 1:
+            raise ValueError(f"{key} takes a single value (got {len(ov[key])})")
+
+
 def _run_binom(check: Callable, ov: Mapping) -> Iterator[VerificationReport]:
     rng = random.Random(ov["seed"])
     x, y, n = ov["x"], ov["y"], ov["n"]
@@ -117,6 +129,7 @@ def _run_binom(check: Callable, ov: Mapping) -> Iterator[VerificationReport]:
 
 
 def _check_alt_sum(ov: Mapping) -> None:
+    _check_single(ov, ("alpha",))
     if ov["k"] is not None and ov["k"] >= ov["window"]:
         raise ValueError(f"k must be less than window (got k={ov['k']}, window={ov['window']})")
 
@@ -241,6 +254,7 @@ class IdentityEntry:
 
 
 _BINOM_DEFAULTS = {"x": None, "y": None, "n": None, "n_max": 12, "seed": DEFAULT_SEED, "count": 200}
+_check_binom = partial(_check_single, keys=("x", "y"))
 
 REGISTRY: dict[str, IdentityEntry] = {
     entry.name: entry
@@ -254,8 +268,8 @@ REGISTRY: dict[str, IdentityEntry] = {
             "alpha": [_Q(1), _Q(1, 2), _Q(1, 3), _Q(-1, 2)],
             "beta": [_Q(0), _Q(2), _Q(1, 3), _Q(-5, 2)],
         }, _run_index_law),
-        IdentityEntry("binom-falling", _BINOM_DEFAULTS, partial(_run_binom, binom_falling_check)),
-        IdentityEntry("binom-poch", _BINOM_DEFAULTS, partial(_run_binom, binom_poch_check)),
+        IdentityEntry("binom-falling", _BINOM_DEFAULTS, partial(_run_binom, binom_falling_check), _check_binom),
+        IdentityEntry("binom-poch", _BINOM_DEFAULTS, partial(_run_binom, binom_poch_check), _check_binom),
         IdentityEntry("alt-sum", {
             "alpha": None, "k": None, "t_index": None,
             "window": 13, "seed": DEFAULT_SEED, "count": 200,
@@ -366,64 +380,44 @@ def default_suite() -> list[SweepConfig]:
     return [SweepConfig(name) for name in SUITE_ORDER]
 
 
-_TOP_LEVEL_SCALARS = {key for key, kind in PARAMS.items() if kind != RATIONAL}
-
-
-def _sweep_values(key: str, raw) -> list:
-    if isinstance(raw, dict):
-        spec = {"num_min": -8, "num_max": 8, "den_max": 6}
-        unknown = set(raw) - set(spec)
-        if unknown:
-            raise ValueError(f"unknown range fields: {', '.join(sorted(unknown))}")
-        spec.update({k: _convert(INT, k, v) for k, v in raw.items()})
-        return rational_range(**spec)
-    if isinstance(raw, list):
-        return raw
-    raise ValueError(f"swept parameter {key} needs a list or a range object")
+def _range_values(raw: Mapping) -> list[Fraction]:
+    spec = {"num_min": -8, "num_max": 8, "den_max": 6}
+    unknown = set(raw) - set(spec)
+    if unknown:
+        raise ValueError(f"unknown range fields: {', '.join(sorted(unknown))}")
+    spec.update({k: _convert(INT, k, v) for k, v in raw.items()})
+    return rational_range(**spec)
 
 
 def parse_config_entry(doc: Mapping) -> SweepConfig:
-    """One sweep entry, checked whole against its identity's parameter table."""
+    """One sweep entry, {"identity": name, key: value | [values] | range, ...}.
+
+    The keys are the overrides ``run_identity`` takes.  A range object under
+    a key the identity takes expands to its fractions; everything else is
+    kept as written, after the resolver has checked the whole entry.
+    """
     if not isinstance(doc, Mapping):
         raise ValueError("each sweep entry must be a JSON object")
-    known = {"identity", "fixed", "sweep"} | _TOP_LEVEL_SCALARS
-    unknown = set(doc) - known
-    if unknown:
-        raise ValueError(f"unknown config fields: {', '.join(sorted(unknown))}")
     identity = doc.get("identity")
     if not isinstance(identity, str):
         raise ValueError("config entry needs an 'identity' name")
-    fixed, sweep = doc.get("fixed", {}), doc.get("sweep", {})
-    for name, section in (("fixed", fixed), ("sweep", sweep)):
-        if not isinstance(section, Mapping):
-            raise ValueError(f"{name} must be a JSON object, got {section!r}")
-    scalars = {key: doc[key] for key in _TOP_LEVEL_SCALARS if key in doc}
-    for key, raw in [*fixed.items(), *scalars.items()]:
-        if isinstance(raw, list):
-            raise ValueError(f"bad value for {key}: {raw!r}")
-    swept = {key: _sweep_values(key, raw) for key, raw in sweep.items()}
-    overrides = {**fixed, **swept, **scalars}
-    resolved = _resolve(identity, overrides)
-    # a pin resolves to a one-element tuple; the config keeps it bare
+    takes = REGISTRY[identity].defaults if identity in REGISTRY else {}
     overrides = {
-        key: resolved[key][0] if isinstance(resolved[key], tuple) else resolved[key]
-        for key in overrides
+        key: _range_values(raw) if key in takes and isinstance(raw, Mapping) else raw
+        for key, raw in doc.items()
+        if key != "identity"
     }
+    _resolve(identity, overrides)
     return SweepConfig(identity=identity, overrides=overrides)
 
 
 def load_config(path: str) -> list[SweepConfig]:
-    """Read one sweep entry, a list of them, or {"suite": [...]}."""
+    """Read a config document, {"suite": [entry, ...]}."""
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
-    if isinstance(doc, Mapping) and "suite" in doc:
-        entries = doc["suite"]
-    elif isinstance(doc, list):
-        entries = doc
-    else:
-        entries = [doc]
+    entries = doc["suite"] if isinstance(doc, Mapping) and set(doc) == {"suite"} else None
     if not isinstance(entries, list) or not entries:
-        raise ValueError("config must contain at least one sweep entry")
+        raise ValueError('config must be {"suite": [entry, ...]} with at least one entry')
     return [parse_config_entry(entry) for entry in entries]
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction as Q
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import deltafrac
 import deltafrac.sweeps as sweeps
@@ -117,7 +117,7 @@ class TestEval:
 class TestVerify:
     def test_saalschutz_point(self, runner):
         result = runner.invoke(
-            main, ["verify", "saalschutz", "--pa", "1/2", "--pb", "1/2", "--pc", "2", "--m", "1"]
+            main, ["verify", "saalschutz", "--a", "1/2", "--b", "1/2", "--c", "2", "--m", "1"]
         )
         assert result.exit_code == 0
         lines = result.output.strip().splitlines()
@@ -154,11 +154,11 @@ class TestVerify:
         assert result.exit_code == 2
         assert "unknown parameters" in result.output
 
-    def test_flag_conflict_exits_2(self, runner):
-        result = runner.invoke(
-            main, ["verify", "saalschutz", "--a", "1/2", "--pa", "1/2"]
-        )
+    @pytest.mark.parametrize("flag", ["--pa", "--pb", "--pc"])
+    def test_removed_flag_spelling_exits_2(self, runner, flag):
+        result = runner.invoke(main, ["verify", "saalschutz", flag, "1/2"])
         assert result.exit_code == 2
+        assert f"No such option '{flag}'" in result.output
 
     def test_all_rejects_parameter_flags(self, runner):
         result = runner.invoke(main, ["verify", "all", "--mu", "1/2"])
@@ -170,9 +170,8 @@ class TestVerify:
             json.dumps(
                 {
                     "suite": [
-                        {"identity": "bridge", "sweep": {"t": ["1/2"], "alpha": ["1/3"]}},
-                        {"identity": "saalschutz",
-                         "fixed": {"a": "1/3", "b": "1/5", "c": "7/4"}, "m_max": 2},
+                        {"identity": "bridge", "t": ["1/2"], "alpha": ["1/3"]},
+                        {"identity": "saalschutz", "a": "1/3", "b": "1/5", "c": "7/4", "m_max": 2},
                     ]
                 }
             )
@@ -184,11 +183,12 @@ class TestVerify:
 
     def test_config_with_flags_exits_2(self, runner, tmp_path):
         config = tmp_path / "sweeps.json"
-        config.write_text(json.dumps({"identity": "bridge"}))
+        config.write_text(json.dumps({"suite": [{"identity": "bridge"}]}))
         result = runner.invoke(
             main, ["verify", "all", "--config", str(config), "--seed", "3"]
         )
         assert result.exit_code == 2
+        assert "parameter flags cannot be combined with --config" in result.output
 
     def test_bad_config_exits_2(self, runner, tmp_path):
         config = tmp_path / "bad.json"
@@ -223,7 +223,7 @@ class TestVerify:
     def test_force_reaches_excluded_points(self, runner):
         result = runner.invoke(
             main,
-            ["verify", "saalschutz", "--pa", "1/2", "--pb", "1/2", "--pc", "3/2", "--m", "1", "--force"],
+            ["verify", "saalschutz", "--a", "1/2", "--b", "1/2", "--c", "3/2", "--m", "1", "--force"],
         )
         assert result.exit_code in (0, 1)
         assert "saalschutz" in result.output
@@ -290,7 +290,7 @@ class TestVerify:
 
     def test_negative_size_in_config_exits_2(self, runner, tmp_path):
         config = tmp_path / "sweeps.json"
-        config.write_text(json.dumps({"identity": "leibniz", "count": -1}))
+        config.write_text(json.dumps({"suite": [{"identity": "leibniz", "count": -1}]}))
         result = runner.invoke(main, ["verify", "all", "--config", str(config)])
         assert result.exit_code == 2
         assert "count must be nonnegative" in result.output
@@ -300,25 +300,73 @@ class TestVerify:
         [
             ({"identity": "leibniz", "count": -1}, "count must be nonnegative"),
             ({"identity": "bridge", "count": 3}, "unknown parameters for bridge: count"),
-            ({"identity": "bridge", "sweep": {"t": {"num_max": 2.9}}}, "bad value for num_max"),
-            ({"identity": "bridge", "sweep": {"t": {"num_max": True}}}, "bad value for num_max"),
-            ({"identity": "bridge", "fixed": [1]}, "fixed must be a JSON object"),
-            ({"identity": "bridge", "sweep": [1]}, "sweep must be a JSON object"),
-            ({"identity": "bridge", "sweep": "t"}, "sweep must be a JSON object"),
-            ({"identity": "binom-poch", "sweep": {"x": []}}, "x needs at least one value"),
-            ({"identity": "alt-sum", "sweep": {"alpha": []}}, "alpha needs at least one value"),
-            ({"identity": "bridge", "sweep": {"t": {"den_max": 0}}}, "t needs at least one value"),
+            ({"identity": "bridge", "t": {"num_max": 2.9}}, "bad value for num_max"),
+            ({"identity": "bridge", "t": {"num_max": True}}, "bad value for num_max"),
+            ({"identity": "bridge", "fixed": {"t": "1/2"}}, "unknown parameters for bridge: fixed"),
+            ({"identity": "bridge", "sweep": {"t": ["1/2"]}}, "unknown parameters for bridge: sweep"),
+            ({"identity": "bridge", "t": {"step": 1}}, "unknown range fields: step"),
+            ({"identity": "binom-poch", "x": []}, "x needs at least one value"),
+            ({"identity": "alt-sum", "alpha": []}, "alpha needs at least one value"),
+            ({"identity": "bridge", "t": {"den_max": 0}}, "t needs at least one value"),
             ({"identity": "alt-sum", "k": 8, "window": 3}, "k must be less than window (got k=8, window=3)"),
-            ({"identity": "power-rule", "fixed": {"mu": -1}}, "mu must not be a negative integer (got -1)"),
+            ({"identity": "power-rule", "mu": -1}, "mu must not be a negative integer (got -1)"),
+            ({"identity": "binom-poch", "x": ["1/2", "1/3", "7"], "count": 3, "n_max": 2},
+             "x takes a single value (got 3)"),
+            ({"identity": "binom-falling", "y": ["1/2", "2"]}, "y takes a single value (got 2)"),
+            ({"identity": "alt-sum", "alpha": {"num_min": 0, "num_max": 1, "den_max": 1}},
+             "alpha takes a single value (got 2)"),
+            ({"identity": "leibniz", "seed": [1, 2]}, "seed takes a single value"),
         ],
     )
     def test_bad_later_config_entry_prints_no_report(self, runner, tmp_path, bad_entry, message):
         config = tmp_path / "sweeps.json"
-        config.write_text(json.dumps([{"identity": "bridge"}, bad_entry]))
+        config.write_text(json.dumps({"suite": [{"identity": "bridge"}, bad_entry]}))
         result = runner.invoke(main, ["verify", "all", "--config", str(config)])
         assert result.exit_code == 2
         assert result.stdout == ""
         assert f"bad config: {message}" in result.output
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"identity": "bridge"},
+            [{"identity": "bridge"}],
+            {"suite": []},
+            {"suite": [{"identity": "bridge"}], "seed": 1},
+        ],
+    )
+    def test_config_document_must_be_a_suite(self, runner, tmp_path, document):
+        config = tmp_path / "sweeps.json"
+        config.write_text(json.dumps(document))
+        result = runner.invoke(main, ["verify", "all", "--config", str(config)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert 'bad config: config must be {"suite": [entry, ...]}' in result.output
+
+    # An identity's own preconditions fire when its entry runs, after the
+    # reports of the entries before it; the resolver does not repeat them.
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"identity": "gamma-sum", "mu": "1/2", "nu": "1/2"}, "mu+nu must be a negative integer (got 1)"),
+            ({"identity": "form1", "alpha": -1}, "alpha must not be a nonpositive integer (got -1)"),
+            ({"identity": "mr-ae", "mu": 1}, "mu must be a positive non-integer (got 1)"),
+            ({"identity": "mr-ae", "max_window": 1}, "window of length 1 is too short for order 1/2"),
+            ({"identity": "nabla-zero", "p": "1/2", "alpha": "1/3"}, "alpha - p must be a positive integer"),
+            ({"identity": "leibniz", "window": 0}, "a grid function needs at least one value"),
+            ({"identity": "alt-sum", "window": 0}, "a grid function needs at least one value"),
+        ],
+    )
+    def test_precondition_in_later_config_entry_exits_2(self, runner, tmp_path, entry, message):
+        config = tmp_path / "sweeps.json"
+        first = {"identity": "bridge", "t": "1/2", "alpha": "1/3"}
+        config.write_text(json.dumps({"suite": [first, entry]}))
+        result = runner.invoke(main, ["verify", "all", "--config", str(config)])
+        # a SystemExit, not an uncaught exception: no traceback
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 2
+        assert result.stdout.startswith("[exact] bridge t=1/2 alpha=1/3 ")
+        assert f"error: {message}" in result.stderr
 
     def test_deterministic_output(self, runner):
         args = ["verify", "leibniz", "--count", "3", "--format", "json"]
@@ -438,30 +486,27 @@ _JSON_VALUES = st.one_of(
 
 
 @st.composite
-def _config_entry(draw):
+def _config_document(draw):
     identity = draw(st.sampled_from(sorted(REGISTRY)))
     defaults = REGISTRY[identity].defaults
-    keys = st.sampled_from(sorted(defaults) + ["bogus"])
-    section = st.one_of(st.dictionaries(keys, _JSON_VALUES, max_size=3), _JSON_VALUES)
-    entry = {"identity": identity}
-    for name in draw(st.sets(st.sampled_from(["fixed", "sweep"]))):
-        entry[name] = draw(section)
-    top_level = sorted({key for key in defaults if PARAMS[key] != RATIONAL} | {"seed"})
-    entry.update(draw(st.dictionaries(st.sampled_from(top_level), _JSON_VALUES, max_size=2)))
-    # every size is pinned small at the top level, which overrides fixed and sweep
+    # flat keys the identity takes, and unknown ones such as the old sections
+    keys = st.sampled_from(sorted(defaults) + ["bogus", "fixed", "sweep"])
+    entry = {"identity": identity, **draw(st.dictionaries(keys, _JSON_VALUES, max_size=4))}
+    # every size is pinned small: the defaults would run full sweeps
     for key in defaults:
         if PARAMS[key] == SIZE:
             entry[key] = draw(_KIND_VALUES[SIZE])
-    return entry
+    return {"suite": [entry]}
 
 
 @settings(max_examples=200, deadline=None)
-@given(_config_entry())
-def test_config_exit_code_contract(entry):
+@given(_config_document())
+@example({"suite": [{"identity": "bridge", "t": ["1/2", "5/2"], "alpha": {"num_max": 1, "den_max": 1}}]})
+def test_config_exit_code_contract(document):
     runner = CliRunner()
     with runner.isolated_filesystem():
         with open("sweeps.json", "w", encoding="utf-8") as handle:
-            json.dump(entry, handle)
+            json.dump(document, handle)
         result = runner.invoke(main, ["verify", "all", "--config", "sweeps.json"])
     _assert_exit_code_contract(result)
 

@@ -65,6 +65,16 @@ class TestRegistry:
         with pytest.raises(ValueError, match=f"{key} needs at least one value"):
             run_identity(name, {key: []})
 
+    @pytest.mark.parametrize("name, key", [("binom-falling", "x"), ("binom-poch", "y"), ("alt-sum", "alpha")])
+    def test_a_drawn_key_takes_one_value(self, name, key):
+        with pytest.raises(ValueError, match=rf"^{key} takes a single value \(got 2\)$"):
+            run_identity(name, {key: ["1/2", "1/3"], "count": 1})
+        # a one-element list pins, like a bare value
+        listed = [r.to_json_dict() for r in run_identity(name, {key: ["1/2"], "count": 2})]
+        bare = [r.to_json_dict() for r in run_identity(name, {key: "1/2", "count": 2})]
+        assert listed == bare
+        assert {r["params"][key] for r in listed} == {"1/2"}
+
     def test_pinning_collapses_to_one_point(self):
         reports = list(run_identity("bridge", {"t": Q(1, 2), "alpha": Q(5, 2)}))
         assert len(reports) == 1
@@ -142,48 +152,41 @@ class TestExpectedCounts:
 
 class TestConfig:
     def test_entry_parsing(self):
-        cfg = parse_config_entry(
-            {
-                "identity": "bridge",
-                "fixed": {"alpha": "1/3"},
-                "sweep": {"t": ["1/2", "5/2", 3]},
-            }
-        )
+        cfg = parse_config_entry({"identity": "bridge", "alpha": "1/3", "t": ["1/2", "5/2", 3]})
         assert cfg.identity == "bridge"
-        assert cfg.overrides == {"alpha": Q(1, 3), "t": [Q(1, 2), Q(5, 2), Q(3)]}
+        # the overrides are kept as written; run_identity converts them
+        assert cfg.overrides == {"alpha": "1/3", "t": ["1/2", "5/2", 3]}
 
     def test_range_spec(self):
         cfg = parse_config_entry(
-            {"identity": "bridge", "sweep": {"t": {"num_min": 0, "num_max": 2, "den_max": 1}}}
+            {"identity": "bridge", "t": {"num_min": 0, "num_max": 2, "den_max": 1}}
         )
         assert cfg.overrides == {"t": [Q(0), Q(1), Q(2)]}
 
     @pytest.mark.parametrize("field, value", [("num_max", 2.9), ("den_max", True), ("num_min", "-1/2")])
     def test_range_fields_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=field):
-            parse_config_entry({"identity": "bridge", "sweep": {"t": {field: value}}})
-
-    @pytest.mark.parametrize("section", ["fixed", "sweep"])
-    @pytest.mark.parametrize("value", [[1], "t", 3, None])
-    def test_sections_must_be_objects(self, section, value):
-        with pytest.raises(ValueError, match=f"{section} must be a JSON object"):
-            parse_config_entry({"identity": "bridge", section: value})
+            parse_config_entry({"identity": "bridge", "t": {field: value}})
 
     def test_scalar_keys(self):
         cfg = parse_config_entry({"identity": "leibniz", "seed": 9, "count": 3})
         assert cfg.overrides == {"seed": 9, "count": 3}
 
     def test_rejects_unknown_fields(self):
-        with pytest.raises(ValueError, match="unknown config fields"):
+        with pytest.raises(ValueError, match="^unknown parameters for bridge: bogus$"):
             parse_config_entry({"identity": "bridge", "bogus": 1})
 
     def test_rejects_missing_identity(self):
-        with pytest.raises(ValueError, match="identity"):
-            parse_config_entry({"fixed": {"t": "1"}})
+        with pytest.raises(ValueError, match="^config entry needs an 'identity' name$"):
+            parse_config_entry({"t": "1"})
 
     def test_rejects_float_values(self):
-        with pytest.raises(ValueError):
-            parse_config_entry({"identity": "bridge", "fixed": {"t": "0.5"}})
+        with pytest.raises(ValueError, match="^bad value for t: 0.5$"):
+            parse_config_entry({"identity": "bridge", "t": 0.5})
+        with pytest.raises(ValueError, match="^bad value for t: 0.5$"):
+            parse_config_entry({"identity": "bridge", "t": ["1/2", 0.5]})
+        with pytest.raises(ValueError, match="not a rational literal: '0.5'"):
+            parse_config_entry({"identity": "bridge", "t": "0.5"})
 
     def test_size_keys_reject_negatives(self):
         with pytest.raises(ValueError, match="n_max must be nonnegative"):
@@ -194,20 +197,20 @@ class TestConfig:
             parse_config_entry({"identity": "bridge", "output": "xml"})
 
     def test_load_config_forms(self, tmp_path):
-        single = tmp_path / "one.json"
-        single.write_text(json.dumps({"identity": "bridge"}))
-        assert [c.identity for c in load_config(str(single))] == ["bridge"]
-
         suite = tmp_path / "suite.json"
         suite.write_text(
-            json.dumps({"suite": [{"identity": "bridge"}, {"identity": "form1"}]})
+            json.dumps({"suite": [{"identity": "bridge"}, {"identity": "saalschutz", "m_max": 2}]})
         )
-        assert [c.identity for c in load_config(str(suite))] == ["bridge", "form1"]
+        configs = load_config(str(suite))
+        assert [c.identity for c in configs] == ["bridge", "saalschutz"]
+        assert configs[1].overrides == {"m_max": 2}
 
-        listing = tmp_path / "list.json"
-        listing.write_text(json.dumps([{"identity": "saalschutz", "m_max": 2}]))
-        (cfg,) = load_config(str(listing))
-        assert cfg.overrides == {"m_max": 2}
+        # a bare entry or a bare list is not a config document
+        for doc in ({"identity": "bridge"}, [{"identity": "bridge"}]):
+            single = tmp_path / "bare.json"
+            single.write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match=r'config must be \{"suite": \[entry, \.\.\.\]\}'):
+                load_config(str(single))
 
     def test_run_sweep_uses_overrides(self):
         cfg = SweepConfig("gamma-sum", {"mu": [Q(1, 2)], "m": [2], "n_extra": 0})
