@@ -189,7 +189,7 @@ class GammaMonomial:
             if other.coeff == 0:
                 raise ZeroDivisionError("division by the zero monomial")
             inverse = GammaMonomial(
-                1 / other.coeff, tuple((b, -e) for b, e in other.factors)
+                1 / other.coeff, tuple([(b, -e) for b, e in other.factors])
             )
             return self * inverse
         if isinstance(other, (int, Fraction)):

@@ -72,11 +72,11 @@ def frac_sum_diff(f: GridFunction, nu: RationalLike) -> GridFunction:
 
 def _over_common_denominator(column: list[Fraction]) -> tuple[list[int], int]:
     """Integer numerators of the column over the lcm of its denominators."""
-    denominator = math.lcm(*(q.denominator for q in column))
+    denominator = math.lcm(*[q.denominator for q in column])
     return [q.numerator * (denominator // q.denominator) for q in column], denominator
 
 
-def _convolve_columns(values: tuple, weights: list[Fraction]) -> tuple:
+def _convolve_columns(values: tuple, weights: list[Fraction]) -> list:
     """Causal convolution of Gamma-polynomial values with rational weights.
 
     Output n of signature s is sum(weights[n - i] * coeff_s(values[i])),
@@ -99,9 +99,9 @@ def _convolve_columns(values: tuple, weights: list[Fraction]) -> tuple:
             Fraction(sum(map(mul, reversed_weights[length - 1 - n:], coeffs)), denominator)
             for n in range(length)
         ]
-    return tuple(
+    return [
         GammaPolynomial({s: out[n] for s, out in convolved.items()}) for n in range(length)
-    )
+    ]
 
 
 def mr_frac_diff(f: GridFunction, mu: RationalLike) -> GridFunction:

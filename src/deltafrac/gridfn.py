@@ -40,8 +40,11 @@ class GridFunction:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "origin", as_rational(self.origin))
+        # Windows are built from lists: tuple(<generator>) is resized as it fills,
+        # and CPython keeps a released one on the free list of its final length,
+        # a list that would then grow with every window a sweep makes.
         object.__setattr__(
-            self, "values", tuple(as_polynomial(v) for v in self.values)
+            self, "values", tuple([as_polynomial(v) for v in self.values])
         )
         if not self.values:
             raise WindowTooShort("a grid function needs at least one value")
@@ -71,7 +74,7 @@ class GridFunction:
             raise DomainError("cannot add grid functions with different origins")
         n = min(len(self.values), len(other.values))
         return GridFunction(
-            self.origin, tuple(self.values[i] + other.values[i] for i in range(n))
+            self.origin, [self.values[i] + other.values[i] for i in range(n)]
         )
 
     def __mul__(self, other) -> "GridFunction":
@@ -83,10 +86,10 @@ class GridFunction:
             n = min(len(self.values), len(other.values))
             return GridFunction(
                 self.origin,
-                tuple(self.values[i] * other.values[i] for i in range(n)),
+                [self.values[i] * other.values[i] for i in range(n)],
             )
         if isinstance(other, (int, Fraction)):
-            return GridFunction(self.origin, tuple(v * other for v in self.values))
+            return GridFunction(self.origin, [v * other for v in self.values])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -101,7 +104,7 @@ class GridFunction:
     def from_json_dict(cls, doc: dict) -> "GridFunction":
         return cls(
             parse_rational(doc["origin"]),
-            tuple(parse_gamma_polynomial(text) for text in doc["values"]),
+            [parse_gamma_polynomial(text) for text in doc["values"]],
         )
 
 
@@ -117,9 +120,7 @@ def sample_falling_power(a: RationalLike, mu: RationalLike, length: int) -> Grid
         raise DomainError(f"mu must not be a negative integer (got {mu})")
     if length < 1:
         raise WindowTooShort("length must be at least 1")
-    values = tuple(
-        falling(mu + i, mu).as_polynomial() for i in range(length)
-    )
+    values = [falling(mu + i, mu).as_polynomial() for i in range(length)]
     return GridFunction(a + mu, values)
 
 
@@ -137,8 +138,8 @@ def delta_n(f: GridFunction, n: int) -> GridFunction:
     if n == 0:
         return f
     signs = [(-1) ** (n - j) * math.comb(n, j) for j in range(n + 1)]
-    values = tuple(
+    values = [
         weighted_sum((f.values[k + j], signs[j]) for j in range(n + 1))
         for k in range(len(f) - n)
-    )
+    ]
     return GridFunction(f.origin, values)

@@ -1,4 +1,4 @@
-"""Machine checks for the identities the library is built around.
+"""Machine checks for every identity the sweeps register.
 
 Every verifier computes both sides of an identity along fully independent
 paths (operator evaluation against closed form, product against series)
@@ -29,12 +29,14 @@ from .exact import (
     is_positive_integer,
     weighted_sum,
 )
-from .fracops import frac_sum_diff, nabla_poch_diff
+from .fracops import ae_frac_diff, frac_sum_diff, nabla_poch_diff
 from .gridfn import GridFunction, delta_n, sample_falling_power
-from .report import VerificationReport, report_compare, report_excluded
-from .special import falling, falling_int, gen_binomial, poch_int
+from .report import MISMATCH, POLE, VerificationReport, report_compare, report_excluded
+from .special import falling, falling_int, gen_binomial, poch_int, pochhammer
 
 __all__ = [
+    "falling_poch_bridge_check",
+    "index_law_check",
     "binom_falling_check",
     "binom_poch_check",
     "power_rule_closed",
@@ -43,6 +45,7 @@ __all__ = [
     "gamma_sum_check",
     "nabla_zero_check",
     "alt_sum_lemma_check",
+    "mr_ae_sweep",
     "leibniz_sweep",
     "prop_form1_check",
     "hyp3f2_terminating",
@@ -57,33 +60,79 @@ def _binomial_sum(power: Callable, x: Fraction, y: Fraction, n: int) -> Fraction
     return sum(math.comb(n, k) * power(x, n - k) * power(y, k) for k in range(n + 1))
 
 
-def binom_falling_check(x: RationalLike, y: RationalLike, n: int) -> VerificationReport:
-    """Binomial expansion of a falling power of a sum, order n >= 0."""
+def falling_poch_bridge_check(t: RationalLike, alpha: RationalLike) -> VerificationReport:
+    """Check the bridge (t + alpha - 1) falling alpha = (t)_alpha.
+
+    A pole on both sides reports ``pole``; on one side, ``mismatch``.
+    """
+    t = as_rational(t)
+    alpha = as_rational(alpha)
+    params = {"t": t, "alpha": alpha}
+    lhs = falling(t + alpha - 1, alpha)
+    rhs = pochhammer(t, alpha)
+    if lhs.is_pole or rhs.is_pole:
+        status = POLE if lhs.is_pole and rhs.is_pole else MISMATCH
+        return VerificationReport("bridge", params, status, lhs.render(), rhs.render())
+    return report_compare("bridge", params, lhs.as_polynomial(), rhs.as_polynomial())
+
+
+def index_law_check(t: RationalLike, alpha: RationalLike, beta: RationalLike) -> VerificationReport:
+    """Check falling(t, alpha+beta) = falling(t-beta, alpha)*falling(t, beta).
+
+    Only claimed when all three factors are finite; a zero or pole on
+    either side excludes the point and names the offending factor.
+    """
+    t = as_rational(t)
+    alpha = as_rational(alpha)
+    beta = as_rational(beta)
+    params = {"t": t, "alpha": alpha, "beta": beta}
+    whole = falling(t, alpha + beta)
+    left = falling(t - beta, alpha)
+    right = falling(t, beta)
+    for label, value in (
+        ("falling(t, alpha+beta)", whole),
+        ("falling(t-beta, alpha)", left),
+        ("falling(t, beta)", right),
+    ):
+        if not value.is_finite:
+            return report_excluded(
+                "index-law", params, f"{label} is not finite ({value.render()})"
+            )
+    return report_compare(
+        "index-law",
+        params,
+        whole.as_polynomial(),
+        (left * right).as_polynomial(),
+    )
+
+
+def _binom_check(identity: str, power: Callable, x: RationalLike, y: RationalLike, n: int) -> VerificationReport:
     x = as_rational(x)
     y = as_rational(y)
     if n < 0:
         raise DomainError("n must be a nonnegative integer")
-    lhs = falling_int(x + y, n)
-    rhs = _binomial_sum(falling_int, x, y, n)
-    return report_compare("binom-falling", {"x": x, "y": y, "n": n}, lhs, rhs)
+    lhs = power(x + y, n)
+    rhs = _binomial_sum(power, x, y, n)
+    return report_compare(identity, {"x": x, "y": y, "n": n}, lhs, rhs)
+
+
+def binom_falling_check(x: RationalLike, y: RationalLike, n: int) -> VerificationReport:
+    """Binomial expansion of a falling power of a sum, order n >= 0."""
+    return _binom_check("binom-falling", falling_int, x, y, n)
 
 
 def binom_poch_check(x: RationalLike, y: RationalLike, n: int) -> VerificationReport:
     """Binomial expansion of a rising power of a sum, order n >= 0."""
-    x = as_rational(x)
-    y = as_rational(y)
-    if n < 0:
-        raise DomainError("n must be a nonnegative integer")
-    lhs = poch_int(x + y, n)
-    rhs = _binomial_sum(poch_int, x, y, n)
-    return report_compare("binom-poch", {"x": x, "y": y, "n": n}, lhs, rhs)
+    return _binom_check("binom-poch", poch_int, x, y, n)
 
 
-def _validate_power_rule_params(mu: Fraction, nu: Fraction) -> None:
+def _validate_power_rule_params(mu: Fraction, nu: Fraction, n: int) -> None:
     if is_negative_integer(mu):
         raise DomainError(f"mu must not be a negative integer (got {mu})")
     if is_nonpositive_integer(nu):
         raise DomainError(f"nu must not be a nonpositive integer (got {nu})")
+    if n < 0:
+        raise DomainError("n must be a nonnegative integer")
 
 
 def power_rule_closed(
@@ -97,9 +146,7 @@ def power_rule_closed(
     as_rational(a)
     mu = as_rational(mu)
     nu = as_rational(nu)
-    _validate_power_rule_params(mu, nu)
-    if n < 0:
-        raise DomainError("n must be a nonnegative integer")
+    _validate_power_rule_params(mu, nu, n)
     coeff = poch_int(mu + nu + 1, n) / math.factorial(n)
     return as_polynomial(gamma_of(mu + 1) * coeff)
 
@@ -117,9 +164,7 @@ def corollary_closed(
     as_rational(a)
     mu = as_rational(mu)
     nu = as_rational(nu)
-    _validate_power_rule_params(mu, nu)
-    if n < 0:
-        raise DomainError("n must be a nonnegative integer")
+    _validate_power_rule_params(mu, nu, n)
     total_order = mu + nu
     if is_negative_integer(total_order):
         if n < -total_order:
@@ -174,12 +219,7 @@ def gamma_sum_check(mu: RationalLike, nu: RationalLike, n: int) -> VerificationR
     total_order = mu + nu
     if not is_negative_integer(total_order):
         raise DomainError(f"mu+nu must be a negative integer (got {total_order})")
-    if is_negative_integer(mu):
-        raise DomainError(f"mu must not be a negative integer (got {mu})")
-    if is_nonpositive_integer(nu):
-        raise DomainError(f"nu must not be a nonpositive integer (got {nu})")
-    if n < 0:
-        raise DomainError("n must be a nonnegative integer")
+    _validate_power_rule_params(mu, nu, n)
     total = _binomial_sum(poch_int, nu, mu + 1, n)
     if n < -total_order:
         return report_excluded(
@@ -244,6 +284,23 @@ def alt_sum_lemma_check(
     )
     rhs = g.values[t_index - k]
     return report_compare("alt-sum", params, lhs, rhs)
+
+
+def mr_ae_sweep(f: GridFunction, mu: RationalLike, window: int) -> list[VerificationReport]:
+    """ae_frac_diff(f, mu) against the order -mu sum, ceil(mu) points on; window labels reports."""
+    mu = as_rational(mu)
+    n = math.ceil(mu)
+    stepped = ae_frac_diff(f, mu)
+    direct = frac_sum_diff(f, -mu)
+    return [
+        report_compare(
+            "mr-ae",
+            {"window": window, "mu": mu, "t": stepped.point(k)},
+            stepped.values[k],
+            direct.values[k + n],
+        )
+        for k in range(len(stepped))
+    ]
 
 
 def leibniz_sweep(

@@ -23,7 +23,6 @@ __all__ = [
     "VerificationReport",
     "report_compare",
     "report_excluded",
-    "report_pole",
 ]
 
 EXACT = "exact"
@@ -140,12 +139,3 @@ def report_excluded(
         excluded_by=precondition,
     )
 
-
-def report_pole(identity: str, params: Mapping[str, object], lhs: str, rhs: str) -> VerificationReport:
-    return VerificationReport(
-        identity=identity,
-        params=dict(params),
-        status=POLE,
-        lhs=lhs,
-        rhs=rhs,
-    )

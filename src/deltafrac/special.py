@@ -5,7 +5,8 @@ rational order through Gamma ratios.  For non-classical orders the value
 can be a finite Gamma monomial, an exact zero (the denominator Gamma pole
 swallows the ratio) or an unresolved pole.  All three outcomes are first
 class: SpecialValue keeps them distinct instead of collapsing poles into
-exceptions, so identity checks can classify points honestly.
+exceptions, so identity checks can classify points honestly.  This module
+holds the special functions only; those checks are in identities.
 """
 from __future__ import annotations
 
@@ -25,13 +26,6 @@ from .exact import (
     is_nonpositive_integer,
     is_positive_integer,
 )
-from .report import (
-    MISMATCH,
-    VerificationReport,
-    report_compare,
-    report_excluded,
-    report_pole,
-)
 
 __all__ = [
     "SpecialValue",
@@ -42,9 +36,6 @@ __all__ = [
     "falling_int",
     "poch_int",
     "gen_binomial",
-    "compare_special",
-    "falling_poch_bridge_check",
-    "index_law_check",
 ]
 
 
@@ -179,58 +170,3 @@ def pochhammer(x: RationalLike, y: RationalLike) -> SpecialValue:
     if bottom_pole and not top_pole:
         return ZERO
     return POLE_VALUE
-
-
-def compare_special(identity: str, params, lhs: SpecialValue, rhs: SpecialValue) -> VerificationReport:
-    """Report on two SpecialValues: exact equality or matched pole class."""
-    if lhs.is_pole and rhs.is_pole:
-        return report_pole(identity, params, lhs.render(), rhs.render())
-    if lhs.is_pole or rhs.is_pole:
-        return VerificationReport(
-            identity=identity,
-            params=dict(params),
-            status=MISMATCH,
-            lhs=lhs.render(),
-            rhs=rhs.render(),
-        )
-    return report_compare(identity, params, lhs.as_polynomial(), rhs.as_polynomial())
-
-
-def falling_poch_bridge_check(t: RationalLike, alpha: RationalLike) -> VerificationReport:
-    """Check the bridge (t + alpha - 1) falling alpha = (t)_alpha."""
-    t = as_rational(t)
-    alpha = as_rational(alpha)
-    params = {"t": t, "alpha": alpha}
-    lhs = falling(t + alpha - 1, alpha)
-    rhs = pochhammer(t, alpha)
-    return compare_special("bridge", params, lhs, rhs)
-
-
-def index_law_check(t: RationalLike, alpha: RationalLike, beta: RationalLike) -> VerificationReport:
-    """Check falling(t, alpha+beta) = falling(t-beta, alpha)*falling(t, beta).
-
-    Only claimed when all three factors are finite; a zero or pole on
-    either side excludes the point and names the offending factor.
-    """
-    t = as_rational(t)
-    alpha = as_rational(alpha)
-    beta = as_rational(beta)
-    params = {"t": t, "alpha": alpha, "beta": beta}
-    whole = falling(t, alpha + beta)
-    left = falling(t - beta, alpha)
-    right = falling(t, beta)
-    for label, value in (
-        ("falling(t, alpha+beta)", whole),
-        ("falling(t-beta, alpha)", left),
-        ("falling(t, beta)", right),
-    ):
-        if not value.is_finite:
-            return report_excluded(
-                "index-law", params, f"{label} is not finite ({value.render()})"
-            )
-    return report_compare(
-        "index-law",
-        params,
-        whole.as_polynomial(),
-        (left * right).as_polynomial(),
-    )

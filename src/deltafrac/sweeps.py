@@ -1,5 +1,6 @@
 """Named verification sweeps with deterministic defaults.
 
+This module draws and iterates parameters for the checks in identities.
 Each identity registers a runner that yields VerificationReports in a
 fixed order.  Default sweeps are seeded, so two runs of the same
 invocation produce byte-identical report streams.  Each registry entry
@@ -18,33 +19,35 @@ from __future__ import annotations
 import json
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import product
 from typing import Callable, Iterator, Mapping
 
-from .errors import DomainError
+from .errors import DomainError, WindowTooShort
 from .exact import (
     is_negative_integer,
     is_nonpositive_integer,
     parse_rational,
 )
-from .fracops import ae_frac_diff, frac_sum_diff
 from .gridfn import GridFunction
 from .identities import (
     alt_sum_lemma_check,
     binom_falling_check,
     binom_poch_check,
+    falling_poch_bridge_check,
     gamma_sum_check,
+    index_law_check,
     leibniz_sweep,
+    mr_ae_sweep,
     nabla_zero_check,
     power_rule_verify,
     prop_form1_check,
     saalschutz_verify,
 )
-from .report import DOMAIN_EXCLUDED, VerificationReport, report_compare
-from .special import falling_poch_bridge_check, index_law_check
+from .report import DOMAIN_EXCLUDED, VerificationReport
 
 __all__ = [
     "DEFAULT_SEED",
@@ -91,10 +94,17 @@ def _random_rational(rng: random.Random, num_bound: int = 8, den_bound: int = 6)
     return Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
 
 
-def _random_values(rng: random.Random, length: int) -> tuple:
-    return tuple(
-        Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(length)
-    )
+def _random_values(rng: random.Random, length: int) -> list:
+    return [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(length)]
+
+
+@contextmanager
+def _window_from(name: str, key: str, size: int) -> Iterator[None]:
+    """Name the identity and the key whose size made a window too short."""
+    try:
+        yield
+    except WindowTooShort as exc:
+        raise WindowTooShort(f"{exc}: {name} {key} is {size}") from exc
 
 
 def _run_bridge(ov: Mapping) -> Iterator[VerificationReport]:
@@ -137,21 +147,22 @@ def _check_alt_sum(ov: Mapping) -> None:
 def _run_alt_sum(ov: Mapping) -> Iterator[VerificationReport]:
     rng = random.Random(ov["seed"])
     window = ov["window"]
-    for _ in range(ov["count"]):
-        origin = _random_rational(rng)
-        g = GridFunction(origin, _random_values(rng, window))
-        alpha = ov["alpha"][0] if ov["alpha"] is not None else _random_rational(rng)
-        k = ov["k"] if ov["k"] is not None else rng.randint(0, window - 1)
-        t_index = ov["t_index"] if ov["t_index"] is not None else rng.randint(k, window - 1)
-        yield alt_sum_lemma_check(g, alpha, k, t_index)
+    with _window_from("alt-sum", "window", window):
+        for _ in range(ov["count"]):
+            origin = _random_rational(rng)
+            g = GridFunction(origin, _random_values(rng, window))
+            alpha = ov["alpha"][0] if ov["alpha"] is not None else _random_rational(rng)
+            k = ov["k"] if ov["k"] is not None else rng.randint(0, window - 1)
+            t_index = ov["t_index"] if ov["t_index"] is not None else rng.randint(k, window - 1)
+            yield alt_sum_lemma_check(g, alpha, k, t_index)
 
 
 def _check_power_rule(ov: Mapping) -> None:
     # a pinned order off the rule is refused; a swept grid skips such points
     mu, nu = ov["mu"], ov["nu"]
-    if isinstance(mu, tuple) and is_negative_integer(mu[0]):
+    if len(mu) == 1 and is_negative_integer(mu[0]):
         raise DomainError(f"mu must not be a negative integer (got {mu[0]})")
-    if isinstance(nu, tuple) and is_nonpositive_integer(nu[0]):
+    if len(nu) == 1 and is_nonpositive_integer(nu[0]):
         raise DomainError(f"nu must not be a nonpositive integer (got {nu[0]})")
 
 
@@ -191,31 +202,24 @@ def _run_mr_ae(ov: Mapping) -> Iterator[VerificationReport]:
     rng = random.Random(ov["seed"])
     max_window = ov["max_window"]
     low = min(4, max_window)
-    for i in range(ov["count"]):
-        length = rng.randint(low, max_window) if max_window > low else low
-        origin = _random_rational(rng)
-        f = GridFunction(origin, _random_values(rng, length))
-        for mu in ov["mu"]:
-            n = math.ceil(mu)
-            stepped = ae_frac_diff(f, mu)
-            direct = frac_sum_diff(f, -mu)
-            for k in range(len(stepped)):
-                yield report_compare(
-                    "mr-ae",
-                    {"window": i, "mu": mu, "t": stepped.point(k)},
-                    stepped.values[k],
-                    direct.values[k + n],
-                )
+    with _window_from("mr-ae", "max_window", max_window):
+        for i in range(ov["count"]):
+            length = rng.randint(low, max_window) if max_window > low else low
+            origin = _random_rational(rng)
+            f = GridFunction(origin, _random_values(rng, length))
+            for mu in ov["mu"]:
+                yield from mr_ae_sweep(f, mu, i)
 
 
 def _run_leibniz(ov: Mapping) -> Iterator[VerificationReport]:
     rng = random.Random(ov["seed"])
-    for _ in range(ov["count"]):
-        origin = _random_rational(rng)
-        f = GridFunction(origin, _random_values(rng, ov["window"]))
-        g = GridFunction(origin, _random_values(rng, ov["window"]))
-        for alpha in ov["alpha"]:
-            yield from leibniz_sweep(f, g, alpha)
+    with _window_from("leibniz", "window", ov["window"]):
+        for _ in range(ov["count"]):
+            origin = _random_rational(rng)
+            f = GridFunction(origin, _random_values(rng, ov["window"]))
+            g = GridFunction(origin, _random_values(rng, ov["window"]))
+            for alpha in ov["alpha"]:
+                yield from leibniz_sweep(f, g, alpha)
 
 
 def _run_form1(ov: Mapping) -> Iterator[VerificationReport]:
@@ -229,7 +233,7 @@ def _run_saalschutz(ov: Mapping) -> Iterator[VerificationReport]:
     force = ov["force"]
     ms = [ov["m"]] if ov["m"] is not None else range(ov["m_max"] + 1)
     # a single fully-pinned point reports its exclusion instead of vanishing
-    point_mode = ov["m"] is not None and all(isinstance(ov[key], tuple) for key in "abc")
+    point_mode = ov["m"] is not None and all(len(ov[key]) == 1 for key in "abc")
     for a, b, c, m in product(ov["a"], ov["b"], ov["c"], ms):
         report = saalschutz_verify(a, b, c, m, force=force)
         # swept points outside the hypotheses are filtered silently
@@ -337,9 +341,9 @@ def _resolve(name: str, overrides: Mapping) -> dict:
     """Check overrides against the identity's table and fill in its defaults.
 
     A rational key, or a key whose default is a grid, takes a list, which
-    sweeps it, or a single value, which pins it and resolves to a
-    one-element tuple, so that a runner can tell a pin from a one-point
-    sweep.  Every other key takes a single value.
+    sweeps it, or a single value, which pins it.  Both resolve to a list,
+    and a list of one value is a pin.  Every other key takes a single
+    value.
     """
     entry = REGISTRY.get(name)
     if entry is None:
@@ -359,7 +363,7 @@ def _resolve(name: str, overrides: Mapping) -> dict:
             ov[key] = [_convert(kind, key, item) for item in raw]
         else:
             value = _convert(kind, key, raw)
-            ov[key] = (value,) if takes_list else value
+            ov[key] = [value] if takes_list else value
     if entry.check is not None:
         entry.check(ov)
     return ov

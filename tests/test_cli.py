@@ -181,6 +181,33 @@ class TestVerify:
         docs = [json.loads(line) for line in result.stdout.strip().splitlines()]
         assert [d["identity"] for d in docs] == ["bridge"] + ["saalschutz"] * 3
 
+    @pytest.mark.parametrize(
+        "listed, exit_code, printed",
+        [
+            (
+                {"identity": "saalschutz", "a": ["3/2"], "b": ["3/2"], "c": ["2"], "m": 1},
+                0,
+                "[domain_excluded] saalschutz a=3/2 b=3/2 c=2 m=1 ",
+            ),
+            (
+                {"identity": "power-rule", "mu": ["-1"], "n_max": 2},
+                2,
+                "error: bad config: mu must not be a negative integer (got -1)",
+            ),
+        ],
+    )
+    def test_one_element_list_pins_like_a_bare_value(self, runner, tmp_path, listed, exit_code, printed):
+        bare = {key: value[0] if isinstance(value, list) else value for key, value in listed.items()}
+        results = []
+        for entry in (listed, bare):
+            config = tmp_path / "sweeps.json"
+            config.write_text(json.dumps({"suite": [entry]}))
+            results.append(runner.invoke(main, ["verify", "all", "--config", str(config)]))
+        assert [r.exit_code for r in results] == [exit_code] * 2
+        assert results[0].stdout == results[1].stdout
+        assert results[0].stderr == results[1].stderr
+        assert printed in results[0].output
+
     def test_config_with_flags_exits_2(self, runner, tmp_path):
         config = tmp_path / "sweeps.json"
         config.write_text(json.dumps({"suite": [{"identity": "bridge"}]}))
@@ -351,10 +378,11 @@ class TestVerify:
             ({"identity": "gamma-sum", "mu": "1/2", "nu": "1/2"}, "mu+nu must be a negative integer (got 1)"),
             ({"identity": "form1", "alpha": -1}, "alpha must not be a nonpositive integer (got -1)"),
             ({"identity": "mr-ae", "mu": 1}, "mu must be a positive non-integer (got 1)"),
-            ({"identity": "mr-ae", "max_window": 1}, "window of length 1 is too short for order 1/2"),
+            ({"identity": "mr-ae", "max_window": 1}, "window of length 1 is too short for order 1/2 (needs 2): mr-ae max_window is 1"),
             ({"identity": "nabla-zero", "p": "1/2", "alpha": "1/3"}, "alpha - p must be a positive integer"),
-            ({"identity": "leibniz", "window": 0}, "a grid function needs at least one value"),
-            ({"identity": "alt-sum", "window": 0}, "a grid function needs at least one value"),
+            ({"identity": "leibniz", "window": 0}, "a grid function needs at least one value: leibniz window is 0"),
+            ({"identity": "alt-sum", "window": 0}, "a grid function needs at least one value: alt-sum window is 0"),
+            ({"identity": "mr-ae", "max_window": 0}, "a grid function needs at least one value: mr-ae max_window is 0"),
         ],
     )
     def test_precondition_in_later_config_entry_exits_2(self, runner, tmp_path, entry, message):

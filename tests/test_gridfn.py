@@ -1,4 +1,5 @@
 """Grid functions on uniform unit-step windows."""
+import tracemalloc
 from fractions import Fraction as Q
 
 import pytest
@@ -9,6 +10,7 @@ from deltafrac import (
     WindowTooShort,
     as_polynomial,
     delta_n,
+    frac_sum_diff,
     gamma_of,
     sample_falling_power,
 )
@@ -109,3 +111,28 @@ class TestDeltaN:
         f = GridFunction(0, [1, 2])
         with pytest.raises(WindowTooShort):
             delta_n(f, 2)
+
+
+def test_repeated_window_work_leaves_no_memory_behind():
+    # tuple() of a generator over-allocates and then shrinks, and CPython
+    # keeps the shrunk tuple on the free list of its final length, so every
+    # run would park more memory there; windows are built from lists.
+    f = GridFunction(Q(1, 3), [as_polynomial(gamma_of(Q(k, 5))) + k for k in range(1, 13)])
+
+    def run():
+        for n in range(1, 8):
+            frac_sum_diff(2 * (f + f) * f, Q(-1, 2))
+            delta_n(f, n)
+            sample_falling_power(0, Q(n, 3), 12)
+            GridFunction.from_json_dict(f.to_json_dict())
+
+    tracemalloc.start()
+    try:
+        run()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(4):
+            run()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 4096

@@ -1,5 +1,8 @@
 """Identity verifiers: frozen oracles plus structural properties."""
+import ast
+import math
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +27,8 @@ from deltafrac import (
     saalschutz_lhs,
     saalschutz_verify,
 )
-from deltafrac.identities import saalschutz_hypothesis_violation
+from deltafrac import identities
+from deltafrac.identities import mr_ae_sweep, saalschutz_hypothesis_violation
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
 
@@ -176,6 +180,28 @@ class TestLeibniz:
             leibniz_sweep(f, g, Q(1, 2))
 
 
+class TestMrAe:
+    f = GridFunction(Q(1, 3), [Q(2), Q(-1), Q(1, 3), gamma_of(Q(1, 2)), Q(-5, 2), Q(4)])
+
+    @pytest.mark.parametrize("mu", [Q(1, 3), Q(1, 2), Q(3, 2), Q(7, 3)])
+    def test_exact_at_every_output_point(self, mu):
+        reports = mr_ae_sweep(self.f, mu, 7)
+        assert len(reports) == len(self.f) - math.ceil(mu)
+        assert {r.status for r in reports} == {"exact"}
+        assert reports[0].params == {"window": 7, "mu": mu, "t": self.f.origin + math.ceil(mu) - mu}
+
+    def test_a_perturbed_direct_side_is_a_mismatch(self, monkeypatch):
+        frac_sum_diff = identities.frac_sum_diff
+
+        def perturbed(f, order):
+            out = frac_sum_diff(f, order)
+            return GridFunction(out.origin, out.values[:-1] + (out.values[-1] + 1,))
+
+        monkeypatch.setattr(identities, "frac_sum_diff", perturbed)
+        statuses = [r.status for r in mr_ae_sweep(self.f, Q(1, 2), 0)]
+        assert statuses == ["exact"] * 4 + ["mismatch"]
+
+
 class TestForm1:
     def test_integer_gamma_point(self):
         rep = prop_form1_check(Q(3, 2), Q(1, 2), 2, 4)
@@ -284,3 +310,29 @@ class TestSaalschutz:
         rep = saalschutz_verify(Q(1, 2), Q(1, 2), 0, 1, force=True)
         assert rep.status == "domain_excluded"
         assert "vanishes" in rep.excluded_by
+
+
+def _imported_names(module: str) -> set[str]:
+    """The last part of every module a deltafrac module imports, and every name it imports."""
+    tree = ast.parse((Path(identities.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add((node.module or "").rpartition(".")[2])
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.rpartition(".")[2] for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize(
+    "module, forbidden",
+    [
+        # the special functions know nothing of reports or checks
+        ("special", {"report", "identities", "sweeps"}),
+        # the sweeps run the checks in identities and compare nothing themselves
+        ("sweeps", {"fracops", "report_compare"}),
+    ],
+)
+def test_every_comparison_is_in_identities(module, forbidden):
+    assert _imported_names(module) & forbidden == set()

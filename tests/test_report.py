@@ -7,10 +7,11 @@ from deltafrac import (
     FLOAT_RTOL,
     MISMATCH,
     as_polynomial,
+    falling_poch_bridge_check,
     gamma_of,
     report_compare,
 )
-from deltafrac.report import report_excluded, report_pole
+from deltafrac.report import report_excluded
 
 
 def test_exact_means_formal_zero():
@@ -90,9 +91,10 @@ def test_excluded_report_carries_the_precondition():
 
 
 def test_pole_report():
-    rep = report_pole("bridge", {"t": Q(-1, 2)}, "pole", "pole")
+    rep = falling_poch_bridge_check(Q(1, 2), Q(-1, 2))
     assert rep.status == "pole"
     assert not rep.is_failure
+    assert rep.to_json_dict()["abs_float_gap"] is None
 
 
 def test_float_cross_check_on_exact_reports():

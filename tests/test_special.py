@@ -17,7 +17,8 @@ from deltafrac import (
     poch_int,
     pochhammer,
 )
-from deltafrac.special import ZERO, POLE_VALUE, SpecialValue, compare_special
+from deltafrac import identities
+from deltafrac.special import ZERO, POLE_VALUE, SpecialValue
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 small_ints = st.integers(min_value=0, max_value=10)
@@ -123,14 +124,12 @@ class TestSpecialValue:
         assert (ZERO * POLE_VALUE).is_pole  # pole dominates
         assert (finite * finite).as_fraction() == 400
 
-    def test_compare_special_single_pole_is_mismatch(self):
-        rep = compare_special("bridge", {"t": -1}, POLE_VALUE, ZERO)
-        assert rep.status == "mismatch"
-        assert rep.lhs == "pole" and rep.rhs == "0"
-
     def test_compare_special_double_pole(self):
-        rep = compare_special("bridge", {"t": -1}, POLE_VALUE, POLE_VALUE)
+        # both sides hit a pole: the matched pole class, not a failure
+        rep = falling_poch_bridge_check(Q(1, 2), Q(-1, 2))
+        assert rep.lhs == "pole" and rep.rhs == "pole"
         assert rep.status == "pole"
+        assert not rep.is_failure
 
 
 class TestBridge:
@@ -152,6 +151,16 @@ class TestBridge:
     def test_bridge_check_pole_point(self):
         rep = falling_poch_bridge_check(Q(1, 2), Q(-1, 2))
         assert rep.status == "pole"
+
+    def test_bridge_check_single_pole_is_mismatch(self, monkeypatch):
+        monkeypatch.setattr(identities, "pochhammer", lambda x, y: ZERO)
+        rep = falling_poch_bridge_check(Q(1, 2), Q(-1, 2))
+        assert rep.status == "mismatch" and rep.is_failure
+        assert rep.lhs == "pole" and rep.rhs == "0"
+        monkeypatch.setattr(identities, "pochhammer", lambda x, y: POLE_VALUE)
+        rep = falling_poch_bridge_check(3, 2)
+        assert rep.status == "mismatch"
+        assert rep.lhs == "12" and rep.rhs == "pole"
 
 
 class TestIndexLaw:
