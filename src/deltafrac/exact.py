@@ -20,8 +20,10 @@ over one common denominator per factor signature, and the ratio sum in
 nabla_poch_diff, which adds each summand's ratio to the first on ints over
 one running denominator; as_polynomial is the one
 conversion of an int, Fraction or GammaMonomial to a polynomial; the zero
-polynomial is GammaPolynomial().  The float path exists only as a
-cross-check on the exact one, never as a substitute.
+polynomial is GammaPolynomial().  poch_int is the one rising product
+x(x+1)...(x+k-1): gamma_of's shift, special.falling_int and the
+integer-order Pochhammer symbol are all written with it.  The float path
+exists only as a cross-check on the exact one, never as a substitute.
 """
 from __future__ import annotations
 
@@ -48,6 +50,7 @@ __all__ = [
     "GammaPolynomial",
     "as_polynomial",
     "gamma_of",
+    "poch_int",
     "parse_gamma_polynomial",
     "weighted_sum",
 ]
@@ -208,7 +211,8 @@ def gamma_of(x: RationalLike) -> GammaMonomial:
 
     Integer x >= 1 collapses to the rational (x-1)!.  Any other rational is
     shifted to its base b = x - floor(x) in (0, 1) through the recurrence
-    Gamma(x+1) = x*Gamma(x), accumulating an exact rational coefficient.
+    Gamma(x+1) = x*Gamma(x), with coefficient (b)_floor(x) for x > 0 and
+    1/(x)_(-floor(x)) for x < 0.
     Nonpositive integers raise GammaPole.
     """
     x = as_rational(x)
@@ -218,14 +222,17 @@ def gamma_of(x: RationalLike) -> GammaMonomial:
         return GammaMonomial(Fraction(math.factorial(int(x) - 1)))
     shift = math.floor(x)
     base = x - shift
-    coeff = Fraction(1)
-    if shift > 0:
-        for j in range(shift):
-            coeff *= base + j
-    else:
-        for j in range(-shift):
-            coeff /= x + j
+    coeff = poch_int(base, shift) if shift >= 0 else 1 / poch_int(x, -shift)
     return GammaMonomial(coeff, ((base, 1),))
+
+
+def poch_int(x: RationalLike, k: int) -> Fraction:
+    """The plain product x(x+1)...(x+k-1) for integer k >= 0."""
+    x = as_rational(x)
+    product = Fraction(1)
+    for j in range(k):
+        product *= x + j
+    return product
 
 
 def as_polynomial(value) -> "GammaPolynomial":

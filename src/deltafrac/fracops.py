@@ -47,11 +47,11 @@ __all__ = [
 
 
 def conv_weights(nu: RationalLike, count: int) -> list[Fraction]:
-    """The first ``count`` convolution weights (nu)_j / j!; nu must not be 0, -1, -2, ..."""
+    """The first ``count`` weights (nu)_j / j!, none for count <= 0; nu must not be 0, -1, -2, ..."""
     nu = as_rational(nu)
     if is_nonpositive_integer(nu):
         raise DomainError(f"nu must not be a nonpositive integer (got {nu})")
-    weights = [Fraction(1)]
+    weights = [Fraction(1)] if count > 0 else []
     for j in range(1, count):
         weights.append(weights[-1] * (nu + j - 1) / j)
     return weights

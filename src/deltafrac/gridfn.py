@@ -118,8 +118,6 @@ def sample_falling_power(a: RationalLike, mu: RationalLike, length: int) -> Grid
     mu = as_rational(mu)
     if is_negative_integer(mu):
         raise DomainError(f"mu must not be a negative integer (got {mu})")
-    if length < 1:
-        raise WindowTooShort("length must be at least 1")
     values = [falling(mu + i, mu).as_polynomial() for i in range(length)]
     return GridFunction(a + mu, values)
 

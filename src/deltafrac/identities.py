@@ -27,18 +27,20 @@ from .exact import (
     is_negative_integer,
     is_nonpositive_integer,
     is_positive_integer,
+    poch_int,
     weighted_sum,
 )
 from .fracops import ae_frac_diff, frac_sum_diff, nabla_poch_diff
 from .gridfn import GridFunction, delta_n, sample_falling_power
 from .report import MISMATCH, POLE, VerificationReport, report_compare, report_excluded
-from .special import falling, falling_int, gen_binomial, poch_int, pochhammer
+from .special import falling, falling_int, gen_binomial, pochhammer
 
 __all__ = [
     "falling_poch_bridge_check",
     "index_law_check",
     "binom_falling_check",
     "binom_poch_check",
+    "power_rule_order_violation",
     "power_rule_closed",
     "power_rule_verify",
     "corollary_closed",
@@ -126,11 +128,21 @@ def binom_poch_check(x: RationalLike, y: RationalLike, n: int) -> VerificationRe
     return _binom_check("binom-poch", poch_int, x, y, n)
 
 
+def power_rule_order_violation(
+    mu: RationalLike | None = None, nu: RationalLike | None = None
+) -> str | None:
+    """Name the order off the power rule, or None; an order left None is not checked."""
+    if mu is not None and is_negative_integer(mu):
+        return f"mu must not be a negative integer (got {mu})"
+    if nu is not None and is_nonpositive_integer(nu):
+        return f"nu must not be a nonpositive integer (got {nu})"
+    return None
+
+
 def _validate_power_rule_params(mu: Fraction, nu: Fraction, n: int) -> None:
-    if is_negative_integer(mu):
-        raise DomainError(f"mu must not be a negative integer (got {mu})")
-    if is_nonpositive_integer(nu):
-        raise DomainError(f"nu must not be a nonpositive integer (got {nu})")
+    violation = power_rule_order_violation(mu, nu)
+    if violation is not None:
+        raise DomainError(violation)
     if n < 0:
         raise DomainError("n must be a nonnegative integer")
 
@@ -351,7 +363,9 @@ def prop_form1_check(
                   * falling(gamma,j) * falling(beta+gamma+n-j, gamma-j)
 
     requiring alpha not a nonpositive integer and beta, beta+gamma not
-    negative integers.  A pole inside a summand excludes the point.
+    negative integers.  No summand holds a pole: falling(x, y) has one only
+    at a negative integer x, and x = beta+gamma+n-j is either not an
+    integer or, with beta+gamma >= 0, at least n-j >= 0.
     """
     alpha = as_rational(alpha)
     beta = as_rational(beta)
@@ -380,14 +394,7 @@ def prop_form1_check(
         )
         if coeff == 0:
             continue
-        tail = falling(beta + gamma + n - j, gamma - j)
-        if tail.is_pole:
-            return report_excluded(
-                "form1",
-                params,
-                f"falling(t-alpha-j, gamma-j) has a pole at j={j}",
-            )
-        summands.append((tail.as_polynomial(), coeff))
+        summands.append((falling(beta + gamma + n - j, gamma - j).as_polynomial(), coeff))
     return report_compare("form1", params, lhs, weighted_sum(summands))
 
 
@@ -402,6 +409,7 @@ def hyp3f2_terminating(
     """Terminating 3F2 series: sum over k <= m of the Pochhammer ratio.
 
     The third upper parameter is -m, so the series stops after m+1 terms.
+    Term k+1 is term k times (a1+k)(a2+k)(k-m)z / ((b1+k)(b2+k)(k+1)).
     Both lower parameters must keep their Pochhammer factors nonzero
     through k = m; a hit raises DenominatorPochhammerZero naming the
     first offending k.
@@ -419,11 +427,11 @@ def hyp3f2_terminating(
             raise DenominatorPochhammerZero(
                 f"({name})_k vanishes at k={first_zero_k} for {name}={b}"
             )
-    return sum(
-        poch_int(a1, k) * poch_int(a2, k) * poch_int(-m, k) * z**k
-        / (poch_int(b1, k) * poch_int(b2, k) * math.factorial(k))
-        for k in range(m + 1)
-    )
+    term = total = Fraction(1)
+    for k in range(m):
+        term = term * (a1 + k) * (a2 + k) * (k - m) * z / ((b1 + k) * (b2 + k) * (k + 1))
+        total += term
+    return total
 
 
 def saalschutz_lhs(

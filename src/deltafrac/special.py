@@ -25,6 +25,7 @@ from .exact import (
     is_negative_integer,
     is_nonpositive_integer,
     is_positive_integer,
+    poch_int,
 )
 
 __all__ = [
@@ -96,21 +97,8 @@ POLE_VALUE = SpecialValue("pole")
 
 
 def falling_int(x: RationalLike, k: int) -> Fraction:
-    """The plain product x(x-1)...(x-k+1) for integer k >= 0."""
-    x = as_rational(x)
-    product = Fraction(1)
-    for j in range(k):
-        product *= x - j
-    return product
-
-
-def poch_int(x: RationalLike, k: int) -> Fraction:
-    """The plain product x(x+1)...(x+k-1) for integer k >= 0."""
-    x = as_rational(x)
-    product = Fraction(1)
-    for j in range(k):
-        product *= x + j
-    return product
+    """The plain product x(x-1)...(x-k+1) = (-1)^k (-x)(-x+1)...(-x+k-1), integer k >= 0."""
+    return (-1) ** k * poch_int(-as_rational(x), k)
 
 
 def gen_binomial(alpha: RationalLike, n: int) -> Fraction:

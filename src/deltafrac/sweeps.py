@@ -27,11 +27,7 @@ from itertools import product
 from typing import Callable, Iterator, Mapping
 
 from .errors import DomainError, WindowTooShort
-from .exact import (
-    is_negative_integer,
-    is_nonpositive_integer,
-    parse_rational,
-)
+from .exact import parse_rational
 from .gridfn import GridFunction
 from .identities import (
     alt_sum_lemma_check,
@@ -43,6 +39,7 @@ from .identities import (
     leibniz_sweep,
     mr_ae_sweep,
     nabla_zero_check,
+    power_rule_order_violation,
     power_rule_verify,
     prop_form1_check,
     saalschutz_verify,
@@ -159,16 +156,15 @@ def _run_alt_sum(ov: Mapping) -> Iterator[VerificationReport]:
 
 def _check_power_rule(ov: Mapping) -> None:
     # a pinned order off the rule is refused; a swept grid skips such points
-    mu, nu = ov["mu"], ov["nu"]
-    if len(mu) == 1 and is_negative_integer(mu[0]):
-        raise DomainError(f"mu must not be a negative integer (got {mu[0]})")
-    if len(nu) == 1 and is_nonpositive_integer(nu[0]):
-        raise DomainError(f"nu must not be a nonpositive integer (got {nu[0]})")
+    pinned = {key: ov[key][0] for key in ("mu", "nu") if len(ov[key]) == 1}
+    violation = power_rule_order_violation(**pinned)
+    if violation is not None:
+        raise DomainError(violation)
 
 
 def _run_power_rule(ov: Mapping) -> Iterator[VerificationReport]:
     for a, mu, nu in product(ov["a"], ov["mu"], ov["nu"]):
-        if is_negative_integer(mu) or is_nonpositive_integer(nu):
+        if power_rule_order_violation(mu, nu) is not None:
             continue
         yield from power_rule_verify(a, mu, nu, ov["n_max"])
 

@@ -90,6 +90,28 @@ class TestEval:
         assert result.exit_code == 2
         assert "grid spec" in result.output
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("const1", "grid spec needs kind:payload, got 'const1'"),
+            ("kpow:1/2", "kpow exponent must be an integer, got '1/2'"),
+            ("kpow:-1", "kpow exponent must be nonnegative"),
+        ],
+    )
+    def test_malformed_window_spec_exits_2(self, runner, spec, message):
+        result = runner.invoke(main, ["eval", "fracsum", "--nu", "1/2", "--f", spec, "--len", "3"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: {message}\n"
+
+    def test_fallpow_window_spec(self, runner):
+        # the half sum of (s) falling 1/2 at offset 2 is Gamma(3/2) (2)_2 / 2!
+        result = runner.invoke(
+            main, ["eval", "fracsum", "--nu", "1/2", "--f", "fallpow:1/2", "--len", "4", "--at", "2"]
+        )
+        assert result.exit_code == 0
+        assert result.output == "3/2*G(1/2)^1\n"
+
     def test_at_out_of_window_exits_2(self, runner):
         result = runner.invoke(
             main, ["eval", "fracsum", "--nu", "1/2", "--f", "const:1", "--len", "3", "--at", "7"]
@@ -216,6 +238,24 @@ class TestVerify:
         )
         assert result.exit_code == 2
         assert "parameter flags cannot be combined with --config" in result.output
+
+    def test_config_with_a_named_identity_exits_2(self, runner, tmp_path):
+        config = tmp_path / "sweeps.json"
+        config.write_text(json.dumps({"suite": [{"identity": "bridge"}]}))
+        result = runner.invoke(main, ["verify", "bridge", "--config", str(config)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: --config supplies its own identities; use 'verify all --config FILE'\n"
+        )
+
+    def test_excluded_text_report_prints_its_boundary(self, runner):
+        result = runner.invoke(main, ["verify", "gamma-sum", "--mu", "1/2", "--nu", "-5/2", "--n", "0"])
+        assert result.exit_code == 0
+        assert result.stdout == (
+            "[domain_excluded] gamma-sum mu=1/2 nu=-5/2 n=0 boundary=1"
+            " excluded_by=n must be at least -(mu+nu)\n"
+        )
 
     def test_bad_config_exits_2(self, runner, tmp_path):
         config = tmp_path / "bad.json"
@@ -574,6 +614,12 @@ class TestTable:
             main, ["table", "aediff", "--mu", "5/2", "--f", "const:1", "--len", "2"]
         )
         assert result.exit_code == 2
+
+    def test_empty_fallpow_window_exits_2(self, runner):
+        result = runner.invoke(main, ["table", "fallpow", "--mu", "1/2", "--len", "0"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: a grid function needs at least one value\n"
 
 
 _EXPORTING_MODULES = ["deltafrac"] + [

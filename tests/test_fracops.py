@@ -45,6 +45,10 @@ class TestConvWeights:
     def test_negative_order_weights(self):
         assert conv_weights(Q(-1, 2), 3) == [1, Q(-1, 2), Q(-1, 8)]
 
+    @pytest.mark.parametrize("count", [-2, 0, 1, 5])
+    def test_returns_count_weights_and_none_below_one(self, count):
+        assert len(conv_weights("1/2", count)) == max(count, 0)
+
     @given(
         st.fractions(min_value=-6, max_value=6, max_denominator=5).filter(
             lambda q: not (q.denominator == 1 and q <= 0)

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from deltafrac import (
     DenominatorPochhammerZero,
@@ -21,6 +21,7 @@ from deltafrac import (
     hyp3f2_terminating,
     leibniz_sweep,
     nabla_zero_check,
+    poch_int,
     power_rule_closed,
     power_rule_verify,
     prop_form1_check,
@@ -217,12 +218,13 @@ class TestForm1:
                 for gamma in (Q(1, 3), Q(2), Q(5, 2)):
                     for n in range(9):
                         rep = prop_form1_check(alpha, beta, gamma, n)
-                        assert rep.status in ("exact", "domain_excluded")
+                        assert rep.status == "exact"
 
-    def test_adversarial_gamma_reports_excluded(self):
-        # gamma = 1 with N >= 2 drives falling into its pole case at some j
+    def test_integer_gamma_below_n_holds_no_pole(self):
+        # gamma = 1 with N = 3 gives falling orders 1, 0, -1, -2, but its base
+        # beta + gamma + N - j is never a negative integer, so no summand has a pole
         rep = prop_form1_check(Q(1, 2), Q(1, 4), 1, 3)
-        assert rep.status in ("exact", "domain_excluded")
+        assert rep.status == "exact"
 
     def test_hypothesis_validation(self):
         with pytest.raises(DomainError):
@@ -259,6 +261,18 @@ class TestHyp3F2:
     def test_vanishing_denominator_is_named(self):
         with pytest.raises(DenominatorPochhammerZero, match="vanishes at k="):
             hyp3f2_terminating(Q(1, 2), Q(1, 2), 3, -2, Q(1, 2), 1)
+
+    @given(rationals, rationals, rationals, rationals, rationals, st.integers(min_value=0, max_value=8))
+    @settings(max_examples=60)
+    def test_matches_the_termwise_pochhammer_sum(self, a1, a2, b1, b2, z, m):
+        # the term-ratio recurrence against every term built from its own products
+        assume(not any(b.denominator == 1 and -m < b <= 0 for b in (b1, b2)))
+        termwise = sum(
+            poch_int(a1, k) * poch_int(a2, k) * poch_int(-m, k) * z**k
+            / (poch_int(b1, k) * poch_int(b2, k) * math.factorial(k))
+            for k in range(m + 1)
+        )
+        assert hyp3f2_terminating(a1, a2, m, b1, b2, z) == termwise
 
 
 class TestSaalschutz:

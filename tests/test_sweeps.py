@@ -14,6 +14,7 @@ from deltafrac import (
     run_identity,
     run_sweep,
 )
+from deltafrac import exact, identities, special
 from deltafrac.sweeps import PARAMS, REGISTRY, parse_config_entry
 
 
@@ -109,6 +110,24 @@ class TestRegistry:
             run_identity("power-rule", {"a": Q(0), "mu": [Q(-1), Q(1, 2)], "nu": Q(1, 2), "n_max": 1})
         )
         assert [r.params["mu"] for r in reports] == [Q(1, 2)] * 2
+
+    def test_a_fault_in_the_rising_product_flips_statuses(self, monkeypatch):
+        # every binding of the one rising product doubles its value at k = 4
+        original = exact.poch_int
+
+        def faulty(x, k):
+            value = original(x, k)
+            return 2 * value if k == 4 else value
+
+        for module in (exact, special, identities):
+            monkeypatch.setattr(module, "poch_int", faulty)
+        mismatched = {
+            rep.identity
+            for config in default_suite()
+            for rep in run_sweep(config)
+            if rep.status == "mismatch"
+        }
+        assert {"binom-poch", "power-rule", "form1"} <= mismatched
 
     def test_seeded_sweeps_are_deterministic(self):
         one = [r.to_json_dict() for r in run_identity("leibniz", {"count": 3})]
