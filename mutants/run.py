@@ -1,0 +1,141 @@
+"""Mutation audit: every injected fault must flip a status in the default suite.
+
+Each fault wraps one library function.  The runner patches the wrapper into
+every deltafrac module that binds that function, runs the default suite in
+process, restores the bindings, and compares each report's status with an
+unpatched run.  A fault that leaves every status unchanged is a fault the
+checks cannot see.
+
+    python mutants/run.py
+
+It prints one line per fault with the flipped reports per identity, and
+exits 0 when every fault flips at least one status, 1 otherwise.
+"""
+from __future__ import annotations
+
+import sys
+from collections import Counter
+from fractions import Fraction
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from deltafrac import exact, fracops, gridfn, special  # noqa: E402
+from deltafrac.gridfn import GridFunction  # noqa: E402
+from deltafrac.sweeps import default_suite, run_sweep  # noqa: E402
+
+
+def _one_factor_long(original):
+    return lambda x, k: original(x, k + 1)
+
+
+def _gamma_of_doubled(original):
+    return lambda x: original(x) * 2 if Fraction(x) > 3 else original(x)
+
+
+def _conv_weights_w5(original):
+    def faulty(nu, count):
+        weights = original(nu, count)
+        if len(weights) > 5:
+            weights[5] *= 2
+        return weights
+    return faulty
+
+
+def _delta_n_order_2(original):
+    def faulty(f, n):
+        out = original(f, n)
+        if n != 2 or len(out) < 2:
+            return out
+        values = list(out.values)
+        values[1] = values[1] * 2
+        return GridFunction(out.origin, values)
+    return faulty
+
+
+def _gen_binomial_n4(original):
+    return lambda alpha, n: original(alpha, n) * 2 if n == 4 else original(alpha, n)
+
+
+def _frac_sum_diff_origin(original):
+    def faulty(f, nu):
+        out = original(f, nu)
+        return GridFunction(out.origin + 1, out.values)
+    return faulty
+
+
+def _sample_falling_power_origin(original):
+    def faulty(a, mu, length):
+        out = original(a, mu, length)
+        return GridFunction(out.origin - Fraction(mu), out.values)
+    return faulty
+
+
+# name: (defining module, function, what the fault does, wrapper factory)
+FAULTS = {
+    "poch_int": (exact, "poch_int", "one factor long", _one_factor_long),
+    "falling_int": (special, "falling_int", "one factor long", _one_factor_long),
+    "gamma_of": (exact, "gamma_of", "doubled for x > 3", _gamma_of_doubled),
+    "conv_weights": (fracops, "conv_weights", "w5 doubled", _conv_weights_w5),
+    "delta_n": (gridfn, "delta_n", "order 2 doubled at index 1", _delta_n_order_2),
+    "gen_binomial": (special, "gen_binomial", "doubled at n = 4", _gen_binomial_n4),
+    "frac_sum_diff-origin": (
+        fracops, "frac_sum_diff", "output origin moved by +1", _frac_sum_diff_origin
+    ),
+    "sample_falling_power-origin": (
+        gridfn, "sample_falling_power", "origin moved by -mu", _sample_falling_power_origin
+    ),
+}
+
+
+def suite_statuses() -> list[tuple[str, str]]:
+    """(identity, status) of every report of the default suite, in order."""
+    return [(rep.identity, rep.status) for config in default_suite() for rep in run_sweep(config)]
+
+
+def run_fault(name: str) -> list[tuple[str, str]]:
+    """The suite's statuses with one fault patched into every module that binds its target."""
+    home, target, _, factory = FAULTS[name]
+    original = getattr(home, target)
+    faulty = factory(original)
+    bound = [
+        module for key, module in list(sys.modules.items())
+        if key.split(".")[0] == "deltafrac" and getattr(module, target, None) is original
+    ]
+    for module in bound:
+        setattr(module, target, faulty)
+    try:
+        return suite_statuses()
+    finally:
+        for module in bound:
+            setattr(module, target, original)
+
+
+def flipped(baseline: list, mutated: list) -> Counter:
+    """Flipped reports per identity; a report only one run has counts as flipped."""
+    counts = Counter(
+        identity for (identity, before), (_, after) in zip(baseline, mutated) if before != after
+    )
+    for identity, _ in baseline[len(mutated):] + mutated[len(baseline):]:
+        counts[identity] += 1
+    return counts
+
+
+def main() -> int:
+    baseline = suite_statuses()
+    survivors = []
+    for name in FAULTS:
+        counts = flipped(baseline, run_fault(name))
+        detail = ", ".join(f"{identity} {n}" for identity, n in counts.items()) or "nothing"
+        print(f"{name} ({FAULTS[name][2]}): {sum(counts.values())} flipped: {detail}")
+        if not counts:
+            survivors.append(name)
+    if survivors:
+        print(f"FAIL: {len(survivors)} fault(s) flip no status: {', '.join(survivors)}")
+        return 1
+    print(f"OK: all {len(FAULTS)} faults flip a status")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

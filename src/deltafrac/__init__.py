@@ -6,6 +6,8 @@ zero test.  On top of that sit generalized falling/Pochhammer functions,
 fractional sum and difference operators on uniform grids, and verifiers
 that check the library's identities by exact cancellation.
 """
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DeltafracError,
     DenominatorPochhammerZero,
@@ -83,68 +85,8 @@ from .sweeps import (
 
 __version__ = "0.1.0"
 
+# every public name bound above, in import order; submodules are not exports
 __all__ = [
-    "DeltafracError",
-    "DenominatorPochhammerZero",
-    "DomainError",
-    "GammaPole",
-    "SpecialValuePole",
-    "WindowTooShort",
-    "GammaMonomial",
-    "GammaPolynomial",
-    "Rational",
-    "as_polynomial",
-    "as_rational",
-    "gamma_of",
-    "parse_gamma_polynomial",
-    "parse_rational",
-    "render_rational",
-    "ae_frac_diff",
-    "conv_weights",
-    "frac_sum_diff",
-    "mr_frac_diff",
-    "nabla_poch_diff",
-    "GridFunction",
-    "delta_n",
-    "sample_falling_power",
-    "alt_sum_lemma_check",
-    "binom_falling_check",
-    "binom_poch_check",
-    "corollary_closed",
-    "falling_poch_bridge_check",
-    "gamma_sum_check",
-    "hyp3f2_terminating",
-    "index_law_check",
-    "leibniz_sweep",
-    "nabla_zero_check",
-    "power_rule_closed",
-    "power_rule_verify",
-    "prop_form1_check",
-    "saalschutz_lhs",
-    "saalschutz_verify",
-    "DOMAIN_EXCLUDED",
-    "EXACT",
-    "FLOAT_ONLY",
-    "FLOAT_RTOL",
-    "MISMATCH",
-    "POLE",
-    "VerificationReport",
-    "report_compare",
-    "POLE_VALUE",
-    "ZERO",
-    "SpecialValue",
-    "falling",
-    "falling_int",
-    "gen_binomial",
-    "poch_int",
-    "pochhammer",
-    "DEFAULT_SEED",
-    "SweepConfig",
-    "default_suite",
-    "identity_names",
-    "load_config",
-    "rational_range",
-    "run_identity",
-    "run_sweep",
-    "__version__",
-]
+    name for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

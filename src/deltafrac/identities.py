@@ -28,6 +28,7 @@ from .exact import (
     is_nonpositive_integer,
     is_positive_integer,
     poch_int,
+    render_rational,
     weighted_sum,
 )
 from .fracops import ae_frac_diff, frac_sum_diff, nabla_poch_diff
@@ -195,27 +196,22 @@ def power_rule_verify(
     """Operator evaluation against the closed form, for every offset <= n_max.
 
     The left side runs the convolution over a sampled falling power; the
-    right side is the closed monomial.  The two paths share nothing past
-    the weight recurrence, so exact agreement is meaningful.
+    right side is the closed monomial on the grid a+mu+nu+N.  The two paths
+    share nothing past the weight recurrence, so exact agreement is meaningful.
     """
     a = as_rational(a)
     mu = as_rational(mu)
     nu = as_rational(nu)
     if n_max < 0:
         raise DomainError("n_max must be a nonnegative integer")
-    sampled = sample_falling_power(a, mu, n_max + 1)
-    summed = frac_sum_diff(sampled, nu)
-    reports = []
-    for n in range(n_max + 1):
-        reports.append(
-            report_compare(
-                "power-rule",
-                {"a": a, "mu": mu, "nu": nu, "N": n},
-                summed.values[n],
-                power_rule_closed(a, mu, nu, n),
-            )
-        )
-    return reports
+    closed = [power_rule_closed(a, mu, nu, n) for n in range(n_max + 1)]
+    summed = frac_sum_diff(sample_falling_power(a, mu, n_max + 1), nu)
+    return _compare_windows(
+        "power-rule",
+        lambda n: {"a": a, "mu": mu, "nu": nu, "N": n},
+        summed,
+        GridFunction(a + mu + nu, closed),
+    )
 
 
 def gamma_sum_check(mu: RationalLike, nu: RationalLike, n: int) -> VerificationReport:
@@ -298,21 +294,37 @@ def alt_sum_lemma_check(
     return report_compare("alt-sum", params, lhs, rhs)
 
 
+def _compare_windows(
+    identity: str, params: Callable[[int], dict], lhs: GridFunction, rhs: GridFunction
+) -> list[VerificationReport]:
+    """One report per window index k, labelled params(k): grid points first, then values.
+
+    Sides on different grid points are a ``mismatch`` naming both, with no float gap.
+    """
+    # both windows step by 1, so their points agree at every index or at none
+    same_grid = lhs.origin == rhs.origin
+    reports = []
+    for k, (left, right) in enumerate(zip(lhs.values, rhs.values, strict=True)):
+        if same_grid:
+            reports.append(report_compare(identity, params(k), left, right))
+        else:
+            points = [f"t={render_rational(side.point(k))}" for side in (lhs, rhs)]
+            reports.append(VerificationReport(identity, params(k), MISMATCH, *points))
+    return reports
+
+
 def mr_ae_sweep(f: GridFunction, mu: RationalLike, window: int) -> list[VerificationReport]:
     """ae_frac_diff(f, mu) against the order -mu sum, ceil(mu) points on; window labels reports."""
     mu = as_rational(mu)
     n = math.ceil(mu)
     stepped = ae_frac_diff(f, mu)
     direct = frac_sum_diff(f, -mu)
-    return [
-        report_compare(
-            "mr-ae",
-            {"window": window, "mu": mu, "t": stepped.point(k)},
-            stepped.values[k],
-            direct.values[k + n],
-        )
-        for k in range(len(stepped))
-    ]
+    return _compare_windows(
+        "mr-ae",
+        lambda k: {"window": window, "mu": mu, "t": stepped.point(k)},
+        stepped,
+        GridFunction(direct.point(n), direct.values[n:]),
+    )
 
 
 def leibniz_sweep(
@@ -322,7 +334,8 @@ def leibniz_sweep(
 
     The left side transforms the pointwise product once; the right side
     assembles binomially weighted transforms of f against iterated
-    differences of g.  Tables are shared across the sweep.
+    differences of g on the grid origin+alpha+t.  Tables are shared across
+    the sweep.
     """
     alpha = as_rational(alpha)
     t_max = min(len(f), len(g)) - 1
@@ -334,21 +347,19 @@ def leibniz_sweep(
     for n in range(1, t_max + 1):
         differences.append(delta_n(differences[n - 1], 1))
     weights = [gen_binomial(-alpha, n) for n in range(t_max + 1)]
-    reports = []
-    for t in range(t_max + 1):
-        rhs = weighted_sum(
+    expansion = [
+        weighted_sum(
             (transforms[n].values[t - n] * differences[n].values[t - n], weights[n])
             for n in range(t + 1)
         )
-        reports.append(
-            report_compare(
-                "leibniz",
-                {"alpha": alpha, "t_index": t},
-                lhs_all.values[t],
-                rhs,
-            )
-        )
-    return reports
+        for t in range(t_max + 1)
+    ]
+    return _compare_windows(
+        "leibniz",
+        lambda t: {"alpha": alpha, "t_index": t},
+        lhs_all,
+        GridFunction(f.origin + alpha, expansion),
+    )
 
 
 def prop_form1_check(

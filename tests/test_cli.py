@@ -1,4 +1,5 @@
 """Command line behavior: values, reports, formats, exit codes, determinism."""
+import csv
 import gc
 import hashlib
 import importlib
@@ -482,6 +483,29 @@ def test_verify_all_golden_digest(runner):
     assert len(lines) == 5697
     assert statuses == {"exact": 5691, "domain_excluded": 3, "pole": 3}
     assert digest.hexdigest() == "bf26bdf4bc30da4ebf387794c88069ac3a6a60f3e9f8a7b2b08360321e8541a9"
+
+
+def test_verify_all_text_digest(runner):
+    """The default suite's text stream, which prints no float gap, is pinned whole."""
+    result = runner.invoke(main, ["verify", "all"])
+    assert result.exit_code == 0
+    lines = result.stdout.splitlines()
+    assert len(lines) == 5697
+    assert not any("gap=" in line for line in lines)
+    digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+    assert digest == "fe942d2be7ece299462ac34699b820043938b3dffbd664beaed02541159f3dc7"
+
+
+def test_verify_all_csv_digest(runner):
+    """The default suite's CSV stream, its abs_float_gap column aside, is pinned."""
+    result = runner.invoke(main, ["verify", "all", "--format", "csv"])
+    assert result.exit_code == 0
+    rows = list(csv.reader(io.StringIO(result.stdout, newline="")))
+    assert len(rows) == 5698
+    gap = rows[0].index("abs_float_gap")
+    kept = "".join(",".join(row[:gap] + row[gap + 1:]) + "\n" for row in rows)
+    digest = hashlib.sha256(kept.encode()).hexdigest()
+    assert digest == "587b18b62a341b7f48ecb0e079cb4bd8113a6dfe6d7f4e54c6ef0ea072e9832e"
 
 
 # Small values for each parameter kind, so that every drawn sweep stays cheap.

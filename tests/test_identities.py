@@ -95,6 +95,45 @@ class TestPowerRule:
         with pytest.raises(DomainError):
             power_rule_verify(0, Q(1, 2), -1, 3)  # nu nonpositive integer
 
+    @pytest.mark.parametrize(
+        "mu, nu, message",
+        [
+            (-1, Q(1, 2), r"^mu must not be a negative integer \(got -1\)$"),
+            (Q(1, 2), -1, r"^nu must not be a nonpositive integer \(got -1\)$"),
+        ],
+    )
+    def test_the_order_check_runs_before_sampling(self, monkeypatch, mu, nu, message):
+        def never(*args):
+            raise AssertionError("sampled an order off the power rule")
+
+        monkeypatch.setattr(identities, "sample_falling_power", never)
+        with pytest.raises(DomainError, match=message):
+            power_rule_verify(0, mu, nu, 2)
+
+
+class TestCompareWindows:
+    def label(self, k):
+        return {"k": k}
+
+    def test_different_origins_name_both_points(self):
+        lhs = GridFunction(Q(5, 2), [1, 2, 3])
+        rhs = GridFunction(Q(3, 2), [1, 2, 3])
+        reports = identities._compare_windows("demo", self.label, lhs, rhs)
+        assert [r.status for r in reports] == ["mismatch"] * 3
+        assert [(r.lhs, r.rhs) for r in reports] == [
+            ("t=5/2", "t=3/2"), ("t=7/2", "t=5/2"), ("t=9/2", "t=7/2")
+        ]
+        assert [r.params for r in reports] == [{"k": 0}, {"k": 1}, {"k": 2}]
+        assert all(r.abs_float_gap is None for r in reports)
+
+    def test_equal_origins_compare_values(self):
+        lhs = GridFunction(Q(1, 2), [1, gamma_of(Q(1, 3)), 3])
+        rhs = GridFunction(Q(1, 2), [1, gamma_of(Q(1, 3)), 4])
+        reports = identities._compare_windows("demo", self.label, lhs, rhs)
+        assert [r.status for r in reports] == ["exact", "exact", "mismatch"]
+        assert (reports[1].lhs, reports[1].rhs) == ("1*G(1/3)^1", "1*G(1/3)^1")
+        assert (reports[2].lhs, reports[2].rhs, reports[2].abs_float_gap) == ("3", "4", 1.0)
+
 
 class TestGammaSum:
     def test_zero_identity_point(self):

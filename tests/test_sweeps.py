@@ -6,6 +6,7 @@ import pytest
 
 from deltafrac import (
     DomainError,
+    GridFunction,
     SweepConfig,
     default_suite,
     identity_names,
@@ -128,6 +129,31 @@ class TestRegistry:
             if rep.status == "mismatch"
         }
         assert {"binom-poch", "power-rule", "form1"} <= mismatched
+
+    def test_a_fractional_sum_off_its_grid_is_a_mismatch(self, monkeypatch):
+        # the values are right, but the output window starts one point late
+        original = identities.frac_sum_diff
+
+        def shifted(f, nu):
+            out = original(f, nu)
+            return GridFunction(out.origin + 1, out.values)
+
+        monkeypatch.setattr(identities, "frac_sum_diff", shifted)
+        for name, count in (("power-rule", 975), ("leibniz", 1500)):
+            statuses = [rep.status for rep in run_identity(name)]
+            assert statuses == ["mismatch"] * count
+
+    def test_a_falling_power_off_its_grid_is_a_mismatch(self, monkeypatch):
+        # sampled at the right values, but on {a, a+1, ...} instead of {a+mu, ...}
+        original = identities.sample_falling_power
+
+        def shifted(a, mu, length):
+            out = original(a, mu, length)
+            return GridFunction(out.origin - Q(mu), out.values)
+
+        monkeypatch.setattr(identities, "sample_falling_power", shifted)
+        statuses = [rep.status for rep in run_identity("power-rule") if rep.params["mu"] != 0]
+        assert statuses == ["mismatch"] * 780
 
     def test_seeded_sweeps_are_deterministic(self):
         one = [r.to_json_dict() for r in run_identity("leibniz", {"count": 3})]
