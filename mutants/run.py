@@ -20,7 +20,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from deltafrac import exact, fracops, gridfn, special  # noqa: E402
+from deltafrac import exact, fracops, gridfn, identities, special  # noqa: E402
 from deltafrac.gridfn import GridFunction  # noqa: E402
 from deltafrac.sweeps import default_suite, run_sweep  # noqa: E402
 
@@ -57,9 +57,9 @@ def _gen_binomial_n4(original):
     return lambda alpha, n: original(alpha, n) * 2 if n == 4 else original(alpha, n)
 
 
-def _frac_sum_diff_origin(original):
-    def faulty(f, nu):
-        out = original(f, nu)
+def _origin_plus_one(original):
+    def faulty(*args):
+        out = original(*args)
         return GridFunction(out.origin + 1, out.values)
     return faulty
 
@@ -80,7 +80,10 @@ FAULTS = {
     "delta_n": (gridfn, "delta_n", "order 2 doubled at index 1", _delta_n_order_2),
     "gen_binomial": (special, "gen_binomial", "doubled at n = 4", _gen_binomial_n4),
     "frac_sum_diff-origin": (
-        fracops, "frac_sum_diff", "output origin moved by +1", _frac_sum_diff_origin
+        fracops, "frac_sum_diff", "output origin moved by +1", _origin_plus_one
+    ),
+    "power_rule_closed-origin": (
+        identities, "power_rule_closed", "window origin moved by +1", _origin_plus_one
     ),
     "sample_falling_power-origin": (
         gridfn, "sample_falling_power", "origin moved by -mu", _sample_falling_power_origin

@@ -19,7 +19,6 @@ from .errors import (
 from .exact import (
     GammaMonomial,
     GammaPolynomial,
-    Rational,
     as_polynomial,
     as_rational,
     gamma_of,

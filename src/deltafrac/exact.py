@@ -36,7 +36,6 @@ from typing import Iterable, Mapping, Union
 from .errors import GammaPole
 
 __all__ = [
-    "Rational",
     "RationalLike",
     "parse_rational",
     "as_rational",
@@ -45,7 +44,6 @@ __all__ = [
     "is_positive_integer",
     "is_nonpositive_integer",
     "is_negative_integer",
-    "FactorSignature",
     "GammaMonomial",
     "GammaPolynomial",
     "as_polynomial",
@@ -55,7 +53,6 @@ __all__ = [
     "weighted_sum",
 ]
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
@@ -120,7 +117,6 @@ def is_negative_integer(q: RationalLike) -> bool:
 # A factor signature is the Gamma part of a monomial: base/exponent pairs,
 # sorted by base, bases in (0, 1), exponents nonzero.  Signatures are the
 # keys of GammaPolynomial term maps.
-FactorSignature = "tuple[tuple[Fraction, int], ...]"
 
 
 def _canonical_factors(factor_map: Mapping[Fraction, int]) -> tuple:

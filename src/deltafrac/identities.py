@@ -18,7 +18,6 @@ from typing import Callable
 
 from .errors import DenominatorPochhammerZero, DomainError, WindowTooShort
 from .exact import (
-    GammaPolynomial,
     RationalLike,
     as_polynomial,
     as_rational,
@@ -140,54 +139,51 @@ def power_rule_order_violation(
     return None
 
 
-def _validate_power_rule_params(mu: Fraction, nu: Fraction, n: int) -> None:
+def _check_power_rule_orders(mu: Fraction, nu: Fraction) -> None:
     violation = power_rule_order_violation(mu, nu)
     if violation is not None:
         raise DomainError(violation)
-    if n < 0:
-        raise DomainError("n must be a nonnegative integer")
 
 
 def power_rule_closed(
-    a: RationalLike, mu: RationalLike, nu: RationalLike, n: int
-) -> GammaPolynomial:
-    """Closed form of the order-nu sum of a falling power, at offset n.
+    a: RationalLike, mu: RationalLike, nu: RationalLike, length: int
+) -> GridFunction:
+    """Closed form of the order-nu sum of a falling power, as a window.
 
-    The value at the n-th point of the output grid {a+mu+nu, ...} is
-    Gamma(mu+1) * (mu+nu+1)_n / n!, a single Gamma monomial.
+    The window lies on the output grid {a+mu+nu, a+mu+nu+1, ...}; its value
+    at offset n is Gamma(mu+1) * (mu+nu+1)_n / n!, a single Gamma monomial.
     """
-    as_rational(a)
+    a = as_rational(a)
     mu = as_rational(mu)
     nu = as_rational(nu)
-    _validate_power_rule_params(mu, nu, n)
-    coeff = poch_int(mu + nu + 1, n) / math.factorial(n)
-    return as_polynomial(gamma_of(mu + 1) * coeff)
+    _check_power_rule_orders(mu, nu)
+    gamma = gamma_of(mu + 1)
+    return GridFunction(
+        a + mu + nu,
+        [gamma * (poch_int(mu + nu + 1, n) / math.factorial(n)) for n in range(length)],
+    )
 
 
 def corollary_closed(
-    a: RationalLike, mu: RationalLike, nu: RationalLike, n: int
-) -> GammaPolynomial:
-    """Falling-power form of the same closed value, at offset n.
+    a: RationalLike, mu: RationalLike, nu: RationalLike, length: int
+) -> GridFunction:
+    """Falling-power form of the same closed window.
 
-    When mu + nu is not a negative integer this is
-    Gamma(mu+1)/Gamma(mu+nu+1) * falling(mu+nu+n, mu+nu); when it is one,
-    the value is identically zero once t reaches {a, a+1, ...}, that is
-    for n >= -(mu+nu).
+    When mu + nu is not a negative integer this is the falling power
+    (t - a) falling (mu+nu) sampled on {a+mu+nu, ...}, scaled by
+    Gamma(mu+1)/Gamma(mu+nu+1).  When mu + nu = -k, the form is defined only
+    from t = a on, where it is zero: the window holds length - k zeros on a.
     """
-    as_rational(a)
+    a = as_rational(a)
     mu = as_rational(mu)
     nu = as_rational(nu)
-    _validate_power_rule_params(mu, nu, n)
+    _check_power_rule_orders(mu, nu)
     total_order = mu + nu
     if is_negative_integer(total_order):
-        if n < -total_order:
-            raise DomainError(
-                "the vanishing form only covers n >= -(mu+nu)"
-            )
-        return GammaPolynomial()
+        return GridFunction(a, [0] * (length + int(total_order)))
     prefactor = gamma_of(mu + 1) / gamma_of(total_order + 1)
-    tail = falling(total_order + n, total_order).as_polynomial()
-    return as_polynomial(prefactor) * tail
+    falling_power = sample_falling_power(a, total_order, length)
+    return GridFunction(falling_power.origin, [v * prefactor for v in falling_power.values])
 
 
 def power_rule_verify(
@@ -196,7 +192,7 @@ def power_rule_verify(
     """Operator evaluation against the closed form, for every offset <= n_max.
 
     The left side runs the convolution over a sampled falling power; the
-    right side is the closed monomial on the grid a+mu+nu+N.  The two paths
+    right side is the closed window on the grid a+mu+nu.  The two paths
     share nothing past the weight recurrence, so exact agreement is meaningful.
     """
     a = as_rational(a)
@@ -204,13 +200,12 @@ def power_rule_verify(
     nu = as_rational(nu)
     if n_max < 0:
         raise DomainError("n_max must be a nonnegative integer")
-    closed = [power_rule_closed(a, mu, nu, n) for n in range(n_max + 1)]
-    summed = frac_sum_diff(sample_falling_power(a, mu, n_max + 1), nu)
+    closed = power_rule_closed(a, mu, nu, n_max + 1)
     return _compare_windows(
         "power-rule",
         lambda n: {"a": a, "mu": mu, "nu": nu, "N": n},
-        summed,
-        GridFunction(a + mu + nu, closed),
+        frac_sum_diff(sample_falling_power(a, mu, n_max + 1), nu),
+        closed,
     )
 
 
@@ -227,7 +222,9 @@ def gamma_sum_check(mu: RationalLike, nu: RationalLike, n: int) -> VerificationR
     total_order = mu + nu
     if not is_negative_integer(total_order):
         raise DomainError(f"mu+nu must be a negative integer (got {total_order})")
-    _validate_power_rule_params(mu, nu, n)
+    _check_power_rule_orders(mu, nu)
+    if n < 0:
+        raise DomainError("n must be a nonnegative integer")
     total = _binomial_sum(poch_int, nu, mu + 1, n)
     if n < -total_order:
         return report_excluded(
@@ -338,6 +335,8 @@ def leibniz_sweep(
     the sweep.
     """
     alpha = as_rational(alpha)
+    if is_nonpositive_integer(alpha):
+        raise DomainError(f"alpha must not be a nonpositive integer (got {alpha})")
     t_max = min(len(f), len(g)) - 1
     lhs_all = frac_sum_diff(f * g, alpha)
     transforms = [

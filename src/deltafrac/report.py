@@ -99,7 +99,7 @@ def report_compare(identity: str, params: Mapping[str, object], lhs, rhs) -> Ver
     gap = None
     if lhs_float is not None and rhs_float is not None and math.isfinite(lhs_float - rhs_float):
         gap = abs(lhs_float - rhs_float)
-    if (lhs - rhs).is_zero:
+    if lhs == rhs:
         status = EXACT
     elif gap is not None and gap <= FLOAT_RTOL * (1 + max(abs(lhs_float), abs(rhs_float))):
         status = FLOAT_ONLY

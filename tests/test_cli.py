@@ -280,6 +280,8 @@ class TestVerify:
              "alpha - p must be a positive integer"),
             (["power-rule", "--mu", "-1"], "mu must not be a negative integer (got -1)"),
             (["power-rule", "--nu", "-1", "--n-max", "2"], "nu must not be a nonpositive integer (got -1)"),
+            (["leibniz", "--alpha", "0"], "alpha must not be a nonpositive integer (got 0)"),
+            (["leibniz", "--alpha", "-2"], "alpha must not be a nonpositive integer (got -2)"),
         ],
     )
     def test_domain_error_exits_2(self, runner, argv, message):
@@ -424,6 +426,7 @@ class TestVerify:
             ({"identity": "leibniz", "window": 0}, "a grid function needs at least one value: leibniz window is 0"),
             ({"identity": "alt-sum", "window": 0}, "a grid function needs at least one value: alt-sum window is 0"),
             ({"identity": "mr-ae", "max_window": 0}, "a grid function needs at least one value: mr-ae max_window is 0"),
+            ({"identity": "leibniz", "alpha": -1}, "alpha must not be a nonpositive integer (got -1)"),
         ],
     )
     def test_precondition_in_later_config_entry_exits_2(self, runner, tmp_path, entry, message):

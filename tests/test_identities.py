@@ -55,8 +55,51 @@ class TestBinomialChecks:
 
 class TestPowerRule:
     def test_closed_form_values(self):
-        assert power_rule_closed(0, 0, Q(1, 2), 2).render() == "15/8"
-        assert power_rule_closed(0, Q(1, 2), Q(1, 2), 0) == gamma_of(Q(3, 2)) * 1
+        window = power_rule_closed(0, 0, Q(1, 2), 3)
+        assert [v.render() for v in window.values] == ["1", "3/2", "15/8"]
+        assert power_rule_closed(0, Q(1, 2), Q(1, 2), 1).values == (gamma_of(Q(3, 2)) * 1,)
+
+    def test_closed_windows_lie_on_a_plus_mu_plus_nu(self):
+        a, mu, nu = Q(1, 4), Q(1, 2), Q(1, 3)
+        assert power_rule_closed(a, mu, nu, 4).points() == [a + mu + nu + n for n in range(4)]
+        assert corollary_closed(a, mu, nu, 4).points() == [a + mu + nu + n for n in range(4)]
+
+    def test_vanishing_corollary_starts_on_a(self):
+        # mu + nu = -2: the closed window starts on a - 2, the zeros on a
+        a, mu, nu = Q(1, 4), Q(1, 2), Q(-5, 2)
+        assert power_rule_closed(a, mu, nu, 5).origin == a - 2
+        zeros = corollary_closed(a, mu, nu, 5)
+        assert zeros.origin == a
+        assert [v.is_zero for v in zeros.values] == [True] * 3
+
+    @pytest.mark.parametrize(
+        "closed, mu, nu, length",
+        [
+            (power_rule_closed, Q(1, 2), Q(1, 2), 0),
+            (corollary_closed, Q(1, 2), Q(1, 2), 0),
+            (corollary_closed, Q(1, 2), Q(-5, 2), 2),
+            (corollary_closed, Q(1, 2), Q(-5, 2), 1),
+        ],
+    )
+    def test_an_empty_window_is_too_short(self, closed, mu, nu, length):
+        with pytest.raises(WindowTooShort, match="^a grid function needs at least one value$"):
+            closed(0, mu, nu, length)
+
+    def test_one_order_check_and_one_gamma_per_point(self, monkeypatch):
+        calls = {"gamma_of": 0, "power_rule_order_violation": 0}
+
+        def counted(name):
+            original = getattr(identities, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(identities, name, counted(name))
+        assert len(power_rule_verify(0, Q(1, 2), Q(1, 2), 12)) == 13
+        assert calls == {"gamma_of": 1, "power_rule_order_violation": 1}
 
     def test_verify_sweep_all_exact(self):
         reports = power_rule_verify(0, Q(1, 2), Q(1, 2), 8)
@@ -73,21 +116,23 @@ class TestPowerRule:
         assert reports[0].lhs != "0"
 
     def test_corollary_closed_matches_transform(self):
-        for n in range(6):
-            closed = corollary_closed(0, Q(1, 3), Q(1, 2), n)
-            direct = power_rule_closed(0, Q(1, 3), Q(1, 2), n)
-            assert (closed - direct).is_zero
+        closed = corollary_closed(0, Q(1, 3), Q(1, 2), 6)
+        direct = power_rule_closed(0, Q(1, 3), Q(1, 2), 6)
+        assert closed == direct
 
     def test_corollary_closed_vanishing_branch(self):
-        assert corollary_closed(0, Q(1, 2), Q(-5, 2), 2).is_zero
-        assert corollary_closed(0, Q(1, 2), Q(-5, 2), 7).is_zero
-        with pytest.raises(DomainError, match="vanishing form"):
-            corollary_closed(0, Q(1, 2), Q(-5, 2), 1)
+        # mu + nu = -2: zero from t = 0 on, two points into the closed window
+        zeros = corollary_closed(0, Q(1, 2), Q(-5, 2), 8)
+        direct = power_rule_closed(0, Q(1, 2), Q(-5, 2), 8)
+        assert zeros.points() == direct.points()[2:]
+        assert [v.is_zero for v in zeros.values] == [True] * 6
+        assert direct.values[2:] == zeros.values
 
     def test_integer_mu_gives_plain_numbers(self):
         # mu = 0, nu = 1: running sums of t^0 are N + 1
-        for n in range(5):
-            assert corollary_closed(0, 0, 1, n).as_fraction() == n + 1
+        window = corollary_closed(0, 0, 1, 5)
+        assert window.origin == 1
+        assert [v.as_fraction() for v in window.values] == [n + 1 for n in range(5)]
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError, match=r"mu must not be a negative integer \(got -2\)"):
@@ -218,6 +263,12 @@ class TestLeibniz:
         g = GridFunction(Q(1, 2), [1] * 4)
         with pytest.raises(DomainError, match="^cannot multiply grid functions with different origins$"):
             leibniz_sweep(f, g, Q(1, 2))
+
+    @pytest.mark.parametrize("alpha", [0, -1, -2])
+    def test_rejects_a_nonpositive_integer_order(self, alpha):
+        f = GridFunction(0, [1] * 4)
+        with pytest.raises(DomainError, match=rf"^alpha must not be a nonpositive integer \(got {alpha}\)$"):
+            leibniz_sweep(f, f, alpha)
 
 
 class TestMrAe:
