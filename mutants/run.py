@@ -33,24 +33,26 @@ def _gamma_of_doubled(original):
     return lambda x: original(x) * 2 if Fraction(x) > 3 else original(x)
 
 
-def _conv_weights_w5(original):
+def _weight_numerator_5(original):
     def faulty(nu, count):
-        weights = original(nu, count)
-        if len(weights) > 5:
-            weights[5] *= 2
-        return weights
+        numerators, den = original(nu, count)
+        if len(numerators) > 5:
+            numerators[5] *= 2
+        return numerators, den
     return faulty
 
 
-def _delta_n_order_2(original):
-    def faulty(f, n):
-        out = original(f, n)
-        if n != 2 or len(out) < 2:
-            return out
-        values = list(out.values)
-        values[1] = values[1] * 2
-        return GridFunction(out.origin, values)
-    return faulty
+def _delta_n_doubled_at(order, index):
+    def factory(original):
+        def faulty(f, n):
+            out = original(f, n)
+            if n != order or len(out) <= index:
+                return out
+            values = list(out.values)
+            values[index] = values[index] * 2
+            return GridFunction(out.origin, values)
+        return faulty
+    return factory
 
 
 def _gen_binomial_n4(original):
@@ -76,8 +78,11 @@ FAULTS = {
     "poch_int": (exact, "poch_int", "one factor long", _one_factor_long),
     "falling_int": (special, "falling_int", "one factor long", _one_factor_long),
     "gamma_of": (exact, "gamma_of", "doubled for x > 3", _gamma_of_doubled),
-    "conv_weights": (fracops, "conv_weights", "w5 doubled", _conv_weights_w5),
-    "delta_n": (gridfn, "delta_n", "order 2 doubled at index 1", _delta_n_order_2),
+    "weight_numerators": (
+        fracops, "_weight_numerators", "numerator 5 doubled", _weight_numerator_5
+    ),
+    "delta_n": (gridfn, "delta_n", "order 2 doubled at index 1", _delta_n_doubled_at(2, 1)),
+    "delta_n-first": (gridfn, "delta_n", "order 1 doubled at index 0", _delta_n_doubled_at(1, 0)),
     "gen_binomial": (special, "gen_binomial", "doubled at n = 4", _gen_binomial_n4),
     "frac_sum_diff-origin": (
         fracops, "frac_sum_diff", "output origin moved by +1", _origin_plus_one

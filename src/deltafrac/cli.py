@@ -17,6 +17,7 @@ import sys
 from fractions import Fraction
 
 import click
+from click.core import ParameterSource
 
 from .errors import DeltafracError
 from .exact import as_polynomial, parse_rational, render_rational
@@ -94,6 +95,9 @@ def _source_window(opts) -> GridFunction:
         return GridFunction(a, [Fraction(k**j) for k in range(length)])
     if kind == "table":
         values = [parse_rational(part) for part in rest.split(",")]
+        source = click.get_current_context().get_parameter_source("length")
+        if source != ParameterSource.DEFAULT and length != len(values):
+            raise ValueError(f"--len {length} does not match the {len(values)} entries of the table")
         return GridFunction(a, values)
     if kind == "fallpow":
         mu = parse_rational(rest)

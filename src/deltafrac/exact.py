@@ -14,16 +14,16 @@ independent.  The test is sound (a zero difference proves equality) but
 not complete: reflection and Gauss multiplication relate Gamma at distinct
 bases, so Gamma(1/6)*Gamma(5/6) and 2*Gamma(1/2)**2 compare unequal though
 they are equal.  Every polynomial sum goes through weighted_sum,
-GammaPolynomial's + and - included, except two rational sums in fracops:
-the fractional convolution in frac_sum_diff, which sums integer columns
-over one common denominator per factor signature, and the ratio sum in
-nabla_poch_diff, which adds each summand's ratio to the first on ints over
-one running denominator; as_polynomial is the one
-conversion of an int, Fraction or GammaMonomial to a polynomial; the zero
-polynomial is GammaPolynomial().  poch_int is the one rising product
-x(x+1)...(x+k-1): gamma_of's shift, special.falling_int and the
-integer-order Pochhammer symbol are all written with it.  The float path
-exists only as a cross-check on the exact one, never as a substitute.
+GammaPolynomial's + and - included, except the sums of the window
+operators and of the nabla kernel: frac_sum_diff and gridfn.delta_n sum
+integer columns over one common denominator per factor signature, and
+nabla_poch_diff adds each summand's ratio to the first on ints over one
+running denominator.  as_polynomial is the one conversion of an int,
+Fraction or GammaMonomial to a polynomial; the zero polynomial is
+GammaPolynomial().  poch_int is the one rising product x(x+1)...(x+k-1):
+gamma_of's shift, special.falling_int and the integer-order Pochhammer
+symbol are all written with it.  The float path exists only as a
+cross-check on the exact one, never as a substitute.
 """
 from __future__ import annotations
 

@@ -5,18 +5,18 @@ The central operator maps a window on {a, a+1, ...} to a window on
 
     w_j = (nu)_j / j!
 
-computed through the recurrence w_0 = 1, w_j = w_{j-1} (nu + j - 1) / j.
 Positive orders are fractional sums, negative non-integer orders are
 fractional differences; order zero and negative integers are excluded.
-The convolution runs on integer columns: once per call, the window is
-split into one column per Gamma factor signature, each column and the
-weights are written as integer numerators over their common denominators,
-and every output coefficient is one integer dot product reduced by a
-single gcd.  Two classical difference constructions are layered on top
-and agree on their common domain, and a nabla-kernel evaluation
-completes the set: it takes its first summand from pochhammer and steps
-to each later one by a rational ratio on ints, reducing the sum once.
-Only the first summand can hold a Gamma pole, so only it is checked.
+The convolution runs on integer columns: once per call, the weights are
+written as int numerators over one reduced denominator, the window is
+split by gridfn's column helper into one int column per Gamma factor
+signature, and every output coefficient is one integer dot product
+reduced by a single gcd.  Two classical difference constructions are
+layered on top and agree on their common domain, and a nabla-kernel
+evaluation completes the set: it takes its first summand from pochhammer
+and steps to each later one by a rational ratio on ints, reducing the
+sum once.  Only the first summand can hold a Gamma pole, so only it is
+checked.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from .exact import (
     is_nonpositive_integer,
     weighted_sum,
 )
-from .gridfn import GridFunction, delta_n
+from .gridfn import GridFunction, _map_columns, delta_n
 from .special import pochhammer
 
 __all__ = [
@@ -46,15 +46,31 @@ __all__ = [
 ]
 
 
-def conv_weights(nu: RationalLike, count: int) -> list[Fraction]:
-    """The first ``count`` weights (nu)_j / j!, none for count <= 0; nu must not be 0, -1, -2, ..."""
+def _weight_numerators(nu: RationalLike, count: int) -> tuple[list[int], int]:
+    """The weights (nu)_j / j!, j < count, as int numerators over one reduced denominator.
+
+    With nu = p/q and L = count, weight j is prod_{i<j}(p + i q) * q^(L-1-j)
+    * (L-1)!/j! over q^(L-1) (L-1)!; one gcd then leaves the lcm of the
+    weights' own denominators.  nu must not be 0, -1, -2, ...
+    """
     nu = as_rational(nu)
     if is_nonpositive_integer(nu):
         raise DomainError(f"nu must not be a nonpositive integer (got {nu})")
-    weights = [Fraction(1)] if count > 0 else []
+    p, q = nu.numerator, nu.denominator
+    rising, tails = [1], [1]
     for j in range(1, count):
-        weights.append(weights[-1] * (nu + j - 1) / j)
-    return weights
+        rising.append(rising[-1] * (p + (j - 1) * q))
+        tails.append(tails[-1] * q * (count - j))
+    numerators = [r * t for r, t in zip(rising, reversed(tails))][:count]
+    den = tails[-1]
+    g = math.gcd(den, *numerators)
+    return [n // g for n in numerators], den // g
+
+
+def conv_weights(nu: RationalLike, count: int) -> list[Fraction]:
+    """The first ``count`` weights (nu)_j / j!, none for count <= 0; nu must not be 0, -1, -2, ..."""
+    numerators, den = _weight_numerators(nu, count)
+    return [Fraction(n, den) for n in numerators]
 
 
 def frac_sum_diff(f: GridFunction, nu: RationalLike) -> GridFunction:
@@ -62,46 +78,19 @@ def frac_sum_diff(f: GridFunction, nu: RationalLike) -> GridFunction:
 
     Output index N holds sum(w_{N-i} * f_i for i <= N); the output window
     starts at f.origin + nu and has the same length as the input.  Each
-    factor signature of the window is convolved as an integer column over
-    one common denominator, so every output coefficient is normalized once.
+    factor signature of the window is convolved as an integer column with
+    the weights' numerators, so every output coefficient is normalized once.
     """
     nu = as_rational(nu)
-    weights = conv_weights(nu, len(f))
-    return GridFunction(f.origin + nu, _convolve_columns(f.values, weights))
-
-
-def _over_common_denominator(column: list[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of the column over the lcm of its denominators."""
-    denominator = math.lcm(*[q.denominator for q in column])
-    return [q.numerator * (denominator // q.denominator) for q in column], denominator
-
-
-def _convolve_columns(values: tuple, weights: list[Fraction]) -> list:
-    """Causal convolution of Gamma-polynomial values with rational weights.
-
-    Output n of signature s is sum(weights[n - i] * coeff_s(values[i])),
-    computed on ints over the weights' and the column's denominators.
-    """
-    length = len(values)
-    columns: dict[tuple, list] = {}
-    for i, value in enumerate(values):
-        for signature, coeff in value.terms().items():
-            if signature not in columns:
-                columns[signature] = [Fraction(0)] * length
-            columns[signature][i] = coeff
-    numerators, weight_den = _over_common_denominator(weights)
+    length = len(f)
+    numerators, den = _weight_numerators(nu, length)
     reversed_weights = numerators[::-1]
-    convolved = {}
-    for signature, column in columns.items():
-        coeffs, column_den = _over_common_denominator(column)
-        denominator = weight_den * column_den
-        convolved[signature] = [
-            Fraction(sum(map(mul, reversed_weights[length - 1 - n:], coeffs)), denominator)
-            for n in range(length)
-        ]
-    return [
-        GammaPolynomial({s: out[n] for s, out in convolved.items()}) for n in range(length)
-    ]
+    values = _map_columns(
+        f.values, length,
+        lambda column, n: sum(map(mul, reversed_weights[length - 1 - n:], column)),
+        scale=den,
+    )
+    return GridFunction(f.origin + nu, values)
 
 
 def mr_frac_diff(f: GridFunction, mu: RationalLike) -> GridFunction:

@@ -4,23 +4,28 @@ A grid is the set {origin, origin+1, origin+2, ...} for a rational origin.
 A GridFunction is a finite window of exact values on consecutive grid
 points, the common carrier for every discrete operator here.  Values are
 Gamma polynomials so that sampled falling powers and rational tables live
-in one representation.
+in one representation.  The window operators run on integer columns:
+_map_columns writes each factor signature's coefficients once as int
+numerators over their lcm, for delta_n here and the convolution in fracops.
 """
 from __future__ import annotations
 
 import math
+from collections import defaultdict
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import DomainError, WindowTooShort
 from .exact import (
+    GammaPolynomial,
     RationalLike,
     as_polynomial,
     as_rational,
     is_negative_integer,
     parse_gamma_polynomial,
     parse_rational,
-    weighted_sum,
 )
 from .special import falling
 
@@ -122,10 +127,31 @@ def sample_falling_power(a: RationalLike, mu: RationalLike, length: int) -> Grid
     return GridFunction(a + mu, values)
 
 
+def _map_columns(values: tuple, length: int, row: Callable, scale: int = 1) -> list:
+    """An integer linear map applied to each factor signature's column of a window.
+
+    The column of signature s holds its coefficient in every value, 0 where s
+    is absent, as int numerators over their lcm d.  Output n of s is
+    row(numerators, n) / (d * scale), the one Fraction made per coefficient;
+    output n of the map is the polynomial of those coefficients.
+    """
+    columns: dict[tuple, list] = defaultdict(lambda: [0] * len(values))
+    for i, value in enumerate(values):
+        for signature, coeff in value.terms().items():
+            columns[signature][i] = coeff
+    mapped = {}
+    for signature, column in columns.items():
+        den = math.lcm(*[q.denominator for q in column])
+        numerators = [q.numerator * (den // q.denominator) for q in column]
+        mapped[signature] = [Fraction(row(numerators, n), den * scale) for n in range(length)]
+    return [GammaPolynomial({s: out[n] for s, out in mapped.items()}) for n in range(length)]
+
+
 def delta_n(f: GridFunction, n: int) -> GridFunction:
     """n-th forward difference, as the binomial-weighted sum.
 
     The window shrinks by n; the origin stays put.  delta_n(f, 0) is f.
+    Each output coefficient is one signed binomial dot product on ints.
     """
     if n < 0:
         raise DomainError("difference order must be a nonnegative integer")
@@ -136,8 +162,7 @@ def delta_n(f: GridFunction, n: int) -> GridFunction:
     if n == 0:
         return f
     signs = [(-1) ** (n - j) * math.comb(n, j) for j in range(n + 1)]
-    values = [
-        weighted_sum((f.values[k + j], signs[j]) for j in range(n + 1))
-        for k in range(len(f) - n)
-    ]
+    values = _map_columns(
+        f.values, len(f) - n, lambda column, k: sum(map(mul, signs, column[k:k + n + 1]))
+    )
     return GridFunction(f.origin, values)

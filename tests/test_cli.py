@@ -648,6 +648,46 @@ class TestTable:
         assert result.stdout == ""
         assert result.stderr == "error: a grid function needs at least one value\n"
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["fracsum", "--nu", "-1/3", "--f", "kpow:2"],
+                "d9f0431553ed91f8ed78b31f18903b3273f2bfd34f935649543c7efdbd484b04",
+            ),
+            (
+                ["fracsum", "--nu", "-5/2", "--f", "fallpow:1/3"],
+                "fb633705649d4ef138a7365b0cc9fb0bafa0ab41211e42b2e25924f585c4e956",
+            ),
+            (
+                ["aediff", "--mu", "5/2", "--f", "fallpow:1/2"],
+                "a35d2db077b8bbe2543c02ecff693499b08ca061c1376e94e4bafa444cbd1c69",
+            ),
+        ],
+    )
+    def test_long_window_json_is_pinned(self, runner, argv, digest):
+        # 256-point windows; the digests predate the integer weights and
+        # differences, and hold their output to the Fraction recurrence's
+        result = runner.invoke(main, ["table", *argv, "--len", "256", "--format", "json"])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "command", [["table", "fracsum", "--nu", "1/2"], ["eval", "aediff", "--mu", "1/2"]]
+    )
+    def test_len_other_than_the_table_length_exits_2(self, runner, command):
+        result = runner.invoke(main, [*command, "--f", "table:1,2,3", "--len", "5"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: --len 5 does not match the 3 entries of the table\n"
+
+    def test_len_equal_to_the_table_length_is_accepted(self, runner):
+        argv = ["table", "fracsum", "--nu", "1/2", "--f", "table:1,2,3"]
+        implicit = runner.invoke(main, argv)
+        explicit = runner.invoke(main, [*argv, "--len", "3"])
+        assert implicit.exit_code == explicit.exit_code == 0
+        assert explicit.stdout == implicit.stdout == "point,value\n1/2,1\n3/2,5/2\n5/2,35/8\n"
+
 
 _EXPORTING_MODULES = ["deltafrac"] + [
     f"deltafrac.{info.name}"

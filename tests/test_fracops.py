@@ -23,6 +23,7 @@ from deltafrac import (
 )
 from deltafrac import ae_frac_diff, delta_n, gen_binomial
 from deltafrac.exact import weighted_sum
+from deltafrac.fracops import _weight_numerators
 
 
 class TestConvWeights:
@@ -59,6 +60,25 @@ class TestConvWeights:
         # w_j = C(nu + j - 1, j) = (-1)^j C(-nu, j)
         weights = conv_weights(nu, j + 1)
         assert weights[j] == (-1) ** j * gen_binomial(-nu, j)
+
+    @given(
+        st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(
+            lambda q: not (q.denominator == 1 and q <= 0)
+        ),
+        st.integers(min_value=0, max_value=300),
+    )
+    @example(Q(1, 2), 300)
+    @example(Q(-7, 3), 300)
+    @example(Q(5), 300)
+    def test_integer_weights_are_the_reduced_recurrence(self, nu, count):
+        # the int numerators over one denominator, read as Fractions, are the
+        # weights of the Fraction recurrence, over the lcm of their denominators
+        expected = [Q(1)] if count > 0 else []
+        for j in range(1, count):
+            expected.append(expected[-1] * (nu + j - 1) / j)
+        numerators, den = _weight_numerators(nu, count)
+        assert [Q(n, den) for n in numerators] == expected == conv_weights(nu, count)
+        assert den == math.lcm(*[w.denominator for w in expected])
 
 
 SIGNATURES = [(), ((Q(1, 3), 1),), ((Q(1, 2), 1),)]

@@ -1,11 +1,14 @@
 """Grid functions on uniform unit-step windows."""
+import math
 import tracemalloc
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, strategies as st
 
 from deltafrac import (
     DomainError,
+    GammaPolynomial,
     GridFunction,
     WindowTooShort,
     as_polynomial,
@@ -13,6 +16,19 @@ from deltafrac import (
     frac_sum_diff,
     gamma_of,
     sample_falling_power,
+)
+from deltafrac.exact import weighted_sum
+
+# Three factor signatures; a zero coefficient leaves its signature out of a
+# value, so a signature can hold at some indices of a window and not others.
+_SIGNATURES = [(), ((Q(1, 2), 1),), ((Q(1, 3), 1), (Q(2, 3), -1))]
+_COEFFS = st.one_of(st.just(0), st.fractions(min_value=-20, max_value=20, max_denominator=12))
+_GAMMA_WINDOWS = st.lists(
+    st.lists(_COEFFS, min_size=3, max_size=3).map(
+        lambda coeffs: GammaPolynomial(dict(zip(_SIGNATURES, coeffs)))
+    ),
+    min_size=1,
+    max_size=12,
 )
 
 
@@ -111,6 +127,16 @@ class TestDeltaN:
         f = GridFunction(0, [1, 2])
         with pytest.raises(WindowTooShort):
             delta_n(f, 2)
+
+    @given(_GAMMA_WINDOWS, st.fractions(max_denominator=6))
+    def test_every_order_matches_the_binomial_weighted_sum(self, values, origin):
+        f = GridFunction(origin, values)
+        for n in range(len(f)):
+            expected = [
+                weighted_sum((f.values[k + j], (-1) ** (n - j) * math.comb(n, j)) for j in range(n + 1))
+                for k in range(len(f) - n)
+            ]
+            assert delta_n(f, n) == GridFunction(origin, expected)
 
 
 def test_repeated_window_work_leaves_no_memory_behind():
