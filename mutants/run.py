@@ -83,6 +83,8 @@ FAULTS = {
     ),
     "delta_n": (gridfn, "delta_n", "order 2 doubled at index 1", _delta_n_doubled_at(2, 1)),
     "delta_n-first": (gridfn, "delta_n", "order 1 doubled at index 0", _delta_n_doubled_at(1, 0)),
+    "delta_n-third": (gridfn, "delta_n", "order 3 doubled at index 2", _delta_n_doubled_at(3, 2)),
+    "delta_n-ninth": (gridfn, "delta_n", "order 9 doubled at index 0", _delta_n_doubled_at(9, 0)),
     "gen_binomial": (special, "gen_binomial", "doubled at n = 4", _gen_binomial_n4),
     "frac_sum_diff-origin": (
         fracops, "frac_sum_diff", "output origin moved by +1", _origin_plus_one

@@ -24,6 +24,7 @@ from .exact import (
     gamma_of,
     parse_gamma_polynomial,
     parse_rational,
+    poch_int,
     render_rational,
 )
 from .fracops import (
@@ -68,7 +69,6 @@ from .special import (
     falling,
     falling_int,
     gen_binomial,
-    poch_int,
     pochhammer,
 )
 from .sweeps import (

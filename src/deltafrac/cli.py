@@ -41,16 +41,13 @@ from .report import (
 from .special import SpecialValue, falling, gen_binomial, pochhammer
 from .sweeps import (
     FLAG,
-    INT,
     PARAMS,
-    SIZE,
-    SweepConfig,
     default_suite,
     identity_names,
     load_config,
+    parse_config_entry,
     run_sweep,
 )
-from .sweeps import RATIONAL as RATIONAL_KIND
 
 _STATUS_ORDER = (EXACT, FLOAT_ONLY, MISMATCH, DOMAIN_EXCLUDED, POLE)
 
@@ -229,15 +226,13 @@ _FLAG_HELP = {
     "c": "hypergeometric c",
     "force": "evaluate outside the stated hypotheses",
 }
-_KIND_TYPES = {RATIONAL_KIND: RATIONAL, INT: int, SIZE: int}
 
 
 def _param_options(command):
-    """One verify flag per sweep parameter, --key, with the type its kind names."""
+    """One verify flag per sweep parameter, --key; the sweep resolver parses its value."""
     for key, kind in reversed(PARAMS.items()):
         flag = "--" + key.replace("_", "-")
-        kind_args = {"is_flag": True} if kind == FLAG else {"type": _KIND_TYPES[kind]}
-        command = click.option(flag, key, default=None, help=_FLAG_HELP.get(key), **kind_args)(command)
+        command = click.option(flag, key, default=None, is_flag=kind == FLAG, help=_FLAG_HELP.get(key))(command)
     return command
 
 
@@ -266,7 +261,11 @@ def cmd_verify(identity, config_path, fmt, **params):
     else:
         if identity not in identity_names():
             _fail(f"unknown identity: {identity} (choose from {', '.join(identity_names())} or all)")
-        configs = [SweepConfig(identity, overrides)]
+        # resolved like a config entry, before any output
+        try:
+            configs = [parse_config_entry({"identity": identity, **overrides})]
+        except ValueError as exc:
+            _fail(str(exc))
 
     counts = {status: 0 for status in _STATUS_ORDER}
     failed = False

@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping
 
-from .exact import GammaPolynomial, as_polynomial, render_rational
+from .exact import GammaPolynomial, as_polynomial
 
 __all__ = [
     "EXACT",
@@ -37,12 +36,6 @@ POLE = "pole"
 FLOAT_RTOL = 1e-9
 
 
-def _render_param(value) -> str:
-    if isinstance(value, (int, Fraction)):
-        return render_rational(value)
-    return str(value)
-
-
 @dataclass(frozen=True, eq=False)
 class VerificationReport:
     identity: str
@@ -60,7 +53,7 @@ class VerificationReport:
         return self.status in (MISMATCH, FLOAT_ONLY)
 
     def params_rendered(self) -> list[tuple[str, str]]:
-        return [(k, _render_param(v)) for k, v in self.params.items()]
+        return [(k, str(v)) for k, v in self.params.items()]
 
     def to_json_dict(self) -> dict:
         doc: dict = {

@@ -35,7 +35,6 @@ __all__ = [
     "falling",
     "pochhammer",
     "falling_int",
-    "poch_int",
     "gen_binomial",
 ]
 

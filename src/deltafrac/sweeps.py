@@ -87,8 +87,8 @@ def rational_range(num_min: int = -8, num_max: int = 8, den_max: int = 6) -> lis
     return values
 
 
-def _random_rational(rng: random.Random, num_bound: int = 8, den_bound: int = 6) -> Fraction:
-    return Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
+def _random_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-8, 8), rng.randint(1, 6))
 
 
 def _random_values(rng: random.Random, length: int) -> list:
@@ -323,7 +323,10 @@ def _convert(kind: str, key: str, raw) -> object:
         return raw
     if isinstance(raw, bool) or not isinstance(raw, (int, str, Fraction)):
         raise ValueError(f"bad value for {key}: {raw!r}")
-    value = parse_rational(raw) if isinstance(raw, str) else Fraction(raw)
+    try:
+        value = parse_rational(raw) if isinstance(raw, str) else Fraction(raw)
+    except ValueError as exc:
+        raise ValueError(f"bad value for {key}: {exc}") from None
     if kind == RATIONAL:
         return value
     if value.denominator != 1:

@@ -282,6 +282,10 @@ class TestVerify:
             (["power-rule", "--nu", "-1", "--n-max", "2"], "nu must not be a nonpositive integer (got -1)"),
             (["leibniz", "--alpha", "0"], "alpha must not be a nonpositive integer (got 0)"),
             (["leibniz", "--alpha", "-2"], "alpha must not be a nonpositive integer (got -2)"),
+            (["saalschutz", "--m", "-1"], "m must be a nonnegative integer"),
+            (["saalschutz", "--a", "1/2", "--b", "1/2", "--c", "2", "--m", "-1"],
+             "m must be a nonnegative integer"),
+            (["saalschutz", "--m", "-1", "--force"], "m must be a nonnegative integer"),
         ],
     )
     def test_domain_error_exits_2(self, runner, argv, message):
@@ -357,6 +361,24 @@ class TestVerify:
         result = runner.invoke(main, argv)
         assert result.exit_code == 2
         assert "k must be less than window (got k=8, window=3)" in result.output
+
+    @pytest.mark.parametrize(
+        "identity, key, value, reason",
+        [
+            ("bridge", "t", "0.5", "bad value for t: not a rational literal: '0.5'"),
+            ("form1", "n", "1/2", "n must be an integer, got '1/2'"),
+            ("leibniz", "count", "x", "bad value for count: not a rational literal: 'x'"),
+        ],
+    )
+    def test_flag_and_config_entry_fail_alike(self, runner, tmp_path, identity, key, value, reason):
+        config = tmp_path / "sweeps.json"
+        config.write_text(json.dumps({"suite": [{"identity": identity, key: value}]}))
+        flag = runner.invoke(main, ["verify", identity, f"--{key}", value, "--format", "csv"])
+        entry = runner.invoke(main, ["verify", "all", "--config", str(config), "--format", "csv"])
+        assert flag.exit_code == entry.exit_code == 2
+        assert flag.stdout == entry.stdout == ""
+        assert flag.stderr == f"error: {reason}\n"
+        assert entry.stderr == f"error: bad config: {reason}\n"
 
     def test_negative_size_in_config_exits_2(self, runner, tmp_path):
         config = tmp_path / "sweeps.json"

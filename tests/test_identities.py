@@ -271,6 +271,26 @@ class TestLeibniz:
             leibniz_sweep(f, f, alpha)
 
 
+def test_a_fault_at_difference_order_3_is_a_mismatch(monkeypatch):
+    # the fault reaches both verifiers only if they take order 3 from delta_n itself
+    original = identities.delta_n
+
+    def faulty(f, n):
+        out = original(f, n)
+        if n != 3:
+            return out
+        values = list(out.values)
+        values[2] = values[2] * 2
+        return GridFunction(out.origin, values)
+
+    monkeypatch.setattr(identities, "delta_n", faulty)
+    g = GridFunction(0, [Q(k**4) for k in range(7)])
+    alt_sum = alt_sum_lemma_check(g, Q(1, 2), 4, 5)
+    leibniz = leibniz_sweep(GridFunction(0, [1] * 7), g, Q(1, 2))
+    assert alt_sum.status == "mismatch"
+    assert "mismatch" in [rep.status for rep in leibniz]
+
+
 class TestMrAe:
     f = GridFunction(Q(1, 3), [Q(2), Q(-1), Q(1, 3), gamma_of(Q(1, 2)), Q(-5, 2), Q(4)])
 
@@ -399,6 +419,9 @@ class TestSaalschutz:
         # c - a - 1 a negative integer or lower
         assert saalschutz_hypothesis_violation(Q(3, 2), Q(1, 5), Q(3, 2), 1) is not None
         assert saalschutz_hypothesis_violation(Q(1, 2), Q(1, 2), 2, 1) is None
+        # a negative m is no point of the theorem
+        with pytest.raises(DomainError, match="^m must be a nonnegative integer$"):
+            saalschutz_hypothesis_violation(Q(1, 2), Q(1, 2), 2, -1)
 
     def test_verify_enforces_hypotheses(self):
         rep = saalschutz_verify(0, Q(1, 2), 2, 1)
