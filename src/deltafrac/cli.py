@@ -6,6 +6,8 @@ Three commands:
   verify  run an identity check or sweep, stream one report per point
   table   print a whole grid-function window as CSV or JSON
 
+eval and table flags use verify's kind table and parser; --len is 8 or a table's length.
+
 Exit codes are uniform: 0 success, 1 any mismatch or float_only report,
 2 usage, config, or domain errors.  Identical invocations produce
 byte-identical output.
@@ -17,7 +19,6 @@ import sys
 from fractions import Fraction
 
 import click
-from click.core import ParameterSource
 
 from .errors import DeltafracError
 from .exact import as_polynomial, parse_rational, render_rational
@@ -41,7 +42,11 @@ from .report import (
 from .special import SpecialValue, falling, gen_binomial, pochhammer
 from .sweeps import (
     FLAG,
+    INT,
     PARAMS,
+    RATIONAL,
+    SIZE,
+    _convert,
     default_suite,
     identity_names,
     load_config,
@@ -51,20 +56,13 @@ from .sweeps import (
 
 _STATUS_ORDER = (EXACT, FLOAT_ONLY, MISMATCH, DOMAIN_EXCLUDED, POLE)
 
-
-class RationalParam(click.ParamType):
-    name = "rational"
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, Fraction):
-            return value
-        try:
-            return parse_rational(value)
-        except ValueError as exc:
-            self.fail(str(exc), param, ctx)
-
-
-RATIONAL = RationalParam()
+# The kind of every parameter flag but --f, whose grid spec _source_window parses:
+# the sweep parameters, the series parameters of eval hyp3f2 and the window's.
+_KINDS = {
+    **PARAMS,
+    "a1": RATIONAL, "a2": RATIONAL, "b1": RATIONAL, "b2": RATIONAL, "z": RATIONAL,
+    "len": SIZE, "at": INT,
+}
 
 
 # Every echo names its stream: click's default-stream cache keeps each stdout it sees alive.
@@ -73,32 +71,29 @@ def _fail(message: str) -> None:
     sys.exit(2)
 
 
+def _length(opts) -> int:
+    """The window length: --len, or 8 when it is unset."""
+    return 8 if opts["len"] is None else opts["len"]
+
+
 def _source_window(opts) -> GridFunction:
     """The --f window: const:Q, kpow:J, table:Q1,Q2,... or fallpow:MU."""
-    spec, a, length = opts["f_spec"], opts["a"], opts["length"]
+    spec, a = opts["f"], opts["a"]
     kind, sep, rest = spec.partition(":")
     if not sep:
         raise ValueError(f"grid spec needs kind:payload, got {spec!r}")
-    if kind == "const":
-        q = parse_rational(rest)
-        return GridFunction(a, [q] * length)
-    if kind == "kpow":
-        try:
-            j = int(rest)
-        except ValueError:
-            raise ValueError(f"kpow exponent must be an integer, got {rest!r}") from None
-        if j < 0:
-            raise ValueError("kpow exponent must be nonnegative")
-        return GridFunction(a, [Fraction(k**j) for k in range(length)])
     if kind == "table":
         values = [parse_rational(part) for part in rest.split(",")]
-        source = click.get_current_context().get_parameter_source("length")
-        if source != ParameterSource.DEFAULT and length != len(values):
-            raise ValueError(f"--len {length} does not match the {len(values)} entries of the table")
+        if opts["len"] not in (None, len(values)):
+            raise ValueError(f"--len {opts['len']} does not match the {len(values)} entries of the table")
         return GridFunction(a, values)
+    if kind == "const":
+        return GridFunction(a, [parse_rational(rest)] * _length(opts))
+    if kind == "kpow":
+        j = _convert(SIZE, "kpow exponent", rest)
+        return GridFunction(a, [Fraction(k**j) for k in range(_length(opts))])
     if kind == "fallpow":
-        mu = parse_rational(rest)
-        return sample_falling_power(a, mu, length)
+        return sample_falling_power(a, parse_rational(rest), _length(opts))
     raise ValueError(f"unknown grid spec kind: {kind!r}")
 
 
@@ -112,7 +107,8 @@ def _render_value(value) -> tuple[str, float | None]:
 
 
 # The subjects of eval and table: the flags each needs, the commands that
-# take it, and its evaluation.  A window subject evaluates to a whole output
+# take it, and its evaluation.  A command's flags are its subjects' needs
+# and the window's (_flags_of).  A window subject evaluates to a whole output
 # window, which table prints and eval indexes with --at.
 _SUBJECTS = {
     "falling": (("x", "y"), ("eval",), lambda o: falling(o["x"], o["y"])),
@@ -124,7 +120,7 @@ _SUBJECTS = {
     ),
     "mrdiff": (("mu",), ("eval", "table"), lambda o: mr_frac_diff(_source_window(o), o["mu"])),
     "aediff": (("mu",), ("eval", "table"), lambda o: ae_frac_diff(_source_window(o), o["mu"])),
-    "fallpow": (("mu",), ("table",), lambda o: sample_falling_power(o["a"], o["mu"], o["length"])),
+    "fallpow": (("mu",), ("table",), lambda o: sample_falling_power(o["a"], o["mu"], _length(o))),
     "nabla": (
         ("p", "alpha", "t_index"), ("eval",),
         lambda o: nabla_poch_diff(o["a"], o["p"], o["alpha"], o["t_index"]),
@@ -140,13 +136,46 @@ def _subjects_of(command: str) -> list[str]:
     return [name for name, (_, commands, _) in _SUBJECTS.items() if command in commands]
 
 
-def _evaluate(command: str, subject: str, opts):
+def _flags_of(command: str) -> dict:
+    """Each flag of eval or table and its default: the flags its subjects need, then the window's."""
+    flags = dict.fromkeys(key for name in _subjects_of(command) for key in _SUBJECTS[name][0])
+    flags.update(a="0", f="const:1", len=None)
+    if command == "eval":
+        flags["at"] = "0"
+    return flags
+
+
+_FLAG_HELP = {
+    "b": "hypergeometric b",
+    "c": "hypergeometric c",
+    "force": "evaluate outside the stated hypotheses",
+    "f": "grid function: const:Q | kpow:J | table:Q,... | fallpow:MU",
+    "len": "window length: 8, or the table's own length",
+    "at": "output window index",
+}
+
+
+def _flag_options(flags: dict):
+    """One option --key per flag, with its default; a value is a plain string (a bool for a flag)."""
+    def decorate(command):
+        for key, default in reversed(flags.items()):
+            flag = "--" + key.replace("_", "-")
+            command = click.option(
+                flag, key, default=default, is_flag=_KINDS.get(key) == FLAG, help=_FLAG_HELP.get(key)
+            )(command)
+        return command
+    return decorate
+
+
+def _evaluate(command: str, subject: str, raw) -> tuple[dict, object]:
+    """The flags parsed by their kinds, the --f grid spec left a string, and the subject's value."""
     needs, _, evaluate = _SUBJECTS[subject]
-    for name in needs:
-        if opts[name] is None:
-            _fail(f"{command} {subject} needs --{name.replace('_', '-')}")
     try:
-        return evaluate(opts)
+        opts = {k: v if v is None or k == "f" else _convert(_KINDS[k], k, v) for k, v in raw.items()}
+        for name in needs:
+            if opts[name] is None:
+                _fail(f"{command} {subject} needs --{name.replace('_', '-')}")
+        return opts, evaluate(opts)
     except (DeltafracError, ValueError) as exc:
         _fail(str(exc))
 
@@ -158,28 +187,11 @@ def main() -> None:
 
 @main.command("eval")
 @click.argument("subject", type=click.Choice(_subjects_of("eval")))
-@click.option("--x", type=RATIONAL, default=None, help="base argument")
-@click.option("--y", type=RATIONAL, default=None, help="order argument")
-@click.option("--alpha", type=RATIONAL, default=None, help="binomial upper / nabla order")
-@click.option("--n", type=int, default=None, help="binomial lower index")
-@click.option("--a", type=RATIONAL, default=Fraction(0), help="grid origin")
-@click.option("--nu", type=RATIONAL, default=None, help="fracsum order")
-@click.option("--mu", type=RATIONAL, default=None, help="mrdiff/aediff order")
-@click.option("--p", type=RATIONAL, default=None, help="nabla power exponent")
-@click.option("--t-index", "t_index", type=int, default=None, help="grid steps past the origin")
-@click.option("--f", "f_spec", default="const:1", help="grid function: const:Q | kpow:J | table:Q,... | fallpow:MU")
-@click.option("--len", "length", type=int, default=8, help="window length")
-@click.option("--at", type=int, default=0, help="output window index")
-@click.option("--a1", type=RATIONAL, default=None, help="series upper parameter")
-@click.option("--a2", type=RATIONAL, default=None, help="series upper parameter")
-@click.option("--m", type=int, default=None, help="series truncation order")
-@click.option("--b1", type=RATIONAL, default=None, help="series lower parameter")
-@click.option("--b2", type=RATIONAL, default=None, help="series lower parameter")
-@click.option("--z", type=RATIONAL, default=None, help="series argument")
+@_flag_options(_flags_of("eval"))
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-def cmd_eval(subject, fmt, **opts):
+def cmd_eval(subject, fmt, **raw):
     """Evaluate one operator at one parameter point."""
-    value = _evaluate("eval", subject, opts)
+    opts, value = _evaluate("eval", subject, raw)
     if isinstance(value, GridFunction):
         at = opts["at"]
         if not 0 <= at < len(value):
@@ -221,24 +233,9 @@ def _csv_line(rep: VerificationReport) -> str:
 _CSV_HEADER = "identity,status,params,lhs,rhs,abs_float_gap,excluded_by"
 
 
-_FLAG_HELP = {
-    "b": "hypergeometric b",
-    "c": "hypergeometric c",
-    "force": "evaluate outside the stated hypotheses",
-}
-
-
-def _param_options(command):
-    """One verify flag per sweep parameter, --key; the sweep resolver parses its value."""
-    for key, kind in reversed(PARAMS.items()):
-        flag = "--" + key.replace("_", "-")
-        command = click.option(flag, key, default=None, is_flag=kind == FLAG, help=_FLAG_HELP.get(key))(command)
-    return command
-
-
 @main.command("verify")
 @click.argument("identity")
-@_param_options
+@_flag_options(dict.fromkeys(PARAMS))
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
 def cmd_verify(identity, config_path, fmt, **params):
@@ -269,11 +266,14 @@ def cmd_verify(identity, config_path, fmt, **params):
 
     counts = {status: 0 for status in _STATUS_ORDER}
     failed = False
-    if fmt == "csv":
-        click.echo(_CSV_HEADER, file=sys.stdout)
+    # a run refused before its first report prints nothing to stdout, as text and json do
+    header_due = fmt == "csv"
     try:
         for config in configs:
             for rep in run_sweep(config):
+                if header_due:
+                    click.echo(_CSV_HEADER, file=sys.stdout)
+                    header_due = False
                 counts[rep.status] += 1
                 failed = failed or rep.is_failure
                 if fmt == "json":
@@ -284,6 +284,8 @@ def cmd_verify(identity, config_path, fmt, **params):
                     click.echo(_text_line(rep), file=sys.stdout)
     except (DeltafracError, ValueError) as exc:
         _fail(str(exc))
+    if header_due:
+        click.echo(_CSV_HEADER, file=sys.stdout)
     total = sum(counts.values())
     summary = ", ".join(f"{counts[status]} {status}" for status in _STATUS_ORDER)
     click.echo(f"checked {total} parameter points: {summary}", file=sys.stderr)
@@ -292,15 +294,11 @@ def cmd_verify(identity, config_path, fmt, **params):
 
 @main.command("table")
 @click.argument("subject", type=click.Choice(_subjects_of("table")))
-@click.option("--a", type=RATIONAL, default=Fraction(0), help="grid origin")
-@click.option("--nu", type=RATIONAL, default=None, help="fracsum order")
-@click.option("--mu", type=RATIONAL, default=None, help="mrdiff/aediff order or falling-power exponent")
-@click.option("--f", "f_spec", default="const:1", help="grid function: const:Q | kpow:J | table:Q,... | fallpow:MU")
-@click.option("--len", "length", type=int, default=8, help="window length")
+@_flag_options(_flags_of("table"))
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-def cmd_table(subject, fmt, **opts):
+def cmd_table(subject, fmt, **raw):
     """Print a whole output window, one row per grid point."""
-    gf = _evaluate("table", subject, opts)
+    _, gf = _evaluate("table", subject, raw)
     if fmt == "json":
         click.echo(json.dumps(gf.to_json_dict()), file=sys.stdout)
     else:

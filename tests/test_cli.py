@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 import deltafrac
 import deltafrac.sweeps as sweeps
 from deltafrac import GridFunction, ae_frac_diff, report_compare
-from deltafrac.cli import main
+from deltafrac.cli import _KINDS, _SUBJECTS, _flags_of, main
 from deltafrac.sweeps import FLAG, INT, PARAMS, RATIONAL, REGISTRY, SIZE, IdentityEntry
 
 
@@ -96,11 +96,27 @@ class TestEval:
         [
             ("const1", "grid spec needs kind:payload, got 'const1'"),
             ("kpow:1/2", "kpow exponent must be an integer, got '1/2'"),
-            ("kpow:-1", "kpow exponent must be nonnegative"),
+            ("kpow:-1", "kpow exponent must be nonnegative, got -1"),
         ],
     )
     def test_malformed_window_spec_exits_2(self, runner, spec, message):
         result = runner.invoke(main, ["eval", "fracsum", "--nu", "1/2", "--f", spec, "--len", "3"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eval", "binom", "--alpha", "1/2", "--n", "+3"], "bad value for n: not a rational literal: '+3'"),
+            (["verify", "binom-falling", "--n", "+3"], "bad value for n: not a rational literal: '+3'"),
+            (["eval", "falling", "--x", "0.5", "--y", "2"], "bad value for x: not a rational literal: '0.5'"),
+            (["eval", "fracsum", "--nu", "1/2", "--at", "1/2"], "at must be an integer, got '1/2'"),
+            (["table", "fracsum", "--nu", "1/2", "--len", "-1"], "len must be nonnegative, got -1"),
+        ],
+    )
+    def test_flag_values_are_parsed_like_verify_flags(self, runner, argv, message):
+        result = runner.invoke(main, argv)
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr == f"error: {message}\n"
@@ -355,6 +371,19 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "leibniz", "--count", "0"])
         assert result.exit_code == 0
         assert "checked 0 parameter points" in result.output
+
+    def test_zero_count_csv_prints_the_header_alone(self, runner):
+        result = runner.invoke(main, ["verify", "leibniz", "--count", "0", "--format", "csv"])
+        assert result.exit_code == 0
+        assert result.stdout == "identity,status,params,lhs,rhs,abs_float_gap,excluded_by\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_run_refused_before_its_first_report_prints_nothing(self, runner, fmt):
+        argv = ["verify", "gamma-sum", "--mu", "1/2", "--nu", "1/2", "--format", fmt]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: mu+nu must be a negative integer (got 1)\n"
 
     def test_pinned_k_past_the_window_exits_2(self, runner):
         argv = ["verify", "alt-sum", "--k", "8", "--window", "3", "--count", "1"]
@@ -626,6 +655,77 @@ def test_config_exit_code_contract(document):
             json.dump(document, handle)
         result = runner.invoke(main, ["verify", "all", "--config", "sweeps.json"])
     _assert_exit_code_contract(result)
+
+
+# Small values for eval and table: rationals with |numerator| <= 12 and
+# denominator <= 6, short windows and low orders, so that every draw is cheap;
+# one value in ten is a literal that no flag takes.
+_SMALL_LITERALS = st.builds(Q, st.integers(-12, 12), st.integers(1, 6)).map(str)
+_GRID_SPECS = st.one_of(
+    _SMALL_LITERALS.map("const:{}".format),
+    st.integers(0, 3).map("kpow:{}".format),
+    st.lists(_SMALL_LITERALS, min_size=1, max_size=4).map(lambda qs: "table:" + ",".join(qs)),
+    _SMALL_LITERALS.map("fallpow:{}".format),
+)
+_EVAL_VALUES = {
+    "f": _GRID_SPECS,
+    "len": st.integers(0, 6).map(str),
+    "t_index": st.integers(-3, 20).map(str),
+    "m": st.integers(-3, 8).map(str),
+}
+_WINDOW_FLAGS = ("a", "f", "len", "at")
+
+
+@st.composite
+def _eval_table_argv(draw):
+    command = draw(st.sampled_from(["eval", "table"]))
+    flags = _flags_of(command)
+    subject = draw(st.sampled_from(sorted(name for name, entry in _SUBJECTS.items() if command in entry[1])))
+    needs = _SUBJECTS[subject][0]
+    # every flag the subject needs, now and then but one, and any of the window's
+    dropped = draw(st.sampled_from([None] * 3 + list(needs)))
+    keys = {key for key in needs if key != dropped} | draw(
+        st.sets(st.sampled_from([key for key in flags if key in _WINDOW_FLAGS]))
+    )
+    argv = [command, subject]
+    for key in sorted(keys):
+        if draw(st.sampled_from([False] * 9 + [True])):
+            value = st.sampled_from(["x", "0.5", "+3", ""])
+        elif key in _EVAL_VALUES:
+            value = _EVAL_VALUES[key]
+        else:
+            value = _SMALL_LITERALS if _KINDS[key] == RATIONAL else st.integers(-3, 8).map(str)
+        argv += ["--" + key.replace("_", "-"), draw(value)]
+    return argv + ["--format", draw(st.sampled_from(["json", "text" if command == "eval" else "csv"]))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_eval_table_argv())
+@example(["eval", "binom", "--alpha", "1/2", "--n", "+3", "--format", "text"])
+@example(["table", "fallpow", "--mu", "1/2", "--len", "0", "--format", "csv"])
+def test_eval_table_exit_code_contract(argv):
+    """Exit 0 or 2, never a traceback, and nothing on stdout when refused."""
+    result = CliRunner().invoke(main, argv)
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.output
+    assert result.exit_code in (0, 2)
+    if result.exit_code == 2:
+        assert result.stdout == ""
+
+
+def test_flag_spellings_are_pinned():
+    def spellings(command):
+        return {opt for param in main.commands[command].params for opt in param.opts if opt.startswith("--")}
+
+    assert spellings("eval") == {
+        "--x", "--y", "--alpha", "--n", "--a", "--nu", "--mu", "--p", "--t-index", "--f", "--len", "--at",
+        "--a1", "--a2", "--m", "--b1", "--b2", "--z", "--format",
+    }
+    assert spellings("table") == {"--a", "--nu", "--mu", "--f", "--len", "--format"}
+    assert spellings("verify") == {
+        "--t", "--alpha", "--beta", "--gamma", "--a", "--mu", "--nu", "--p", "--x", "--y", "--b", "--c",
+        "--n", "--m", "--k", "--t-index", "--n-max", "--m-max", "--t-extra", "--n-extra", "--count",
+        "--seed", "--window", "--max-window", "--force", "--config", "--format",
+    }
 
 
 class TestTable:
