@@ -25,11 +25,9 @@ from .exact import (
     parse_gamma_polynomial,
     parse_rational,
     poch_int,
-    render_rational,
 )
 from .fracops import (
     ae_frac_diff,
-    conv_weights,
     frac_sum_diff,
     mr_frac_diff,
     nabla_poch_diff,

@@ -14,6 +14,7 @@ byte-identical output.
 """
 from __future__ import annotations
 
+import csv
 import json
 import sys
 from fractions import Fraction
@@ -21,7 +22,7 @@ from fractions import Fraction
 import click
 
 from .errors import DeltafracError
-from .exact import as_polynomial, parse_rational, render_rational
+from .exact import as_polynomial, parse_rational
 from .fracops import (
     ae_frac_diff,
     frac_sum_diff,
@@ -114,12 +115,9 @@ _SUBJECTS = {
     "falling": (("x", "y"), ("eval",), lambda o: falling(o["x"], o["y"])),
     "poch": (("x", "y"), ("eval",), lambda o: pochhammer(o["x"], o["y"])),
     "binom": (("alpha", "n"), ("eval",), lambda o: gen_binomial(o["alpha"], o["n"])),
-    "fracsum": (
-        ("nu",), ("eval", "table"),
-        lambda o: frac_sum_diff(_source_window(o), o["nu"]),
-    ),
-    "mrdiff": (("mu",), ("eval", "table"), lambda o: mr_frac_diff(_source_window(o), o["mu"])),
-    "aediff": (("mu",), ("eval", "table"), lambda o: ae_frac_diff(_source_window(o), o["mu"])),
+    "fracsum": (("nu",), ("eval", "table"), lambda o: frac_sum_diff(o["f"], o["nu"])),
+    "mrdiff": (("mu",), ("eval", "table"), lambda o: mr_frac_diff(o["f"], o["mu"])),
+    "aediff": (("mu",), ("eval", "table"), lambda o: ae_frac_diff(o["f"], o["mu"])),
     "fallpow": (("mu",), ("table",), lambda o: sample_falling_power(o["a"], o["mu"], _length(o))),
     "nabla": (
         ("p", "alpha", "t_index"), ("eval",),
@@ -168,13 +166,14 @@ def _flag_options(flags: dict):
 
 
 def _evaluate(command: str, subject: str, raw) -> tuple[dict, object]:
-    """The flags parsed by their kinds, the --f grid spec left a string, and the subject's value."""
+    """The flags parsed by their kinds, --f built into its window, and the subject's value."""
     needs, _, evaluate = _SUBJECTS[subject]
     try:
         opts = {k: v if v is None or k == "f" else _convert(_KINDS[k], k, v) for k, v in raw.items()}
         for name in needs:
             if opts[name] is None:
                 _fail(f"{command} {subject} needs --{name.replace('_', '-')}")
+        opts["f"] = _source_window(opts)
         return opts, evaluate(opts)
     except (DeltafracError, ValueError) as exc:
         _fail(str(exc))
@@ -222,15 +221,19 @@ def _text_line(rep: VerificationReport) -> str:
     return " ".join(parts)
 
 
-def _csv_line(rep: VerificationReport) -> str:
+def _csv_row(rep: VerificationReport) -> list[str]:
     params = ";".join(f"{k}={v}" for k, v in rep.params_rendered())
     gap = "" if rep.abs_float_gap is None else repr(rep.abs_float_gap)
-    return ",".join(
-        [rep.identity, rep.status, params, rep.lhs, rep.rhs, gap, rep.excluded_by or ""]
-    )
+    return [rep.identity, rep.status, params, rep.lhs, rep.rhs, gap, rep.excluded_by or ""]
 
 
-_CSV_HEADER = "identity,status,params,lhs,rhs,abs_float_gap,excluded_by"
+_CSV_HEADER = ["identity", "status", "params", "lhs", "rhs", "abs_float_gap", "excluded_by"]
+
+
+def _csv_echo(fields: list[str]) -> None:
+    """One CSV row on stdout, flushed as click.echo flushes; a field that holds a comma is quoted."""
+    csv.writer(sys.stdout, lineterminator="\n").writerow(fields)
+    sys.stdout.flush()
 
 
 @main.command("verify")
@@ -272,20 +275,20 @@ def cmd_verify(identity, config_path, fmt, **params):
         for config in configs:
             for rep in run_sweep(config):
                 if header_due:
-                    click.echo(_CSV_HEADER, file=sys.stdout)
+                    _csv_echo(_CSV_HEADER)
                     header_due = False
                 counts[rep.status] += 1
                 failed = failed or rep.is_failure
                 if fmt == "json":
                     click.echo(json.dumps(rep.to_json_dict()), file=sys.stdout)
                 elif fmt == "csv":
-                    click.echo(_csv_line(rep), file=sys.stdout)
+                    _csv_echo(_csv_row(rep))
                 else:
                     click.echo(_text_line(rep), file=sys.stdout)
     except (DeltafracError, ValueError) as exc:
         _fail(str(exc))
     if header_due:
-        click.echo(_CSV_HEADER, file=sys.stdout)
+        _csv_echo(_CSV_HEADER)
     total = sum(counts.values())
     summary = ", ".join(f"{counts[status]} {status}" for status in _STATUS_ORDER)
     click.echo(f"checked {total} parameter points: {summary}", file=sys.stderr)
@@ -304,7 +307,7 @@ def cmd_table(subject, fmt, **raw):
     else:
         click.echo("point,value", file=sys.stdout)
         for i in range(len(gf)):
-            click.echo(f"{render_rational(gf.point(i))},{gf.values[i].render()}", file=sys.stdout)
+            click.echo(f"{gf.point(i)},{gf.values[i].render()}", file=sys.stdout)
 
 
 if __name__ == "__main__":

@@ -39,7 +39,6 @@ __all__ = [
     "RationalLike",
     "parse_rational",
     "as_rational",
-    "render_rational",
     "is_integer",
     "is_positive_integer",
     "is_nonpositive_integer",
@@ -86,10 +85,6 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         return parse_rational(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-
-
-def render_rational(q: RationalLike) -> str:
-    return str(as_rational(q))
 
 
 def is_integer(q: RationalLike) -> bool:
@@ -261,13 +256,6 @@ class GammaPolynomial:
 
     def terms(self) -> dict:
         return dict(self._terms)
-
-    def as_fraction(self) -> Fraction:
-        if not self._terms:
-            return Fraction(0)
-        if len(self._terms) == 1 and () in self._terms:
-            return self._terms[()]
-        raise ValueError(f"not a rational value: {self.render()}")
 
     def __add__(self, other) -> "GammaPolynomial":
         return weighted_sum(((self, 1), (other, 1)))

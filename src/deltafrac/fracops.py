@@ -38,7 +38,6 @@ from .gridfn import GridFunction, _map_columns, delta_n
 from .special import pochhammer
 
 __all__ = [
-    "conv_weights",
     "frac_sum_diff",
     "mr_frac_diff",
     "ae_frac_diff",
@@ -65,12 +64,6 @@ def _weight_numerators(nu: RationalLike, count: int) -> tuple[list[int], int]:
     den = tails[-1]
     g = math.gcd(den, *numerators)
     return [n // g for n in numerators], den // g
-
-
-def conv_weights(nu: RationalLike, count: int) -> list[Fraction]:
-    """The first ``count`` weights (nu)_j / j!, none for count <= 0; nu must not be 0, -1, -2, ..."""
-    numerators, den = _weight_numerators(nu, count)
-    return [Fraction(n, den) for n in numerators]
 
 
 def frac_sum_diff(f: GridFunction, nu: RationalLike) -> GridFunction:

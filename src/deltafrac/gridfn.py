@@ -24,8 +24,6 @@ from .exact import (
     as_polynomial,
     as_rational,
     is_negative_integer,
-    parse_gamma_polynomial,
-    parse_rational,
 )
 from .special import falling
 
@@ -65,52 +63,24 @@ class GridFunction:
     def points(self) -> list[Fraction]:
         return [self.origin + k for k in range(len(self.values))]
 
-    def index_of(self, t: RationalLike) -> int:
-        """Window index of the grid point t; t must lie on the grid."""
-        offset = as_rational(t) - self.origin
-        if offset.denominator != 1 or offset < 0 or offset >= len(self.values):
-            raise DomainError(f"point {t} is not in this window")
-        return int(offset)
-
-    def __add__(self, other: "GridFunction") -> "GridFunction":
+    def __mul__(self, other: "GridFunction") -> "GridFunction":
         if not isinstance(other, GridFunction):
             return NotImplemented
         if self.origin != other.origin:
-            raise DomainError("cannot add grid functions with different origins")
+            raise DomainError(
+                "cannot multiply grid functions with different origins"
+            )
         n = min(len(self.values), len(other.values))
         return GridFunction(
-            self.origin, [self.values[i] + other.values[i] for i in range(n)]
+            self.origin,
+            [self.values[i] * other.values[i] for i in range(n)],
         )
-
-    def __mul__(self, other) -> "GridFunction":
-        if isinstance(other, GridFunction):
-            if self.origin != other.origin:
-                raise DomainError(
-                    "cannot multiply grid functions with different origins"
-                )
-            n = min(len(self.values), len(other.values))
-            return GridFunction(
-                self.origin,
-                [self.values[i] * other.values[i] for i in range(n)],
-            )
-        if isinstance(other, (int, Fraction)):
-            return GridFunction(self.origin, [v * other for v in self.values])
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def to_json_dict(self) -> dict:
         return {
             "origin": str(self.origin),
             "values": [v.render() for v in self.values],
         }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "GridFunction":
-        return cls(
-            parse_rational(doc["origin"]),
-            [parse_gamma_polynomial(text) for text in doc["values"]],
-        )
 
 
 def sample_falling_power(a: RationalLike, mu: RationalLike, length: int) -> GridFunction:

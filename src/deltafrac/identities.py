@@ -28,7 +28,6 @@ from .exact import (
     is_nonpositive_integer,
     is_positive_integer,
     poch_int,
-    render_rational,
     weighted_sum,
 )
 from .fracops import ae_frac_diff, frac_sum_diff, nabla_poch_diff
@@ -304,7 +303,7 @@ def _compare_windows(
         if same_grid:
             reports.append(report_compare(identity, params(k), left, right))
         else:
-            points = [f"t={render_rational(side.point(k))}" for side in (lhs, rhs)]
+            points = [f"t={side.point(k)}" for side in (lhs, rhs)]
             reports.append(VerificationReport(identity, params(k), MISMATCH, *points))
     return reports
 

@@ -60,10 +60,6 @@ class SpecialValue:
         return self.kind == "finite"
 
     @property
-    def is_zero(self) -> bool:
-        return self.kind == "zero"
-
-    @property
     def is_pole(self) -> bool:
         return self.kind == "pole"
 
@@ -71,9 +67,6 @@ class SpecialValue:
         if self.kind == "pole":
             raise SpecialValuePole("cannot convert a pole to a polynomial")
         return as_polynomial(self.value)
-
-    def as_fraction(self) -> Fraction:
-        return self.as_polynomial().as_fraction()
 
     def __mul__(self, other) -> "SpecialValue":
         if not isinstance(other, SpecialValue):

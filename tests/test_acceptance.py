@@ -113,7 +113,7 @@ def test_power_rule_dual_path(capsys, suite):
                 ratio = corollary_closed(0, mu, nu, 13)
                 # the ratio form starts where it is defined: on 0 when it vanishes
                 assert ratio.origin == (0 if is_negative_integer(total) else total)
-                start = closed.index_of(ratio.origin)
+                start = closed.points().index(ratio.origin)
                 assert closed.values[start:] == ratio.values
                 pairs += len(ratio)
         return len(reports) + pairs, elapsed

@@ -18,8 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import deltafrac
 import deltafrac.sweeps as sweeps
-from deltafrac import GridFunction, ae_frac_diff, report_compare
-from deltafrac.cli import _KINDS, _SUBJECTS, _flags_of, main
+from deltafrac import GridFunction, ae_frac_diff, parse_gamma_polynomial, parse_rational, report_compare
+from deltafrac.cli import _KINDS, _SUBJECTS, _flags_of, _subjects_of, main
 from deltafrac.sweeps import FLAG, INT, PARAMS, RATIONAL, REGISTRY, SIZE, IdentityEntry
 
 
@@ -117,6 +117,32 @@ class TestEval:
     )
     def test_flag_values_are_parsed_like_verify_flags(self, runner, argv, message):
         result = runner.invoke(main, argv)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            (["--f", "wave:1"], "unknown grid spec kind: 'wave'"),
+            (["--len", "0"], "a grid function needs at least one value"),
+        ],
+        ids=["bad-f", "len-0"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [[command, name] for command in ("eval", "table") for name in _subjects_of(command)],
+        ids=" ".join,
+    )
+    def test_window_flags_are_checked_for_every_subject(self, runner, command, flag, message):
+        # a subject that reads no window still refuses a bad --f or --len
+        values = {
+            "x": "5", "y": "2", "alpha": "3/2", "n": "2", "nu": "1/2", "mu": "1/2", "p": "1/2",
+            "t_index": "1", "a1": "1/2", "a2": "1/2", "m": "1", "b1": "2", "b2": "-1", "z": "1",
+        }
+        argv = command + [arg for key in _SUBJECTS[command[1]][0] for arg in ("--" + key.replace("_", "-"), values[key])]
+        assert runner.invoke(main, argv).exit_code == 0
+        result = runner.invoke(main, argv + flag)
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr == f"error: {message}\n"
@@ -556,10 +582,22 @@ def test_verify_all_csv_digest(runner):
     assert result.exit_code == 0
     rows = list(csv.reader(io.StringIO(result.stdout, newline="")))
     assert len(rows) == 5698
+    # the index-law exclusions name "falling(t, alpha+beta) is not finite (0)", quoted
+    assert {len(row) for row in rows} == {len(rows[0])} == {7}
     gap = rows[0].index("abs_float_gap")
     kept = "".join(",".join(row[:gap] + row[gap + 1:]) + "\n" for row in rows)
     digest = hashlib.sha256(kept.encode()).hexdigest()
     assert digest == "587b18b62a341b7f48ecb0e079cb4bd8113a6dfe6d7f4e54c6ef0ea072e9832e"
+
+
+def test_csv_quotes_a_field_that_holds_a_comma(runner):
+    argv = ["verify", "saalschutz", "--force", "--a", "1", "--b", "1", "--c", "-1", "--m", "3", "--format", "csv"]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0
+    assert result.stdout.splitlines()[1] == 'saalschutz,domain_excluded,a=1;b=1;c=-1;m=3,,,,"(c)_m vanishes for c=-1, m=3"'
+    rows = list(csv.reader(io.StringIO(result.stdout, newline="")))
+    assert [len(row) for row in rows] == [7, 7]
+    assert rows[1][-1] == "(c)_m vanishes for c=-1, m=3"
 
 
 # Small values for each parameter kind, so that every drawn sweep stays cheap.
@@ -703,6 +741,7 @@ def _eval_table_argv(draw):
 @given(_eval_table_argv())
 @example(["eval", "binom", "--alpha", "1/2", "--n", "+3", "--format", "text"])
 @example(["table", "fallpow", "--mu", "1/2", "--len", "0", "--format", "csv"])
+@example(["eval", "falling", "--x", "5", "--y", "2", "--f", "wave:1", "--format", "text"])
 def test_eval_table_exit_code_contract(argv):
     """Exit 0 or 2, never a traceback, and nothing on stdout when refused."""
     result = CliRunner().invoke(main, argv)
@@ -750,7 +789,8 @@ class TestTable:
             main,
             ["table", "aediff", "--a", "0", "--mu", "3/2", "--f", "kpow:1", "--len", "6", "--format", "json"],
         )
-        gf = GridFunction.from_json_dict(json.loads(result.output))
+        doc = json.loads(result.output)
+        gf = GridFunction(parse_rational(doc["origin"]), [parse_gamma_polynomial(v) for v in doc["values"]])
         f = GridFunction(0, [Q(k) for k in range(6)])
         assert gf == ae_frac_diff(f, Q(3, 2))
 

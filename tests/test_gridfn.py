@@ -15,6 +15,8 @@ from deltafrac import (
     delta_n,
     frac_sum_diff,
     gamma_of,
+    parse_gamma_polynomial,
+    parse_rational,
     sample_falling_power,
 )
 from deltafrac.exact import weighted_sum
@@ -39,15 +41,6 @@ def test_window_basics():
     assert f.point(2) == Q(5, 2)
     assert f.points() == [Q(1, 2), Q(3, 2), Q(5, 2)]
     assert f.values[1] == as_polynomial(2)
-    assert f.index_of(Q(3, 2)) == 1
-
-
-def test_index_of_rejects_off_window_points():
-    f = GridFunction(0, [1, 2])
-    with pytest.raises(DomainError):
-        f.index_of(Q(1, 2))
-    with pytest.raises(DomainError):
-        f.index_of(5)
 
 
 def test_empty_window_rejected():
@@ -63,34 +56,29 @@ def test_values_coerce_to_polynomials():
 def test_pointwise_algebra():
     f = GridFunction(0, [1, 2, 3])
     g = GridFunction(0, [5, 7, 11])
-    assert [(v.as_fraction()) for v in (f + g).values] == [6, 9, 14]
-    assert [(v.as_fraction()) for v in (f * g).values] == [5, 14, 33]
-    assert [(v.as_fraction()) for v in (f * Q(1, 2)).values] == [
-        Q(1, 2),
-        1,
-        Q(3, 2),
-    ]
+    assert list((f * g).values) == [5, 14, 33]
 
 
 def test_mismatched_origins_rejected():
     f = GridFunction(0, [1])
     g = GridFunction(Q(1, 2), [1])
     with pytest.raises(DomainError):
-        _ = f + g
+        _ = f * g
 
 
 def test_equality_and_serialization():
     f = GridFunction(Q(1, 2), [1, Q(3, 2)])
     doc = f.to_json_dict()
     assert doc == {"origin": "1/2", "values": ["1", "3/2"]}
-    assert GridFunction.from_json_dict(doc) == f
+    rebuilt = GridFunction(parse_rational(doc["origin"]), [parse_gamma_polynomial(v) for v in doc["values"]])
+    assert rebuilt == f
 
 
 def test_sample_falling_power():
     # mu = 1 on origin 0 gives the identity map on points 1, 2, 3
     f = sample_falling_power(0, 1, 3)
     assert f.points() == [1, 2, 3]
-    assert [v.as_fraction() for v in f.values] == [1, 2, 3]
+    assert list(f.values) == [1, 2, 3]
     # fractional power: t^{1/2} at t = 1/2 is Gamma(3/2)/Gamma(1)
     g = sample_falling_power(0, Q(1, 2), 2)
     assert g.origin == Q(1, 2)
@@ -107,12 +95,12 @@ class TestDeltaN:
         f = GridFunction(0, [Q(k * k) for k in range(5)])
         d = delta_n(f, 1)
         assert d.origin == 0 and len(d) == 4
-        assert [v.as_fraction() for v in d.values] == [1, 3, 5, 7]
+        assert list(d.values) == [1, 3, 5, 7]
 
     def test_second_difference_of_squares_is_constant(self):
         f = GridFunction(0, [Q(k * k) for k in range(5)])
         d2 = delta_n(f, 2)
-        assert [v.as_fraction() for v in d2.values] == [2, 2, 2]
+        assert list(d2.values) == [2, 2, 2]
 
     def test_zeroth_is_identity(self):
         f = GridFunction(0, [1, 5])
@@ -147,10 +135,10 @@ def test_repeated_window_work_leaves_no_memory_behind():
 
     def run():
         for n in range(1, 8):
-            frac_sum_diff(2 * (f + f) * f, Q(-1, 2))
+            frac_sum_diff(f * f, Q(-1, 2))
             delta_n(f, n)
             sample_falling_power(0, Q(n, 3), 12)
-            GridFunction.from_json_dict(f.to_json_dict())
+            f.to_json_dict()
 
     tracemalloc.start()
     try:

@@ -1,4 +1,6 @@
-"""README's command-line examples run as printed."""
+"""README's Python quick start and command-line examples run as printed."""
+import contextlib
+import io
 import re
 import shlex
 from pathlib import Path
@@ -42,6 +44,36 @@ def test_example_prints_as_shown(argv, expected):
     result = CliRunner().invoke(main, argv)
     assert result.exit_code == 0, result.output
     assert result.stdout == expected
+
+
+def _quick_start() -> tuple[str, list[str]]:
+    """The Python quick start, and the output its comments give for each print, in order.
+
+    A print's output is the comment on its own line, or else the comment line right after it.
+    """
+    (code,) = [body for lang, body in _BLOCKS if lang == "python"]
+    expected, pending = [], False
+    for line in code.splitlines():
+        if line.startswith("print("):
+            _, inline, comment = line.partition("#")
+            if inline:
+                expected.append(comment.strip())
+            pending = not inline
+        elif pending and line.startswith("# "):
+            expected.append(line[2:])
+            pending = False
+        else:
+            pending = False
+    return code, expected
+
+
+def test_quick_start_prints_its_comments():
+    code, expected = _quick_start()
+    assert len(expected) == code.count("print(") == 5
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README quick start", "exec"), {})
+    assert out.getvalue().splitlines() == expected
 
 
 def test_config_example_runs():

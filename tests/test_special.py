@@ -48,14 +48,14 @@ class TestIntegerOrderProducts:
 
 class TestFallingCases:
     def test_positive_integer_order_is_a_plain_product(self):
-        assert falling(5, 2).as_fraction() == 20
+        assert falling(5, 2).as_polynomial() == 20
         # integer order applies even at negative integer bases
-        assert falling(-1, 2).as_fraction() == 2
-        assert falling(Q(1, 2), 3).as_fraction() == Q(3, 8)
+        assert falling(-1, 2).as_polynomial() == 2
+        assert falling(Q(1, 2), 3).as_polynomial() == Q(3, 8)
 
     def test_zero_order(self):
-        assert falling(Q(-7, 2), 0).as_fraction() == 1
-        assert falling(-4, 0).as_fraction() == 1
+        assert falling(Q(-7, 2), 0).as_polynomial() == 1
+        assert falling(-4, 0).as_polynomial() == 1
 
     def test_gamma_ratio_case(self):
         v = falling(Q(1, 2), Q(1, 2))
@@ -66,8 +66,8 @@ class TestFallingCases:
 
     def test_zero_case(self):
         # numerator finite, denominator Gamma pole
-        assert falling(Q(1, 2), Q(5, 2)).is_zero
-        assert falling(Q(1, 2), Q(3, 2)).is_zero
+        assert falling(Q(1, 2), Q(5, 2)).kind == "zero"
+        assert falling(Q(1, 2), Q(3, 2)).kind == "zero"
 
     def test_pole_case(self):
         assert falling(-1, Q(1, 2)).is_pole
@@ -78,24 +78,24 @@ class TestFallingCases:
     def test_negative_integer_order(self):
         # y = -1 is not a positive integer, so the Gamma route decides
         v = falling(Q(5, 2), -1)
-        assert v.as_fraction() == Q(2, 7)
+        assert v.as_polynomial() == Q(2, 7)
 
 
 class TestPochhammerCases:
     def test_positive_integer_order(self):
-        assert pochhammer(3, 2).as_fraction() == 12
-        assert pochhammer(Q(-1, 2), 2).as_fraction() == Q(-1, 4)
-        assert pochhammer(0, 3).as_fraction() == 0
+        assert pochhammer(3, 2).as_polynomial() == 12
+        assert pochhammer(Q(-1, 2), 2).as_polynomial() == Q(-1, 4)
+        assert pochhammer(0, 3).as_polynomial() == 0
 
     def test_zero_order(self):
-        assert pochhammer(-5, 0).as_fraction() == 1
+        assert pochhammer(-5, 0).as_polynomial() == 1
 
     def test_gamma_ratio_case(self):
         v = pochhammer(2, Q(-5, 2))
         assert v.render() == "-2*G(1/2)^1"
 
     def test_zero_case(self):
-        assert pochhammer(-2, Q(1, 2)).is_zero
+        assert pochhammer(-2, Q(1, 2)).kind == "zero"
 
     def test_pole_case(self):
         # x + y hits a nonpositive integer while x does not
@@ -104,7 +104,7 @@ class TestPochhammerCases:
 
     def test_negative_noninteger_order(self):
         # Gamma(-1/2)/Gamma(1/2) = -2, the factors cancel to a rational
-        assert pochhammer(Q(1, 2), -1).as_fraction() == -2
+        assert pochhammer(Q(1, 2), -1).as_polynomial() == -2
 
 
 class TestSpecialValue:
@@ -119,10 +119,10 @@ class TestSpecialValue:
 
     def test_product_rules(self):
         finite = falling(5, 2)
-        assert (finite * ZERO).is_zero
+        assert (finite * ZERO).kind == "zero"
         assert (finite * POLE_VALUE).is_pole
         assert (ZERO * POLE_VALUE).is_pole  # pole dominates
-        assert (finite * finite).as_fraction() == 400
+        assert (finite * finite).as_polynomial() == 400
 
     def test_compare_special_double_pole(self):
         # both sides hit a pole: the matched pole class, not a failure
