@@ -34,23 +34,33 @@ def _gamma_of_doubled(original):
 
 
 def _weight_numerator_5(original):
+    # The original's tables are cached and shared, so the fault doubles a copy.
     def faulty(nu, count):
         numerators, den = original(nu, count)
         if len(numerators) > 5:
+            numerators = list(numerators)
             numerators[5] *= 2
         return numerators, den
     return faulty
 
 
-def _delta_n_doubled_at(order, index):
+def _difference_doubled_at(order, index):
+    """The int-column difference of one order doubled at one index, in every column.
+
+    delta_n and ae_frac_diff both take their differences through it.
+    """
     def factory(original):
-        def faulty(f, n):
-            out = original(f, n)
-            if n != order or len(out) <= index:
+        def faulty(columns, n):
+            out = original(columns, n)
+            if n != order:
                 return out
-            values = list(out.values)
-            values[index] = values[index] * 2
-            return GridFunction(out.origin, values)
+            doubled = {}
+            for signature, (numerators, den) in out.items():
+                numerators = list(numerators)
+                if len(numerators) > index:
+                    numerators[index] *= 2
+                doubled[signature] = (numerators, den)
+            return doubled
         return faulty
     return factory
 
@@ -81,10 +91,18 @@ FAULTS = {
     "weight_numerators": (
         fracops, "_weight_numerators", "numerator 5 doubled", _weight_numerator_5
     ),
-    "delta_n": (gridfn, "delta_n", "order 2 doubled at index 1", _delta_n_doubled_at(2, 1)),
-    "delta_n-first": (gridfn, "delta_n", "order 1 doubled at index 0", _delta_n_doubled_at(1, 0)),
-    "delta_n-third": (gridfn, "delta_n", "order 3 doubled at index 2", _delta_n_doubled_at(3, 2)),
-    "delta_n-ninth": (gridfn, "delta_n", "order 9 doubled at index 0", _delta_n_doubled_at(9, 0)),
+    "difference": (
+        gridfn, "_difference", "order 2 doubled at index 1", _difference_doubled_at(2, 1)
+    ),
+    "difference-first": (
+        gridfn, "_difference", "order 1 doubled at index 0", _difference_doubled_at(1, 0)
+    ),
+    "difference-third": (
+        gridfn, "_difference", "order 3 doubled at index 2", _difference_doubled_at(3, 2)
+    ),
+    "difference-ninth": (
+        gridfn, "_difference", "order 9 doubled at index 0", _difference_doubled_at(9, 0)
+    ),
     "gen_binomial": (special, "gen_binomial", "doubled at n = 4", _gen_binomial_n4),
     "frac_sum_diff-origin": (
         fracops, "frac_sum_diff", "output origin moved by +1", _origin_plus_one

@@ -15,11 +15,14 @@ not complete: reflection and Gauss multiplication relate Gamma at distinct
 bases, so Gamma(1/6)*Gamma(5/6) and 2*Gamma(1/2)**2 compare unequal though
 they are equal.  Every polynomial sum goes through weighted_sum,
 GammaPolynomial's + and - included, except the sums of the window
-operators and of the nabla kernel: frac_sum_diff and gridfn.delta_n sum
-integer columns over one common denominator per factor signature, and
-nabla_poch_diff adds each summand's ratio to the first on ints over one
-running denominator.  as_polynomial is the one conversion of an int,
-Fraction or GammaMonomial to a polynomial; the zero polynomial is
+operators and of the nabla kernel.  The window operators (gridfn and
+fracops) sum the int columns that each window splits into once, one per
+factor signature over a common denominator, with weight tables cached per
+(nu, L); their outputs are built by GammaPolynomial._adopt, which takes a
+term map of nonzero reduced Fractions as it is, without coercing it
+again.  nabla_poch_diff adds each summand's ratio to the first on ints
+over one running denominator.  as_polynomial is the one conversion of an
+int, Fraction or GammaMonomial to a polynomial; the zero polynomial is
 GammaPolynomial().  poch_int is the one rising product x(x+1)...(x+k-1):
 gamma_of's shift, special.falling_int and the integer-order Pochhammer
 symbol are all written with it.  The float path exists only as a
@@ -249,6 +252,13 @@ class GammaPolynomial:
                 if coeff != 0:
                     canonical[signature] = coeff
         self._terms = canonical
+
+    @classmethod
+    def _adopt(cls, terms: dict) -> "GammaPolynomial":
+        """The polynomial whose term map is terms itself: nonzero reduced Fractions only."""
+        poly = object.__new__(cls)
+        poly._terms = terms
+        return poly
 
     @property
     def is_zero(self) -> bool:

@@ -7,21 +7,25 @@ The central operator maps a window on {a, a+1, ...} to a window on
 
 Positive orders are fractional sums, negative non-integer orders are
 fractional differences; order zero and negative integers are excluded.
-The convolution runs on integer columns: once per call, the weights are
-written as int numerators over one reduced denominator, the window is
-split by gridfn's column helper into one int column per Gamma factor
-signature, and every output coefficient is one integer dot product
-reduced by a single gcd.  Two classical difference constructions are
-layered on top and agree on their common domain, and a nabla-kernel
-evaluation completes the set: it takes its first summand from pochhammer
-and steps to each later one by a rational ratio on ints, reducing the
-sum once.  Only the first summand can hold a Gamma pole, so only it is
-checked.
+The convolution runs on integer columns.  The weights are int numerators
+over one reduced denominator, and each (nu, L) table is computed once and
+cached.  The window's split into one int column per Gamma factor
+signature is computed once and kept on the window (gridfn), so every
+operator on one window reads the same columns.  Every output coefficient
+is one integer dot product reduced by a single gcd, when the output
+window is materialized.  Two classical difference constructions are
+layered on top and agree on their common domain; the stepped one takes
+its integer difference on the convolution's unreduced columns, so it too
+materializes once.  A nabla-kernel evaluation completes the set: it
+takes its first summand from pochhammer and steps to each later one by a
+rational ratio on ints, reducing the sum once.  Only the first summand
+can hold a Gamma pole, so only it is checked.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
 from .errors import DomainError, SpecialValuePole, WindowTooShort
@@ -34,7 +38,7 @@ from .exact import (
     is_nonpositive_integer,
     weighted_sum,
 )
-from .gridfn import GridFunction, _map_columns, delta_n
+from .gridfn import GridFunction, _difference, _materialize
 from .special import pochhammer
 
 __all__ = [
@@ -45,12 +49,15 @@ __all__ = [
 ]
 
 
-def _weight_numerators(nu: RationalLike, count: int) -> tuple[list[int], int]:
+@lru_cache(maxsize=128)
+def _weight_numerators(nu: RationalLike, count: int) -> tuple[tuple[int, ...], int]:
     """The weights (nu)_j / j!, j < count, as int numerators over one reduced denominator.
 
     With nu = p/q and L = count, weight j is prod_{i<j}(p + i q) * q^(L-1-j)
     * (L-1)!/j! over q^(L-1) (L-1)!; one gcd then leaves the lcm of the
-    weights' own denominators.  nu must not be 0, -1, -2, ...
+    weights' own denominators.  nu must not be 0, -1, -2, ...  Tables are
+    cached per (nu, count) and returned as tuples, so a caller cannot alter
+    a table that later calls share.
     """
     nu = as_rational(nu)
     if is_nonpositive_integer(nu):
@@ -63,7 +70,24 @@ def _weight_numerators(nu: RationalLike, count: int) -> tuple[list[int], int]:
     numerators = [r * t for r, t in zip(rising, reversed(tails))][:count]
     den = tails[-1]
     g = math.gcd(den, *numerators)
-    return [n // g for n in numerators], den // g
+    return tuple([n // g for n in numerators]), den // g
+
+
+def _convolve(columns: dict, nu: Fraction, length: int) -> dict:
+    """Every int column convolved with the weights (nu)_j / j!, unreduced.
+
+    Entry n of a column becomes sum_{i<=n} w_{n-i} numerators[i], one int
+    dot product, over the column's denominator times the weights' one.
+    """
+    weights, weight_den = _weight_numerators(nu, length)
+    reversed_weights = weights[::-1]
+    return {
+        signature: (
+            [sum(map(mul, reversed_weights[length - 1 - n:], numerators)) for n in range(length)],
+            den * weight_den,
+        )
+        for signature, (numerators, den) in columns.items()
+    }
 
 
 def frac_sum_diff(f: GridFunction, nu: RationalLike) -> GridFunction:
@@ -71,19 +95,11 @@ def frac_sum_diff(f: GridFunction, nu: RationalLike) -> GridFunction:
 
     Output index N holds sum(w_{N-i} * f_i for i <= N); the output window
     starts at f.origin + nu and has the same length as the input.  Each
-    factor signature of the window is convolved as an integer column with
-    the weights' numerators, so every output coefficient is normalized once.
+    factor signature's int column of the window is convolved with the
+    weights' numerators, so every output coefficient is normalized once.
     """
     nu = as_rational(nu)
-    length = len(f)
-    numerators, den = _weight_numerators(nu, length)
-    reversed_weights = numerators[::-1]
-    values = _map_columns(
-        f.values, length,
-        lambda column, n: sum(map(mul, reversed_weights[length - 1 - n:], column)),
-        scale=den,
-    )
-    return GridFunction(f.origin + nu, values)
+    return _materialize(f.origin + nu, _convolve(f._columns, nu, len(f)), len(f))
 
 
 def mr_frac_diff(f: GridFunction, mu: RationalLike) -> GridFunction:
@@ -100,9 +116,11 @@ def mr_frac_diff(f: GridFunction, mu: RationalLike) -> GridFunction:
 def ae_frac_diff(f: GridFunction, mu: RationalLike) -> GridFunction:
     """Fractional difference as an integer difference of a fractional sum.
 
-    With n = ceil(mu), applies delta_n after a sum of order n - mu.  The
-    output lives on {a + n - mu, ...} and is n points shorter than the
-    input, so the window must contain at least n + 1 values.
+    With n = ceil(mu), takes the n-th difference of a sum of order n - mu.
+    The difference runs on the convolution's unreduced int columns, so the
+    output is materialized once.  It lives on {a + n - mu, ...} and is n
+    points shorter than the input, so the window must contain at least
+    n + 1 values.
     """
     mu = as_rational(mu)
     if mu <= 0 or mu.denominator == 1:
@@ -112,7 +130,8 @@ def ae_frac_diff(f: GridFunction, mu: RationalLike) -> GridFunction:
         raise WindowTooShort(
             f"window of length {len(f)} is too short for order {mu} (needs {n + 1})"
         )
-    return delta_n(frac_sum_diff(f, n - mu), n)
+    summed = _convolve(f._columns, n - mu, len(f))
+    return _materialize(f.origin + n - mu, _difference(summed, n), len(f) - n)
 
 
 def nabla_poch_diff(

@@ -4,17 +4,22 @@ A grid is the set {origin, origin+1, origin+2, ...} for a rational origin.
 A GridFunction is a finite window of exact values on consecutive grid
 points, the common carrier for every discrete operator here.  Values are
 Gamma polynomials so that sampled falling powers and rational tables live
-in one representation.  The window operators run on integer columns:
-_map_columns writes each factor signature's coefficients once as int
-numerators over their lcm, for delta_n here and the convolution in fracops.
+in one representation.  The window operators run on integer columns.  A
+window splits itself once, on first use, into one int column per factor
+signature over the lcm of that signature's denominators, and keeps the
+split for as long as it lives; every operator applied to the window reads
+that split.  An operator maps the columns on ints (differences here, the
+convolution in fracops) and materializes its output window once, making
+one reduced Fraction per nonzero coefficient and adopting the term maps
+without a second pass of coercion.
 """
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 from .errors import DomainError, WindowTooShort
@@ -53,6 +58,32 @@ class GridFunction:
             raise WindowTooShort("a grid function needs at least one value")
 
     __hash__ = None
+
+    @classmethod
+    def _adopt(cls, origin: Fraction, values: list) -> "GridFunction":
+        """A window of values as given: a Fraction origin and a nonempty list of polynomials."""
+        window = object.__new__(cls)
+        object.__setattr__(window, "origin", origin)
+        object.__setattr__(window, "values", tuple(values))
+        return window
+
+    @cached_property
+    def _columns(self) -> dict:
+        """{signature: (int numerators, den)}: each signature's coefficients over their lcm.
+
+        The column of a signature holds its coefficient in every value, 0
+        where the signature is absent.  It is computed on first use and kept
+        with the window, so every operator on one window shares one split.
+        """
+        columns: dict[tuple, list] = defaultdict(lambda: [0] * len(self.values))
+        for i, value in enumerate(self.values):
+            for signature, coeff in value.terms().items():
+                columns[signature][i] = coeff
+        split = {}
+        for signature, column in columns.items():
+            den = math.lcm(*[q.denominator for q in column])
+            split[signature] = (tuple([q.numerator * (den // q.denominator) for q in column]), den)
+        return split
 
     def __len__(self) -> int:
         return len(self.values)
@@ -97,31 +128,44 @@ def sample_falling_power(a: RationalLike, mu: RationalLike, length: int) -> Grid
     return GridFunction(a + mu, values)
 
 
-def _map_columns(values: tuple, length: int, row: Callable, scale: int = 1) -> list:
-    """An integer linear map applied to each factor signature's column of a window.
+def _materialize(origin: Fraction, columns: dict, length: int) -> GridFunction:
+    """The window on origin, origin+1, ... whose value n is sum_s numerators_s[n]/den_s * s.
 
-    The column of signature s holds its coefficient in every value, 0 where s
-    is absent, as int numerators over their lcm d.  Output n of s is
-    row(numerators, n) / (d * scale), the one Fraction made per coefficient;
-    output n of the map is the polynomial of those coefficients.
+    columns maps each signature s to (numerators_s, den_s), as an operator's
+    int map leaves them, unreduced.  Each nonzero coefficient becomes one
+    reduced Fraction and zeros are dropped, so the term maps are canonical
+    and are adopted as they are.
     """
-    columns: dict[tuple, list] = defaultdict(lambda: [0] * len(values))
-    for i, value in enumerate(values):
-        for signature, coeff in value.terms().items():
-            columns[signature][i] = coeff
-    mapped = {}
-    for signature, column in columns.items():
-        den = math.lcm(*[q.denominator for q in column])
-        numerators = [q.numerator * (den // q.denominator) for q in column]
-        mapped[signature] = [Fraction(row(numerators, n), den * scale) for n in range(length)]
-    return [GammaPolynomial({s: out[n] for s, out in mapped.items()}) for n in range(length)]
+    terms: list[dict] = [{} for _ in range(length)]
+    for signature, (numerators, den) in columns.items():
+        for n, numerator in enumerate(numerators):
+            if numerator:
+                terms[n][signature] = Fraction(numerator, den)
+    return GridFunction._adopt(origin, [GammaPolynomial._adopt(t) for t in terms])
+
+
+def _difference(columns: dict, n: int) -> dict:
+    """The n-th forward difference of every int column, over the same denominators.
+
+    Entry k of a column becomes the signed binomial dot product
+    sum_j (-1)^(n-j) C(n, j) numerators[k + j], so each column is n shorter.
+    """
+    signs = [(-1) ** (n - j) * math.comb(n, j) for j in range(n + 1)]
+    return {
+        signature: (
+            [sum(map(mul, signs, numerators[k:k + n + 1])) for k in range(len(numerators) - n)],
+            den,
+        )
+        for signature, (numerators, den) in columns.items()
+    }
 
 
 def delta_n(f: GridFunction, n: int) -> GridFunction:
     """n-th forward difference, as the binomial-weighted sum.
 
     The window shrinks by n; the origin stays put.  delta_n(f, 0) is f.
-    Each output coefficient is one signed binomial dot product on ints.
+    Each output coefficient is one signed binomial dot product on the
+    window's int columns.
     """
     if n < 0:
         raise DomainError("difference order must be a nonnegative integer")
@@ -131,8 +175,4 @@ def delta_n(f: GridFunction, n: int) -> GridFunction:
         )
     if n == 0:
         return f
-    signs = [(-1) ** (n - j) * math.comb(n, j) for j in range(n + 1)]
-    values = _map_columns(
-        f.values, len(f) - n, lambda column, k: sum(map(mul, signs, column[k:k + n + 1]))
-    )
-    return GridFunction(f.origin, values)
+    return _materialize(f.origin, _difference(f._columns, n), len(f) - n)

@@ -1,5 +1,7 @@
 """Fractional sum and difference operators."""
+import gc
 import math
+import weakref
 from fractions import Fraction as Q
 
 import pytest
@@ -97,11 +99,17 @@ orders = st.one_of(non_integer_orders, st.integers(1, 5).map(Q))
 
 
 @st.composite
-def signature_columns(draw):
-    """One coefficient column of a common length L = 1..12 per drawn signature."""
-    length = draw(st.integers(1, 12))
+def signature_columns(draw, min_length=1):
+    """One coefficient column of a common length L = min_length..12 per drawn signature."""
+    length = draw(st.integers(min_length, 12))
     signatures = draw(st.lists(st.sampled_from(SIGNATURES), min_size=1, max_size=3, unique=True))
     return {s: draw(st.lists(coefficients, min_size=length, max_size=length)) for s in signatures}
+
+
+def window_of(columns, origin=Q(1, 4)):
+    """The window whose value i holds coefficient columns[s][i] at each signature s."""
+    length = len(next(iter(columns.values())))
+    return GridFunction(origin, [GammaPolynomial({s: c[i] for s, c in columns.items()}) for i in range(length)])
 
 
 def termwise_convolution(columns, nu):
@@ -124,9 +132,7 @@ def termwise_convolution(columns, nu):
 class TestFracSumDiff:
     @given(signature_columns(), orders)
     def test_matches_termwise_convolution(self, columns, nu):
-        length = len(next(iter(columns.values())))
-        values = [GammaPolynomial({s: c[i] for s, c in columns.items()}) for i in range(length)]
-        out = frac_sum_diff(GridFunction(Q(1, 4), values), nu)
+        out = frac_sum_diff(window_of(columns), nu)
         assert out.origin == Q(1, 4) + nu
         assert [v.terms() for v in out.values] == termwise_convolution(columns, nu)
 
@@ -177,6 +183,21 @@ class TestFracSumDiff:
         assert once == direct
 
 
+    @pytest.mark.parametrize("nu", [Q(3, 7), Q(-5, 3)])
+    def test_long_window_matches_a_plain_fraction_convolution(self, nu):
+        # hypothesis windows stop at 12 points; this one has 256, with a Gamma
+        # column beside the rational one
+        length = 256
+        columns = {
+            (): [Q((-1) ** k * (1 + k % 9), 1 + k % 7) for k in range(length)],
+            ((Q(1, 3), 1),): [Q(k % 5, 1 + k % 4) for k in range(length)],
+        }
+        out = frac_sum_diff(window_of(columns), nu)
+        assert out.origin == Q(1, 4) + nu
+        assert len(out) == length
+        assert [v.terms() for v in out.values] == termwise_convolution(columns, nu)
+
+
 class TestDirectAndSteppedFractionalDifference:
     def test_mr_const_one(self):
         f = GridFunction(0, [1, 1, 1])
@@ -225,6 +246,72 @@ class TestDirectAndSteppedFractionalDifference:
         f = GridFunction(0, [1, 1])
         with pytest.raises(WindowTooShort):
             ae_frac_diff(f, Q(5, 2))
+
+
+# orders up to 3, so that a window of 4 points is long enough for ae
+positive_non_integer_orders = st.fractions(min_value=0, max_value=3, max_denominator=6).filter(
+    lambda q: q.denominator != 1
+)
+sum_orders = st.fractions(min_value=-6, max_value=6, max_denominator=5).filter(
+    lambda q: not (q.denominator == 1 and q <= 0)
+)
+# One call of every window operator; ae at 5/2 needs a window of 4 points.
+OPERATIONS = (
+    lambda f: frac_sum_diff(f, Q(1, 2)),
+    lambda f: frac_sum_diff(f, Q(-1, 3)),
+    lambda f: delta_n(f, 2),
+    lambda f: mr_frac_diff(f, Q(1, 3)),
+    lambda f: ae_frac_diff(f, Q(5, 2)),
+    lambda f: ae_frac_diff(f, Q(2, 3)),
+)
+
+
+class TestKernelReuse:
+    """Weight tables are cached per (nu, L) and a window's split is kept with it."""
+
+    @given(sum_orders, st.integers(min_value=0, max_value=40))
+    def test_cached_table_equals_a_fresh_one(self, nu, count):
+        assert _weight_numerators(nu, count) == _weight_numerators.__wrapped__(nu, count)
+
+    def test_cached_table_cannot_be_altered(self):
+        numerators, den = _weight_numerators(Q(1, 2), 8)
+        with pytest.raises(TypeError):
+            numerators[5] *= 2
+        assert _weight_numerators(Q(1, 2), 8) == _weight_numerators.__wrapped__(Q(1, 2), 8)
+
+    @given(signature_columns(min_length=4), positive_non_integer_orders)
+    def test_ae_is_the_difference_of_a_sum(self, columns, mu):
+        f = window_of(columns)
+        n = math.ceil(mu)
+        assert ae_frac_diff(f, mu) == delta_n(frac_sum_diff(f, n - mu), n)
+
+    @given(signature_columns(min_length=4), st.permutations(range(len(OPERATIONS))))
+    def test_operator_order_does_not_matter(self, columns, order):
+        shared = window_of(columns)
+        for i in order:
+            assert OPERATIONS[i](shared) == OPERATIONS[i](window_of(columns))
+
+    @given(signature_columns(min_length=4), sum_orders)
+    def test_outputs_hold_canonical_term_maps(self, columns, nu):
+        f = window_of(columns)
+        outputs = [frac_sum_diff(f, nu), delta_n(f, 1)] + [op(f) for op in OPERATIONS]
+        for out in outputs:
+            for value in out.values:
+                terms = value.terms()
+                for coeff in terms.values():
+                    assert type(coeff) is Q and coeff != 0
+                    assert coeff.denominator > 0
+                    assert math.gcd(coeff.numerator, coeff.denominator) == 1
+                assert GammaPolynomial(terms).terms() == terms
+
+    def test_split_is_freed_with_its_window(self):
+        f = window_of({(): [Q(1), Q(-2, 3), Q(5)], ((Q(1, 2), 1),): [Q(0), Q(1, 7), Q(2)]})
+        for op in OPERATIONS[:4]:
+            op(f)
+        gone = weakref.ref(f)
+        del f
+        gc.collect()
+        assert gone() is None
 
 
 @st.composite
