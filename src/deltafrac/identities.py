@@ -10,6 +10,11 @@ the statement names.  The power-rule sweep skips swept orders off the rule
 and refuses a pinned one; the Saalschutz sweep drops excluded points
 unless pinned or ``force`` is set.  Every n-th forward difference a
 verifier uses is gridfn.delta_n at order n, so each order is checked.
+Two sums run on int columns rather than through weighted_sum: the right
+side of the Leibniz check, whose transforms are the convolution's
+unreduced columns and whose differences are delta_n's columns, and the
+terminating 3F2, stepped by its term ratio on ints.  The Leibniz left
+side is a frac_sum_diff window, as every other operator side is.
 """
 from __future__ import annotations
 
@@ -20,6 +25,7 @@ from typing import Callable
 from .errors import DenominatorPochhammerZero, DomainError, WindowTooShort
 from .exact import (
     RationalLike,
+    _merge_factors,
     as_polynomial,
     as_rational,
     gamma_of,
@@ -30,8 +36,8 @@ from .exact import (
     poch_int,
     weighted_sum,
 )
-from .fracops import ae_frac_diff, frac_sum_diff, nabla_poch_diff
-from .gridfn import GridFunction, delta_n, sample_falling_power
+from .fracops import _convolve, ae_frac_diff, frac_sum_diff, nabla_poch_diff
+from .gridfn import GridFunction, _materialize, delta_n, sample_falling_power
 from .report import MISMATCH, POLE, VerificationReport, report_compare, report_excluded
 from .special import falling, falling_int, gen_binomial, pochhammer
 
@@ -322,38 +328,69 @@ def mr_ae_sweep(f: GridFunction, mu: RationalLike, window: int) -> list[Verifica
     )
 
 
+def _leibniz_expansion(f: GridFunction, g: GridFunction, alpha: Fraction) -> GridFunction:
+    """The right side sum_n C(-alpha, n) (Delta^-(alpha+n) f)(t-n) (Delta^n g)(t-n).
+
+    It covers the points f and g share and is one bilinear int sum per
+    pair of factor signatures (s_f, s_g).
+    Each transform of f is the convolution's unreduced int columns and
+    each difference is delta_n(g, n)'s columns, so with C(-alpha, n) over
+    the two columns' denominators folded into ints over one lcm d, the
+    pair's column at t is sum_n k_n T_n[t-n] D_n[t-n] over d.  Pairs whose
+    merged signature coincides are added over a common denominator, and
+    the window is materialized once, on origin + alpha.
+    """
+    length = min(len(f), len(g))
+    transforms = [_convolve(f._columns, alpha + n, len(f)) for n in range(length)]
+    differences = [delta_n(g, n)._columns for n in range(length)]
+    weights = [gen_binomial(-alpha, n) for n in range(length)]
+    columns: dict[tuple, tuple[list, int]] = {}
+    for sig_f in f._columns:
+        for sig_g in g._columns:
+            orders = [n for n in range(length) if sig_g in differences[n]]
+            dens = [
+                weights[n].denominator * transforms[n][sig_f][1] * differences[n][sig_g][1]
+                for n in orders
+            ]
+            den = math.lcm(*dens)
+            column = [0] * length
+            for n, order_den in zip(orders, dens):
+                k = weights[n].numerator * (den // order_den)
+                transform = transforms[n][sig_f][0][:length - n]
+                for t, (x, y) in enumerate(zip(transform, differences[n][sig_g][0]), n):
+                    column[t] += k * x * y
+            signature = _merge_factors(sig_f, sig_g)
+            if signature in columns:
+                other, other_den = columns[signature]
+                common = math.lcm(den, other_den)
+                scale, other_scale = common // den, common // other_den
+                column = [scale * x + other_scale * y for x, y in zip(column, other)]
+                den = common
+            columns[signature] = (column, den)
+    return _materialize(f.origin + alpha, columns, length)
+
+
 def leibniz_sweep(
     f: GridFunction, g: GridFunction, alpha: RationalLike
 ) -> list[VerificationReport]:
     """Product-rule check at every point of the window f and g share.
 
-    The left side transforms the pointwise product once; the right side
-    assembles binomially weighted transforms of f against the differences
-    delta_n(g, n), one per order n, on the grid origin+alpha+t.  Tables are
-    shared across the sweep.
+    The left side transforms the pointwise product once, through
+    frac_sum_diff.  The right side runs on int columns: binomially
+    weighted transforms of f (the convolution's columns, never
+    materialized) against the differences delta_n(g, n), one per order n,
+    summed bilinearly on the grid origin+alpha+t (_leibniz_expansion).
+    Tables are shared across the sweep.
     """
     alpha = as_rational(alpha)
     if is_nonpositive_integer(alpha):
         raise DomainError(f"alpha must not be a nonpositive integer (got {alpha})")
-    t_max = min(len(f), len(g)) - 1
-    lhs_all = frac_sum_diff(f * g, alpha)
-    transforms = [
-        frac_sum_diff(f, alpha + n) for n in range(t_max + 1)
-    ]
-    differences = [delta_n(g, n) for n in range(t_max + 1)]
-    weights = [gen_binomial(-alpha, n) for n in range(t_max + 1)]
-    expansion = [
-        weighted_sum(
-            (transforms[n].values[t - n] * differences[n].values[t - n], weights[n])
-            for n in range(t + 1)
-        )
-        for t in range(t_max + 1)
-    ]
+    lhs = frac_sum_diff(f * g, alpha)
     return _compare_windows(
         "leibniz",
         lambda t: {"alpha": alpha, "t_index": t},
-        lhs_all,
-        GridFunction(f.origin + alpha, expansion),
+        lhs,
+        _leibniz_expansion(f, g, alpha),
     )
 
 
@@ -416,9 +453,11 @@ def hyp3f2_terminating(
 
     The third upper parameter is -m, so the series stops after m+1 terms.
     Term k+1 is term k times (a1+k)(a2+k)(k-m)z / ((b1+k)(b2+k)(k+1)).
-    Both lower parameters must keep their Pochhammer factors nonzero
-    through k = m; a hit raises DenominatorPochhammerZero naming the
-    first offending k.
+    The ratio is stepped on the parameters' int numerators and
+    denominators, the terms are added over one running denominator, and
+    the sum is reduced once.  Both lower parameters must keep their
+    Pochhammer factors nonzero through k = m; a hit raises
+    DenominatorPochhammerZero naming the first offending k.
     """
     a1 = as_rational(a1)
     a2 = as_rational(a2)
@@ -433,11 +472,19 @@ def hyp3f2_terminating(
             raise DenominatorPochhammerZero(
                 f"({name})_k vanishes at k={first_zero_k} for {name}={b}"
             )
-    term = total = Fraction(1)
+    p1, q1 = a1.numerator, a1.denominator
+    p2, q2 = a2.numerator, a2.denominator
+    r1, s1 = b1.numerator, b1.denominator
+    r2, s2 = b2.numerator, b2.denominator
+    zn, zd = z.numerator, z.denominator
+    # term k is term / den and the partial sum is total / den
+    term = den = total = 1
     for k in range(m):
-        term = term * (a1 + k) * (a2 + k) * (k - m) * z / ((b1 + k) * (b2 + k) * (k + 1))
-        total += term
-    return total
+        step_den = (r1 + k * s1) * (r2 + k * s2) * (k + 1) * q1 * q2 * zd
+        term *= (p1 + k * q1) * (p2 + k * q2) * (k - m) * zn * s1 * s2
+        total = total * step_den + term
+        den *= step_den
+    return Fraction(total, den)
 
 
 def saalschutz_lhs(

@@ -10,14 +10,20 @@ from hypothesis import assume, given, settings, strategies as st
 from deltafrac import (
     DenominatorPochhammerZero,
     DomainError,
+    GammaMonomial,
+    GammaPolynomial,
     GridFunction,
     WindowTooShort,
     alt_sum_lemma_check,
+    as_polynomial,
     binom_falling_check,
     binom_poch_check,
     corollary_closed,
+    delta_n,
+    frac_sum_diff,
     gamma_of,
     gamma_sum_check,
+    gen_binomial,
     hyp3f2_terminating,
     leibniz_sweep,
     nabla_zero_check,
@@ -29,9 +35,11 @@ from deltafrac import (
     saalschutz_verify,
 )
 from deltafrac import identities
+from deltafrac.exact import weighted_sum
 from deltafrac.identities import mr_ae_sweep, saalschutz_hypothesis_violation
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+orders = rationals.filter(lambda q: not (q.denominator == 1 and q <= 0))
 
 
 class TestBinomialChecks:
@@ -271,6 +279,61 @@ class TestLeibniz:
             leibniz_sweep(f, f, alpha)
 
 
+def _expansion_from_windows(f, g, alpha):
+    """The Leibniz right side built from windows: frac_sum_diff values times delta_n values,
+    weighted by gen_binomial through weighted_sum."""
+    length = min(len(f), len(g))
+    transforms = [frac_sum_diff(f, alpha + n) for n in range(length)]
+    differences = [delta_n(g, n) for n in range(length)]
+    return GridFunction(f.origin + alpha, [
+        weighted_sum(
+            (transforms[n].values[t - n] * differences[n].values[t - n], gen_binomial(-alpha, n))
+            for n in range(t + 1)
+        )
+        for t in range(length)
+    ])
+
+
+# four factor signatures: G(1/2) times G(1/2)^-1 merges into (), and so does () times ()
+_SIGNATURES = [(), ((Q(1, 2), 1),), ((Q(1, 2), -1),), ((Q(1, 3), 1), (Q(1, 2), -1))]
+
+
+@st.composite
+def _gamma_windows(draw, origin):
+    """A window of 1 to 8 values on origin, each a combination of the same one or two signatures."""
+    signatures = draw(st.lists(st.sampled_from(_SIGNATURES), min_size=1, max_size=2, unique=True))
+    length = draw(st.integers(min_value=1, max_value=8))
+    return GridFunction(origin, [
+        GammaPolynomial({signature: draw(rationals) for signature in signatures})
+        for _ in range(length)
+    ])
+
+
+class TestLeibnizExpansion:
+    def test_signature_pairs_that_merge_are_added(self):
+        half = as_polynomial(gamma_of(Q(1, 2)))
+        inverse = as_polynomial(GammaMonomial(1) / gamma_of(Q(1, 2)))
+        f = GridFunction(Q(1, 3), [half + 1, 2 * half - Q(1, 3), Q(5, 2), 4 - half, half, 3])
+        g = GridFunction(Q(1, 3), [inverse - 2, 2 * inverse + 1, inverse, -3, 3 * inverse, 1])
+        alpha = Q(3, 2)
+        expansion = identities._leibniz_expansion(f, g, alpha)
+        assert expansion == _expansion_from_windows(f, g, alpha)
+        # (G(1/2), G(1/2)^-1) and ((), ()) both land on the rational signature
+        assert set().union(*[v.terms() for v in expansion.values]) == {
+            (), ((Q(1, 2), 1),), ((Q(1, 2), -1),)
+        }
+        assert {rep.status for rep in leibniz_sweep(f, g, alpha)} == {"exact"}
+
+    @given(st.data(), rationals, orders)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_expansion_built_from_windows(self, data, origin, alpha):
+        f = data.draw(_gamma_windows(origin))
+        g = data.draw(_gamma_windows(origin))
+        expansion = identities._leibniz_expansion(f, g, alpha)
+        assert expansion == _expansion_from_windows(f, g, alpha)
+        assert {rep.status for rep in leibniz_sweep(f, g, alpha)} == {"exact"}
+
+
 def test_a_fault_at_difference_order_3_is_a_mismatch(monkeypatch):
     # the fault reaches both verifiers only if they take order 3 from delta_n itself
     original = identities.delta_n
@@ -383,6 +446,45 @@ class TestHyp3F2:
             for k in range(m + 1)
         )
         assert hyp3f2_terminating(a1, a2, m, b1, b2, z) == termwise
+
+
+# z off 0 and 1, where a series that drops z or steps it wrongly still agrees
+off_unit = rationals.filter(lambda z: z not in (0, 1))
+sizes = st.integers(min_value=0, max_value=10)
+
+
+def _hyp3f2_term(a1, a2, m, b1, b2, z, k):
+    """Term k of the terminating 3F2, from its own rising products."""
+    return (
+        poch_int(a1, k) * poch_int(a2, k) * poch_int(-m, k) * z**k
+        / (poch_int(b1, k) * poch_int(b2, k) * math.factorial(k))
+    )
+
+
+def _vanishes_before(m):
+    """True for a parameter whose rising product hits zero within m factors."""
+    return lambda b: b.denominator == 1 and -m < b <= 0
+
+
+class TestHyp3F2OffUnitArgument:
+    @given(rationals, rationals, rationals, rationals, off_unit, sizes)
+    @settings(max_examples=60)
+    def test_matches_the_termwise_sum(self, a1, a2, b1, b2, z, m):
+        assume(not any(map(_vanishes_before(m), (b1, b2))))
+        termwise = sum(_hyp3f2_term(a1, a2, m, b1, b2, z, k) for k in range(m + 1))
+        assert hyp3f2_terminating(a1, a2, m, b1, b2, z) == termwise
+
+    @given(rationals, rationals, rationals, rationals, off_unit, sizes)
+    @settings(max_examples=60)
+    def test_reversal(self, a1, a2, b1, b2, z, m):
+        # k -> m-k: 3F2(-m, a1, a2; b1, b2; z) = t_m 3F2(-m, 1-b1-m, 1-b2-m; 1-a1-m, 1-a2-m; 1/z),
+        # with t_m the last term; both series need nonvanishing lower products
+        assume(not any(map(_vanishes_before(m), (a1, a2, b1, b2))))
+        last = _hyp3f2_term(a1, a2, m, b1, b2, z, m)
+        reversed_series = hyp3f2_terminating(
+            1 - b1 - m, 1 - b2 - m, m, 1 - a1 - m, 1 - a2 - m, 1 / z
+        )
+        assert hyp3f2_terminating(a1, a2, m, b1, b2, z) == last * reversed_series
 
 
 class TestSaalschutz:
