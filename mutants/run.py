@@ -65,6 +65,19 @@ def _difference_doubled_at(order, index):
     return factory
 
 
+def _product_doubled_at_1(original):
+    """Entry 1 of every column the window product returns, doubled.
+
+    f * g and the Leibniz expansion both multiply through it.
+    """
+    def faulty(pairs, length):
+        return {
+            signature: ([x * 2 if t == 1 else x for t, x in enumerate(column)], den)
+            for signature, (column, den) in original(pairs, length).items()
+        }
+    return faulty
+
+
 def _gen_binomial_n4(original):
     return lambda alpha, n: original(alpha, n) * 2 if n == 4 else original(alpha, n)
 
@@ -103,6 +116,7 @@ FAULTS = {
     "difference-ninth": (
         gridfn, "_difference", "order 9 doubled at index 0", _difference_doubled_at(9, 0)
     ),
+    "product": (gridfn, "_product", "entry 1 doubled", _product_doubled_at_1),
     "gen_binomial": (special, "gen_binomial", "doubled at n = 4", _gen_binomial_n4),
     "frac_sum_diff-origin": (
         fracops, "frac_sum_diff", "output origin moved by +1", _origin_plus_one

@@ -182,6 +182,9 @@ def _evaluate(command: str, subject: str, raw) -> tuple[dict, object]:
 @click.group()
 def main() -> None:
     """Exact discrete fractional calculus: evaluate operators, verify identities."""
+    # exact values outgrow int-to-str's 4300-digit limit; 3.10.0-3.10.6 lack it
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
 
 
 @main.command("eval")

@@ -13,23 +13,16 @@ both sides and comparing term maps, with distinct bases treated as
 independent.  The test is sound (a zero difference proves equality) but
 not complete: reflection and Gauss multiplication relate Gamma at distinct
 bases, so Gamma(1/6)*Gamma(5/6) and 2*Gamma(1/2)**2 compare unequal though
-they are equal.  Every polynomial sum goes through weighted_sum,
-GammaPolynomial's + and - included, except the sums of the window
-operators, of the Leibniz expansion, of the nabla kernel and of the
-terminating 3F2.  The window operators (gridfn and fracops) sum the int
-columns that each window splits into once, one per factor signature over
-a common denominator, with weight tables cached per (nu, L); their
-outputs are built by GammaPolynomial._adopt, which takes a term map of
-nonzero reduced Fractions as it is, without coercing it again.  The
-Leibniz expansion (identities) sums products of those columns bilinearly,
-one int sum per pair of signatures, and is built the same way.
-nabla_poch_diff and hyp3f2_terminating add each term's ratio on ints over
-one running denominator and reduce the sum once.  as_polynomial is the
-one conversion of an int, Fraction or GammaMonomial to a polynomial; the
-zero polynomial is GammaPolynomial().  poch_int is the one rising product
-x(x+1)...(x+k-1): gamma_of's shift, special.falling_int and the
-integer-order Pochhammer symbol are all written with it.  The float path
-exists only as a cross-check on the exact one, never as a substitute.
+they are equal.  Every polynomial sum here goes through weighted_sum,
+GammaPolynomial's + and - included.  Window sums and products run on the
+int columns in gridfn and fracops instead, and build their outputs with
+GammaPolynomial._adopt, which takes a term map of nonzero reduced
+Fractions as it is.  as_polynomial is the one conversion of an int,
+Fraction or GammaMonomial to a polynomial; the zero polynomial is
+GammaPolynomial().  poch_int is the one rising product x(x+1)...(x+k-1):
+gamma_of's shift, special.falling_int and the integer-order Pochhammer
+symbol are all written with it.  The float path exists only as a
+cross-check on the exact one, never as a substitute.
 """
 from __future__ import annotations
 
@@ -321,7 +314,9 @@ class GammaPolynomial:
         """Canonical string: terms sorted by signature, joined by ' + '.
 
         Negative coefficients stay inline ('3 + -2*G(1/2)^1'), so the
-        rendering is a reversible encoding of the term map.
+        rendering is a reversible encoding of the term map.  The round trip
+        through parse_gamma_polynomial holds in a library process only up to
+        the interpreter's int-to-str digit limit, which the CLI lifts.
         """
         if not self._terms:
             return "0"

@@ -8,10 +8,11 @@ in one representation.  The window operators run on integer columns.  A
 window splits itself once, on first use, into one int column per factor
 signature over the lcm of that signature's denominators, and keeps the
 split for as long as it lives; every operator applied to the window reads
-that split.  An operator maps the columns on ints (differences here, the
-convolution in fracops) and materializes its output window once, making
-one reduced Fraction per nonzero coefficient and adopting the term maps
-without a second pass of coercion.
+that split.  An operator maps the columns on ints (differences and the
+one window product here, the convolution in fracops) and materializes its
+output window once, making one reduced Fraction per nonzero coefficient
+and adopting the term maps without a second pass of coercion.  The
+product, _product, serves f * g and the Leibniz expansion alike.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from .errors import DomainError, WindowTooShort
 from .exact import (
     GammaPolynomial,
     RationalLike,
+    _merge_factors,
     as_polynomial,
     as_rational,
     is_negative_integer,
@@ -102,10 +104,7 @@ class GridFunction:
                 "cannot multiply grid functions with different origins"
             )
         n = min(len(self.values), len(other.values))
-        return GridFunction(
-            self.origin,
-            [self.values[i] * other.values[i] for i in range(n)],
-        )
+        return _materialize(self.origin, _product([(self._columns, other._columns)], n), n)
 
     def to_json_dict(self) -> dict:
         return {
@@ -142,6 +141,30 @@ def _materialize(origin: Fraction, columns: dict, length: int) -> GridFunction:
             if numerator:
                 terms[n][signature] = Fraction(numerator, den)
     return GridFunction._adopt(origin, [GammaPolynomial._adopt(t) for t in terms])
+
+
+def _product(pairs: list, length: int) -> dict:
+    """Sum over (left, right) pairs of each left column times each right column, entrywise.
+
+    Columns are int maps as _columns leaves them, at least length long.  A
+    product lands on the merged signature over den_l*den_r, and the
+    products on one signature are added over their lcm, unreduced.
+    """
+    products: dict[tuple, list] = defaultdict(list)
+    for left, right in pairs:
+        for sig_l, (xs, den_l) in left.items():
+            for sig_r, (ys, den_r) in right.items():
+                products[_merge_factors(sig_l, sig_r)].append((xs, ys, den_l * den_r))
+    columns = {}
+    for signature, factors in products.items():
+        den = math.lcm(*[d for _, _, d in factors])
+        column = [0] * length
+        for xs, ys, d in factors:
+            scale = den // d
+            for t, x, y in zip(range(length), xs, ys):
+                column[t] += scale * x * y
+        columns[signature] = (column, den)
+    return columns
 
 
 def _difference(columns: dict, n: int) -> dict:

@@ -9,12 +9,12 @@ its identity's statement and reports ``domain_excluded`` for the points
 the statement names.  The power-rule sweep skips swept orders off the rule
 and refuses a pinned one; the Saalschutz sweep drops excluded points
 unless pinned or ``force`` is set.  Every n-th forward difference a
-verifier uses is gridfn.delta_n at order n, so each order is checked.
-Two sums run on int columns rather than through weighted_sum: the right
-side of the Leibniz check, whose transforms are the convolution's
-unreduced columns and whose differences are delta_n's columns, and the
-terminating 3F2, stepped by its term ratio on ints.  The Leibniz left
-side is a frac_sum_diff window, as every other operator side is.
+verifier uses is gridfn's one int difference, which delta_n wraps, so
+each order is checked.  Two sums run on ints rather than through
+weighted_sum: the right side of the Leibniz check, gridfn's column
+product of transform and difference columns, and the terminating 3F2,
+stepped by its term ratio.  The Leibniz left side is a frac_sum_diff
+window, as every other operator side is.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from typing import Callable
 from .errors import DenominatorPochhammerZero, DomainError, WindowTooShort
 from .exact import (
     RationalLike,
-    _merge_factors,
     as_polynomial,
     as_rational,
     gamma_of,
@@ -37,7 +36,7 @@ from .exact import (
     weighted_sum,
 )
 from .fracops import _convolve, ae_frac_diff, frac_sum_diff, nabla_poch_diff
-from .gridfn import GridFunction, _materialize, delta_n, sample_falling_power
+from .gridfn import GridFunction, _difference, _materialize, _product, delta_n, sample_falling_power
 from .report import MISMATCH, POLE, VerificationReport, report_compare, report_excluded
 from .special import falling, falling_int, gen_binomial, pochhammer
 
@@ -331,43 +330,24 @@ def mr_ae_sweep(f: GridFunction, mu: RationalLike, window: int) -> list[Verifica
 def _leibniz_expansion(f: GridFunction, g: GridFunction, alpha: Fraction) -> GridFunction:
     """The right side sum_n C(-alpha, n) (Delta^-(alpha+n) f)(t-n) (Delta^n g)(t-n).
 
-    It covers the points f and g share and is one bilinear int sum per
-    pair of factor signatures (s_f, s_g).
-    Each transform of f is the convolution's unreduced int columns and
-    each difference is delta_n(g, n)'s columns, so with C(-alpha, n) over
-    the two columns' denominators folded into ints over one lcm d, the
-    pair's column at t is sum_n k_n T_n[t-n] D_n[t-n] over d.  Pairs whose
-    merged signature coincides are added over a common denominator, and
-    the window is materialized once, on origin + alpha.
+    It covers the points f and g share, on origin + alpha.  Order n pairs
+    the convolution's columns of f at order alpha+n, weighted by
+    C(-alpha, n), with g's n-th difference columns, both shifted n entries
+    on; gridfn's column product sums the pairs, materialized once.
     """
     length = min(len(f), len(g))
-    transforms = [_convolve(f._columns, alpha + n, len(f)) for n in range(length)]
-    differences = [delta_n(g, n)._columns for n in range(length)]
-    weights = [gen_binomial(-alpha, n) for n in range(length)]
-    columns: dict[tuple, tuple[list, int]] = {}
-    for sig_f in f._columns:
-        for sig_g in g._columns:
-            orders = [n for n in range(length) if sig_g in differences[n]]
-            dens = [
-                weights[n].denominator * transforms[n][sig_f][1] * differences[n][sig_g][1]
-                for n in orders
-            ]
-            den = math.lcm(*dens)
-            column = [0] * length
-            for n, order_den in zip(orders, dens):
-                k = weights[n].numerator * (den // order_den)
-                transform = transforms[n][sig_f][0][:length - n]
-                for t, (x, y) in enumerate(zip(transform, differences[n][sig_g][0]), n):
-                    column[t] += k * x * y
-            signature = _merge_factors(sig_f, sig_g)
-            if signature in columns:
-                other, other_den = columns[signature]
-                common = math.lcm(den, other_den)
-                scale, other_scale = common // den, common // other_den
-                column = [scale * x + other_scale * y for x, y in zip(column, other)]
-                den = common
-            columns[signature] = (column, den)
-    return _materialize(f.origin + alpha, columns, length)
+    pairs = []
+    for n in range(length):
+        weight = gen_binomial(-alpha, n)
+        transform = _convolve(f._columns, alpha + n, len(f))
+        pairs.append((
+            {
+                signature: ([0] * n + [weight.numerator * x for x in xs[:length - n]], den * weight.denominator)
+                for signature, (xs, den) in transform.items()
+            },
+            {signature: ([0] * n + ys, den) for signature, (ys, den) in _difference(g._columns, n).items()},
+        ))
+    return _materialize(f.origin + alpha, _product(pairs, length), length)
 
 
 def leibniz_sweep(
@@ -375,12 +355,9 @@ def leibniz_sweep(
 ) -> list[VerificationReport]:
     """Product-rule check at every point of the window f and g share.
 
-    The left side transforms the pointwise product once, through
-    frac_sum_diff.  The right side runs on int columns: binomially
-    weighted transforms of f (the convolution's columns, never
-    materialized) against the differences delta_n(g, n), one per order n,
-    summed bilinearly on the grid origin+alpha+t (_leibniz_expansion).
-    Tables are shared across the sweep.
+    The left side transforms the pointwise product f * g once, through
+    frac_sum_diff; the right side is _leibniz_expansion, on int columns
+    throughout.  Tables are shared across the sweep.
     """
     alpha = as_rational(alpha)
     if is_nonpositive_integer(alpha):

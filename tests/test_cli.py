@@ -18,7 +18,14 @@ from hypothesis import example, given, settings, strategies as st
 
 import deltafrac
 import deltafrac.sweeps as sweeps
-from deltafrac import GridFunction, ae_frac_diff, parse_gamma_polynomial, parse_rational, report_compare
+from deltafrac import (
+    GridFunction,
+    ae_frac_diff,
+    hyp3f2_terminating,
+    parse_gamma_polynomial,
+    parse_rational,
+    report_compare,
+)
 from deltafrac.cli import _KINDS, _SUBJECTS, _flags_of, _subjects_of, main
 from deltafrac.sweeps import FLAG, INT, PARAMS, RATIONAL, REGISTRY, SIZE, IdentityEntry
 
@@ -26,6 +33,22 @@ from deltafrac.sweeps import FLAG, INT, PARAMS, RATIONAL, REGISTRY, SIZE, Identi
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+@pytest.fixture()
+def default_digit_limit():
+    """The interpreter's default int-to-str digit limit for one test, where it has one.
+
+    main lifts the limit for the whole process, so a test that checks the
+    lift sets the default back first and restores what it found afterwards.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    found = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(found)
 
 
 class TestEval:
@@ -169,6 +192,14 @@ class TestEval:
         assert doc["float"] is None
         assert doc["value"] == str(math.factorial(400) // math.factorial(200))
 
+    def test_a_value_past_the_digit_limit_prints_exactly(self, runner, default_digit_limit):
+        argv = ["--a1", "1/2", "--a2", "1/3", "--m", "4000", "--b1", "7/4", "--b2", "-17999/12", "--z", "-2/5"]
+        result = runner.invoke(main, ["eval", "hyp3f2", *argv, "--format", "json"])
+        assert result.exit_code == 0, result.output
+        value = json.loads(result.stdout)["value"]
+        assert len(value) > 4300
+        assert Q(value) == hyp3f2_terminating(Q(1, 2), Q(1, 3), 4000, Q(7, 4), Q(-17999, 12), Q(-2, 5))
+
     def test_table_window_spec(self, runner):
         # f(k) = k^2 given as an explicit table; half difference at the first
         # output point: delta of the half-sum partial sums 0, 1 -> 1
@@ -188,6 +219,14 @@ class TestVerify:
         lines = result.output.strip().splitlines()
         assert lines[0].startswith("[exact] saalschutz")
         assert "lhs=9/8" in lines[0]
+
+    def test_a_report_past_the_digit_limit_is_exact(self, runner, default_digit_limit):
+        argv = ["--a", "1/2", "--b", "1/3", "--c", "7/4", "--m", "2200", "--format", "json"]
+        result = runner.invoke(main, ["verify", "saalschutz", *argv])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.stdout)
+        assert doc["status"] == "exact"
+        assert len(doc["lhs"]) > 4300
 
     def test_power_rule_report_count(self, runner):
         result = runner.invoke(

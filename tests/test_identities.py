@@ -34,7 +34,7 @@ from deltafrac import (
     saalschutz_lhs,
     saalschutz_verify,
 )
-from deltafrac import identities
+from deltafrac import gridfn, identities
 from deltafrac.exact import weighted_sum
 from deltafrac.identities import mr_ae_sweep, saalschutz_hypothesis_violation
 
@@ -309,6 +309,16 @@ def _gamma_windows(draw, origin):
     ])
 
 
+@given(st.data(), rationals)
+@settings(max_examples=60, deadline=None)
+def test_the_window_product_is_the_product_of_values(data, origin):
+    # leibniz's two sides share the column product, so a fault in it that
+    # scaled every product alike would cancel there; the value products see it
+    f = data.draw(_gamma_windows(origin))
+    g = data.draw(_gamma_windows(origin))
+    assert f * g == GridFunction(origin, [a * b for a, b in zip(f.values, g.values)])
+
+
 class TestLeibnizExpansion:
     def test_signature_pairs_that_merge_are_added(self):
         half = as_polynomial(gamma_of(Q(1, 2)))
@@ -335,18 +345,21 @@ class TestLeibnizExpansion:
 
 
 def test_a_fault_at_difference_order_3_is_a_mismatch(monkeypatch):
-    # the fault reaches both verifiers only if they take order 3 from delta_n itself
-    original = identities.delta_n
+    # alt-sum takes order 3 through delta_n, which calls gridfn's binding, and
+    # leibniz takes it from the binding in identities; the fault patches both
+    original = gridfn._difference
 
-    def faulty(f, n):
-        out = original(f, n)
+    def faulty(columns, n):
+        out = original(columns, n)
         if n != 3:
             return out
-        values = list(out.values)
-        values[2] = values[2] * 2
-        return GridFunction(out.origin, values)
+        return {
+            signature: ([x * 2 if k == 2 else x for k, x in enumerate(numerators)], den)
+            for signature, (numerators, den) in out.items()
+        }
 
-    monkeypatch.setattr(identities, "delta_n", faulty)
+    monkeypatch.setattr(gridfn, "_difference", faulty)
+    monkeypatch.setattr(identities, "_difference", faulty)
     g = GridFunction(0, [Q(k**4) for k in range(7)])
     alt_sum = alt_sum_lemma_check(g, Q(1, 2), 4, 5)
     leibniz = leibniz_sweep(GridFunction(0, [1] * 7), g, Q(1, 2))
