@@ -18,6 +18,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 
 import click
 
@@ -180,10 +181,13 @@ def _evaluate(command: str, subject: str, raw) -> tuple[dict, object]:
 
 
 @click.group()
-def main() -> None:
+@click.pass_context
+def main(ctx: click.Context) -> None:
     """Exact discrete fractional calculus: evaluate operators, verify identities."""
-    # exact values outgrow int-to-str's 4300-digit limit; 3.10.0-3.10.6 lack it
+    # exact values outgrow int-to-str's 4300-digit limit, so it is lifted for the
+    # command and restored when the command closes; 3.10.0-3.10.6 lack it
     if hasattr(sys, "set_int_max_str_digits"):
+        ctx.call_on_close(partial(sys.set_int_max_str_digits, sys.get_int_max_str_digits()))
         sys.set_int_max_str_digits(0)
 
 

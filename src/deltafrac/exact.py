@@ -316,7 +316,8 @@ class GammaPolynomial:
         Negative coefficients stay inline ('3 + -2*G(1/2)^1'), so the
         rendering is a reversible encoding of the term map.  The round trip
         through parse_gamma_polynomial holds in a library process only up to
-        the interpreter's int-to-str digit limit, which the CLI lifts.
+        the interpreter's int-to-str digit limit, which the CLI lifts for one
+        command and a caller can lift for itself.
         """
         if not self._terms:
             return "0"

@@ -30,13 +30,12 @@ from operator import mul
 
 from .errors import DomainError, SpecialValuePole, WindowTooShort
 from .exact import (
-    GammaMonomial,
     GammaPolynomial,
     RationalLike,
+    as_polynomial,
     as_rational,
     gamma_of,
     is_nonpositive_integer,
-    weighted_sum,
 )
 from .gridfn import GridFunction, _difference, _materialize
 from .special import pochhammer
@@ -150,9 +149,11 @@ def nabla_poch_diff(
         (x - 1)(j + p) / ((x - 2 - alpha) j),
 
     so the sum is summand 1 times a rational that is accumulated on ints
-    over one running denominator and reduced once, then scaled once by
-    1/Gamma(-alpha).  A pole in summand 1 raises SpecialValuePole rather
-    than being silently dropped; no later summand can hold one.
+    over one running denominator and reduced once.  Summand 1's two Gamma
+    monomials, that rational and 1/Gamma(-alpha) make one monomial, which
+    is returned as a polynomial.  A pole in summand 1 raises
+    SpecialValuePole rather than being silently dropped; no later summand
+    can hold one.
     """
     as_rational(a)
     p = as_rational(p)
@@ -179,5 +180,4 @@ def nabla_poch_diff(
         ratio *= (x - 1) * (j * pd + pn) * ad
         total = total * step_den + ratio
         den *= step_den
-    first = (kernel * sample).value
-    return weighted_sum(((first, Fraction(total, den)),)) * (GammaMonomial(1) / gamma_of(-alpha))
+    return as_polynomial(kernel.value * sample.value * Fraction(total, den) / gamma_of(-alpha))

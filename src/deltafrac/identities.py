@@ -105,12 +105,7 @@ def index_law_check(t: RationalLike, alpha: RationalLike, beta: RationalLike) ->
             return report_excluded(
                 "index-law", params, f"{label} is not finite ({value.render()})"
             )
-    return report_compare(
-        "index-law",
-        params,
-        whole.as_polynomial(),
-        (left * right).as_polynomial(),
-    )
+    return report_compare("index-law", params, whole.value, left.value * right.value)
 
 
 def _binom_check(identity: str, power: Callable, x: RationalLike, y: RationalLike, n: int) -> VerificationReport:

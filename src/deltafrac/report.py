@@ -46,7 +46,6 @@ class VerificationReport:
     abs_float_gap: float | None = None
     excluded_by: str | None = None
     lhs_float: float | None = field(default=None, repr=False)
-    rhs_float: float | None = field(default=None, repr=False)
 
     @property
     def is_failure(self) -> bool:
@@ -106,7 +105,6 @@ def report_compare(identity: str, params: Mapping[str, object], lhs, rhs) -> Ver
         rhs=rhs.render(),
         abs_float_gap=gap,
         lhs_float=lhs_float,
-        rhs_float=rhs_float,
     )
 
 

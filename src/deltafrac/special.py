@@ -5,8 +5,11 @@ rational order through Gamma ratios.  For non-classical orders the value
 can be a finite Gamma monomial, an exact zero (the denominator Gamma pole
 swallows the ratio) or an unresolved pole.  All three outcomes are first
 class: SpecialValue keeps them distinct instead of collapsing poles into
-exceptions, so identity checks can classify points honestly.  This module
-holds the special functions only; those checks are in identities.
+exceptions, so identity checks can classify points honestly.  A
+SpecialValue records an outcome and does no arithmetic; a caller that
+combines values first checks that each is finite and then works on the
+GammaMonomial in ``value``.  This module holds the special functions only;
+those checks are in identities.
 """
 from __future__ import annotations
 
@@ -22,9 +25,9 @@ from .exact import (
     as_polynomial,
     as_rational,
     gamma_of,
+    is_integer,
     is_negative_integer,
     is_nonpositive_integer,
-    is_positive_integer,
     poch_int,
 )
 
@@ -68,13 +71,6 @@ class SpecialValue:
             raise SpecialValuePole("cannot convert a pole to a polynomial")
         return as_polynomial(self.value)
 
-    def __mul__(self, other) -> "SpecialValue":
-        if not isinstance(other, SpecialValue):
-            return NotImplemented
-        if self.is_pole or other.is_pole:
-            return POLE_VALUE
-        return SpecialValue.finite(self.value * other.value)
-
     def render(self) -> str:
         if self.kind == "pole":
             return "pole"
@@ -104,20 +100,18 @@ def falling(x: RationalLike, y: RationalLike) -> SpecialValue:
     """Generalized falling function of x with order y.
 
     Cases, in priority order:
-      1. y a positive integer: the product x(x-1)...(x-y+1), even when the
-         Gamma-ratio form would be indeterminate.
-      2. y = 0: one.
-      3. neither x nor x - y a negative integer: Gamma(x+1)/Gamma(x+1-y).
-      4. x not a negative integer but x - y one: exact zero (the
+      1. y an integer >= 0: the product x(x-1)...(x-y+1), the empty
+         product 1 at y = 0, even when the Gamma-ratio form would be
+         indeterminate.
+      2. neither x nor x - y a negative integer: Gamma(x+1)/Gamma(x+1-y).
+      3. x not a negative integer but x - y one: exact zero (the
          denominator Gamma pole swallows the ratio).
       Anything else is an unresolved pole.
     """
     x = as_rational(x)
     y = as_rational(y)
-    if is_positive_integer(y):
+    if is_integer(y) and y >= 0:
         return SpecialValue.finite(falling_int(x, int(y)))
-    if y == 0:
-        return SpecialValue.finite(1)
     top_pole = is_negative_integer(x)
     bottom_pole = is_negative_integer(x - y)
     if not top_pole and not bottom_pole:
@@ -131,18 +125,16 @@ def pochhammer(x: RationalLike, y: RationalLike) -> SpecialValue:
     """Generalized Pochhammer symbol (x)_y.
 
     Cases, in priority order:
-      1. y a positive integer: the product x(x+1)...(x+y-1).
-      2. y = 0: one.
-      3. neither x nor x + y a nonpositive integer: Gamma(x+y)/Gamma(x).
-      4. x a nonpositive integer but x + y not: exact zero.
+      1. y an integer >= 0: the product x(x+1)...(x+y-1), the empty
+         product 1 at y = 0.
+      2. neither x nor x + y a nonpositive integer: Gamma(x+y)/Gamma(x).
+      3. x a nonpositive integer but x + y not: exact zero.
       Anything else is an unresolved pole.
     """
     x = as_rational(x)
     y = as_rational(y)
-    if is_positive_integer(y):
+    if is_integer(y) and y >= 0:
         return SpecialValue.finite(poch_int(x, int(y)))
-    if y == 0:
-        return SpecialValue.finite(1)
     top_pole = is_nonpositive_integer(x + y)
     bottom_pole = is_nonpositive_integer(x)
     if not bottom_pole and not top_pole:

@@ -39,8 +39,8 @@ def runner():
 def default_digit_limit():
     """The interpreter's default int-to-str digit limit for one test, where it has one.
 
-    main lifts the limit for the whole process, so a test that checks the
-    lift sets the default back first and restores what it found afterwards.
+    A test that checks main's lift starts from the default, whatever an
+    earlier test left, and the limit it found is restored afterwards.
     """
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
@@ -198,7 +198,17 @@ class TestEval:
         assert result.exit_code == 0, result.output
         value = json.loads(result.stdout)["value"]
         assert len(value) > 4300
+        # main restored the default limit on close, so the parse lifts it, as CI's step does
+        if hasattr(sys, "set_int_max_str_digits"):
+            sys.set_int_max_str_digits(0)
         assert Q(value) == hyp3f2_terminating(Q(1, 2), Q(1, 3), 4000, Q(7, 4), Q(-17999, 12), Q(-2, 5))
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+    @pytest.mark.parametrize("argv, code", [(["--x", "5", "--y", "2"], 0), (["--x", "5"], 2)])
+    def test_a_command_restores_the_digit_limit(self, runner, default_digit_limit, argv, code):
+        sys.set_int_max_str_digits(5000)
+        assert runner.invoke(main, ["eval", "falling", *argv]).exit_code == code
+        assert sys.get_int_max_str_digits() == 5000
 
     def test_table_window_spec(self, runner):
         # f(k) = k^2 given as an explicit table; half difference at the first

@@ -1,8 +1,9 @@
 """Canonical Gamma-monomial arithmetic and the exact zero test."""
+import sys
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from deltafrac import (
     GammaMonomial,
@@ -120,14 +121,30 @@ class TestGammaMonomial:
             GammaMonomial(1) / GammaMonomial(Q(0))
 
 
+gamma_arguments = rationals.filter(lambda q: not is_nonpositive_integer(q))
 gamma_monomials = st.builds(
     lambda q, x: gamma_of(x) * q,
     st.fractions(min_value=-5, max_value=5, max_denominator=4),
-    rationals.filter(lambda q: not is_nonpositive_integer(q)),
+    gamma_arguments,
 )
 gamma_polys = st.lists(gamma_monomials, min_size=0, max_size=4).map(
     lambda ms: sum((as_polynomial(m) for m in ms), GammaPolynomial())
 )
+
+# A coefficient past int-to-str's default limit of 4300 digits, drawn as the
+# digit counts and low parts of its numerator (4000-6000 digits) and
+# denominator (up to 6000), so a falsifying example prints in a few digits.
+huge_coefficients = st.tuples(
+    st.sampled_from([1, -1]),
+    st.integers(min_value=4000, max_value=6000),
+    st.integers(min_value=1, max_value=6000),
+    st.integers(min_value=0, max_value=10**40),
+    st.integers(min_value=0, max_value=10**40),
+)
+
+
+def huge_coefficient(sign, digits, den_digits, low, den_low):
+    return Q(sign * (10 ** (digits - 1) + low), 10 ** (den_digits - 1) + den_low)
 
 
 class TestGammaPolynomial:
@@ -158,6 +175,20 @@ class TestGammaPolynomial:
     @given(gamma_polys)
     def test_render_parse_round_trip(self, p):
         assert parse_gamma_polynomial(p.render()) == p
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(huge_coefficients, gamma_arguments), min_size=1, max_size=2))
+    def test_round_trip_past_the_digit_limit(self, terms):
+        # one or two Gamma signatures with coefficients past the default limit,
+        # which the test lifts for itself and restores afterwards
+        found = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            p = sum((as_polynomial(gamma_of(x) * huge_coefficient(*c)) for c, x in terms), GammaPolynomial())
+            assert parse_gamma_polynomial(p.render()) == p
+        finally:
+            sys.set_int_max_str_digits(found)
 
     def test_parse_rejects_a_base_outside_the_unit_interval(self):
         with pytest.raises(ValueError, match="base out of range"):

@@ -332,7 +332,7 @@ def termwise_nabla(p, alpha, t_index):
         sample = pochhammer(j, p)
         if kernel.is_pole or sample.is_pole:
             raise SpecialValuePole(f"summand at j={j} has an unresolved Gamma pole")
-        pairs.append(((kernel * sample).value, 1))
+        pairs.append((kernel.value * sample.value, 1))
     return weighted_sum(pairs) * (GammaMonomial(1) / gamma_of(-alpha))
 
 

@@ -117,13 +117,6 @@ class TestSpecialValue:
         assert ZERO.render() == "0"
         assert POLE_VALUE.render() == "pole"
 
-    def test_product_rules(self):
-        finite = falling(5, 2)
-        assert (finite * ZERO).kind == "zero"
-        assert (finite * POLE_VALUE).is_pole
-        assert (ZERO * POLE_VALUE).is_pole  # pole dominates
-        assert (finite * finite).as_polynomial() == 400
-
     def test_compare_special_double_pole(self):
         # both sides hit a pole: the matched pole class, not a failure
         rep = falling_poch_bridge_check(Q(1, 2), Q(-1, 2))
