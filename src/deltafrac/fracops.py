@@ -12,11 +12,13 @@ over one reduced denominator, and each (nu, L) table is computed once and
 cached.  The window's split into one int column per Gamma factor
 signature is computed once and kept on the window (gridfn), so every
 operator on one window reads the same columns.  Every output coefficient
-is one integer dot product reduced by a single gcd, when the output
-window is materialized.  Two classical difference constructions are
-layered on top and agree on their common domain; the stepped one takes
-its integer difference on the convolution's unreduced columns, so it too
-materializes once.  A nabla-kernel evaluation completes the set: it
+is an integer dot product, reduced by a single gcd when the output window
+is materialized.  From 32 points on, the weights are packed eight to an
+int (Kronecker substitution), so one big-int dot product makes eight
+outputs, the same ints the plain dot products make.  Two classical
+difference constructions are layered on top and agree on their common
+domain; the stepped one takes its integer difference on the
+convolution's unreduced columns, so it too materializes once.  A nabla-kernel evaluation completes the set: it
 takes its first summand from pochhammer and steps to each later one by a
 rational ratio on ints, reducing the sum once.  Only the first summand
 can hold a Gamma pole, so only it is checked.
@@ -47,6 +49,10 @@ __all__ = [
     "nabla_poch_diff",
 ]
 
+# windows of _PACKED_FROM points or more convolve _BLOCK outputs per big-int dot product
+_PACKED_FROM = 32
+_BLOCK = 8
+
 
 @lru_cache(maxsize=128)
 def _weight_numerators(nu: RationalLike, count: int) -> tuple[tuple[int, ...], int]:
@@ -75,18 +81,72 @@ def _weight_numerators(nu: RationalLike, count: int) -> tuple[tuple[int, ...], i
 def _convolve(columns: dict, nu: Fraction, length: int) -> dict:
     """Every int column convolved with the weights (nu)_j / j!, unreduced.
 
-    Entry n of a column becomes sum_{i<=n} w_{n-i} numerators[i], one int
-    dot product, over the column's denominator times the weights' one.
+    Entry n of a column becomes sum_{i<=n} w_{n-i} numerators[i], over the
+    column's denominator times the weights' one.  Windows shorter than
+    _PACKED_FROM points take one int dot product per entry (_plain_dots);
+    longer ones take _packed_dots, which makes the same ints _BLOCK at a
+    time.  Its table costs a fixed share of each call, so it pays only on
+    long windows.  Measured on a shared 2-vCPU container under CPython
+    3.11, the two paths broke even at about 24 points on rational windows
+    and about 16 on three-column Gamma windows; at 32 points the packed
+    path took 0.66 and 0.59 of the plain path's time, at 16 points on
+    rational windows 1.4 times it.  32 sits above both crossovers, so
+    the packed path runs only where it is the faster one.
     """
     weights, weight_den = _weight_numerators(nu, length)
+    dots = (_packed_dots if length >= _PACKED_FROM else _plain_dots)(columns, weights, length)
+    return {signature: (dots[signature], den * weight_den) for signature, (_, den) in columns.items()}
+
+
+def _plain_dots(columns: dict, weights: tuple, length: int) -> dict:
+    """{signature: outputs}, output n of a column being one int dot product with the weights."""
     reversed_weights = weights[::-1]
     return {
-        signature: (
-            [sum(map(mul, reversed_weights[length - 1 - n:], numerators)) for n in range(length)],
-            den * weight_den,
-        )
-        for signature, (numerators, den) in columns.items()
+        signature: [sum(map(mul, reversed_weights[length - 1 - n:], numerators)) for n in range(length)]
+        for signature, (numerators, _) in columns.items()
     }
+
+
+def _packed_dots(columns: dict, weights: tuple, length: int) -> dict:
+    """_plain_dots' outputs, _BLOCK of them from each big-int dot product.
+
+    Kronecker substitution: slot t of the packed int P_m holds the weight
+    w_{m+t-(_BLOCK-1)}, 0 outside 0..length-1, so the dot product of a
+    column with P_{n+_BLOCK-1-i}, i = 0..n+_BLOCK-1, holds output n+t in
+    slot t.  A slot is ceil((wbits + cbits + length.bit_length() + 1) / 8)
+    bytes, wbits and cbits being the bit lengths of the largest weight and
+    of the largest entry of any column.  An output sums at most length
+    products, so it is below 2^(8 size - 1) in magnitude, and adding a bias
+    of 2^(8 size - 1) to every slot leaves each slot a nonnegative field
+    that carries nothing into the next; the slots are read back from the
+    sum's bytes.  The table is built on every call and not cached: at 256
+    points it holds about 170 KB, and kept tables would add that to the
+    peak memory for every (nu, length) they cover.
+    """
+    cbits = max([abs(x).bit_length() for numerators, _ in columns.values() for x in numerators], default=0)
+    wbits = max([abs(w).bit_length() for w in weights])
+    size = (wbits + cbits + length.bit_length() + 8) // 8
+    shift = 8 * size
+    half = 1 << (shift - 1)
+    bias = int.from_bytes(half.to_bytes(size, "little") * _BLOCK, "little")
+    # packed[k] is P_{length+_BLOCK-2-k}, so block n pairs numerators[i] with
+    # packed[length-1-n+i].  From P_{length+_BLOCK-1} = 0 down, P_{m-1} drops
+    # P_m's top slot, moves the rest up one slot and takes w_{m-_BLOCK} into
+    # slot 0.
+    padded = [0] * (_BLOCK - 1) + list(weights) + [0] * _BLOCK
+    top = shift * (_BLOCK - 1)
+    p, packed = 0, []
+    for m in range(length + _BLOCK - 1, 0, -1):
+        p = ((p - (padded[m + _BLOCK - 1] << top)) << shift) + padded[m - 1]
+        packed.append(p)
+    dots = {}
+    for signature, (numerators, _) in columns.items():
+        sums = b"".join([
+            (sum(map(mul, packed[length - 1 - n:], numerators)) + bias).to_bytes(_BLOCK * size, "little")
+            for n in range(0, length, _BLOCK)
+        ])
+        dots[signature] = [int.from_bytes(sums[k:k + size], "little") - half for k in range(0, length * size, size)]
+    return dots
 
 
 def frac_sum_diff(f: GridFunction, nu: RationalLike) -> GridFunction:

@@ -5,7 +5,7 @@ import weakref
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from deltafrac import (
     DomainError,
@@ -24,7 +24,7 @@ from deltafrac import (
 )
 from deltafrac import ae_frac_diff, delta_n, gen_binomial
 from deltafrac.exact import weighted_sum
-from deltafrac.fracops import _weight_numerators
+from deltafrac.fracops import _PACKED_FROM, _convolve, _packed_dots, _plain_dots, _weight_numerators
 
 
 def _weights(nu, count):
@@ -185,7 +185,7 @@ class TestFracSumDiff:
 
     @pytest.mark.parametrize("nu", [Q(3, 7), Q(-5, 3)])
     def test_long_window_matches_a_plain_fraction_convolution(self, nu):
-        # hypothesis windows stop at 12 points; this one has 256, with a Gamma
+        # hypothesis windows stop at 72 points; this one has 256, with a Gamma
         # column beside the rational one
         length = 256
         columns = {
@@ -196,6 +196,94 @@ class TestFracSumDiff:
         assert out.origin == Q(1, 4) + nu
         assert len(out) == length
         assert [v.terms() for v in out.values] == termwise_convolution(columns, nu)
+
+
+# Coefficients of the packed path's windows: signed, often zero, and some with
+# numerators of 206 bits or more (3^130 has 206), drawn as small parameters so
+# that a falsifying example prints short.
+long_coefficients = st.one_of(
+    st.just(Q(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    st.builds(lambda k, d: Q((-1) ** k * (3**130 + k), d), st.integers(0, 40), st.integers(1, 9)),
+)
+# negative non-integers, orders in (0, 1) and orders above 1
+long_orders = st.one_of(
+    st.fractions(min_value=-4, max_value=0, max_denominator=6).filter(lambda q: q.denominator != 1),
+    st.fractions(min_value=0, max_value=1, max_denominator=7).filter(lambda q: 0 < q < 1),
+    st.fractions(min_value=1, max_value=5, max_denominator=6).filter(lambda q: q > 1),
+)
+
+
+@st.composite
+def long_signature_columns(draw):
+    """One coefficient column of a common length L = 24..72 per drawn signature."""
+    length = draw(st.integers(24, 72))
+    signatures = draw(st.lists(st.sampled_from(SIGNATURES), min_size=1, max_size=3, unique=True))
+    return {s: draw(st.lists(long_coefficients, min_size=length, max_size=length)) for s in signatures}
+
+
+def long_window_columns(length):
+    """A rational column with 206-bit numerators and zeros, beside a Gamma column."""
+    return {
+        (): [Q((-1) ** k * (3**130 + k) if k % 3 else 0, 1 + k % 7) for k in range(length)],
+        ((Q(1, 3), 1),): [Q(k % 5 - 2, 1 + k % 4) for k in range(length)],
+    }
+
+
+class TestPackedConvolution:
+    """Windows of _PACKED_FROM points or more take the packed kernel; it gives the plain sums."""
+
+    @given(long_signature_columns(), long_orders)
+    @settings(max_examples=30, deadline=None)
+    def test_matches_termwise_convolution_across_the_threshold(self, columns, nu):
+        out = frac_sum_diff(window_of(columns), nu)
+        assert [v.terms() for v in out.values] == termwise_convolution(columns, nu)
+
+    @pytest.mark.parametrize("length", [_PACKED_FROM - 1, _PACKED_FROM, _PACKED_FROM + 1])
+    @pytest.mark.parametrize("nu", [Q(-5, 3), Q(2, 7), Q(7, 2)])
+    def test_matches_termwise_convolution_beside_the_threshold(self, length, nu):
+        columns = long_window_columns(length)
+        out = frac_sum_diff(window_of(columns), nu)
+        assert [v.terms() for v in out.values] == termwise_convolution(columns, nu)
+
+    @given(
+        st.integers(1, 80).flatmap(lambda length: st.lists(
+            st.lists(st.one_of(st.just(0), st.integers(-(2**40), 2**40), st.integers(-40, 40).map(lambda k: k * 3**130)),
+                     min_size=length, max_size=length),
+            min_size=1, max_size=3,
+        )),
+        long_orders,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_packed_dots_are_the_plain_dots(self, numerators, nu):
+        # the packed kernel gives the plain dot products at every length, not only from the threshold on
+        length = len(numerators[0])
+        columns = {k: (tuple(xs), 1) for k, xs in enumerate(numerators)}
+        weights, _ = _weight_numerators(nu, length)
+        assert _packed_dots(columns, weights, length) == _plain_dots(columns, weights, length)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_the_slots_hold_the_largest_outputs(self, sign):
+        # 63 equal weights of 100 bits times 63 entries of 30 bits: the last output
+        # is just below 2^(6 + 100 + 30), and 136 bits fill 17 bytes exactly, so a
+        # slot without its sign bit would overflow
+        length, weight, entry = 63, 2**100 - 1, sign * (2**30 - 1)
+        columns = {(): ((entry,) * length, 1), "alternating": (tuple((-1) ** k * entry for k in range(length)), 1)}
+        weights = (weight,) * length
+        assert _packed_dots(columns, weights, length) == _plain_dots(columns, weights, length)
+        assert _packed_dots(columns, weights, length)[()][-1] == length * weight * entry
+
+    @pytest.mark.parametrize("nonzero", [False, True])
+    def test_an_all_zero_column(self, nonzero):
+        # with no nonzero column the entries take no bits (cbits = 0)
+        length = _PACKED_FROM + 8
+        columns = {(): ((0,) * length, 3)}
+        if nonzero:
+            columns[((Q(1, 2), 1),)] = (tuple((-1) ** k * (3**130 + k) for k in range(length)), 5)
+        weights, weight_den = _weight_numerators(Q(-1, 3), length)
+        out = _convolve(columns, Q(-1, 3), length)
+        assert out == {s: (dots, columns[s][1] * weight_den) for s, dots in _plain_dots(columns, weights, length).items()}
+        assert out[()] == ([0] * length, 3 * weight_den)
 
 
 class TestDirectAndSteppedFractionalDifference:

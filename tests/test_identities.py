@@ -34,7 +34,7 @@ from deltafrac import (
     saalschutz_lhs,
     saalschutz_verify,
 )
-from deltafrac import gridfn, identities
+from deltafrac import fracops, gridfn, identities
 from deltafrac.exact import weighted_sum
 from deltafrac.identities import mr_ae_sweep, saalschutz_hypothesis_violation
 
@@ -365,6 +365,31 @@ def test_a_fault_at_difference_order_3_is_a_mismatch(monkeypatch):
     leibniz = leibniz_sweep(GridFunction(0, [1] * 7), g, Q(1, 2))
     assert alt_sum.status == "mismatch"
     assert "mismatch" in [rep.status for rep in leibniz]
+
+
+def test_a_fault_in_the_packed_kernel_is_a_mismatch(monkeypatch):
+    # windows of 32 points or more take the packed convolution, which no window
+    # of the default suite reaches; the fault doubles one output slot per block
+    original = fracops._packed_dots
+
+    def faulty(columns, weights, length):
+        return {
+            signature: [x * 2 if k % fracops._BLOCK == 3 else x for k, x in enumerate(outputs)]
+            for signature, outputs in original(columns, weights, length).items()
+        }
+
+    f = GridFunction(0, [Q(k % 5 - 2, 1 + k % 3) for k in range(40)])
+    g = GridFunction(0, [Q(k**2 - 7, 3) + (k % 2) * as_polynomial(gamma_of(Q(1, 2))) for k in range(40)])
+
+    def statuses():
+        power_rule = power_rule_verify(Q(1, 3), Q(1, 2), Q(-1, 3), 63)
+        return {rep.status for rep in power_rule}, {rep.status for rep in leibniz_sweep(f, g, Q(1, 2))}
+
+    assert statuses() == ({"exact"}, {"exact"})
+    monkeypatch.setattr(fracops, "_packed_dots", faulty)
+    power_rule, leibniz = statuses()
+    assert "mismatch" in power_rule
+    assert "mismatch" in leibniz
 
 
 class TestMrAe:
