@@ -19,9 +19,11 @@ int columns in gridfn and fracops instead, and build their outputs with
 GammaPolynomial._adopt, which takes a term map of nonzero reduced
 Fractions as it is.  as_polynomial is the one conversion of an int,
 Fraction or GammaMonomial to a polynomial; the zero polynomial is
-GammaPolynomial().  poch_int is the one rising product x(x+1)...(x+k-1):
-gamma_of's shift, special.falling_int and the integer-order Pochhammer
-symbol are all written with it.  The float path exists only as a
+GammaPolynomial().  poch_int is the one single rising product
+x(x+1)...(x+k-1): gamma_of's shift, special.falling_int, the integer-order
+Pochhammer symbol and every lone rising product a verifier takes are all
+written with it.  The verifiers' sums over runs of rising products step by
+their term ratios on ints instead.  The float path exists only as a
 cross-check on the exact one, never as a substitute.
 """
 from __future__ import annotations

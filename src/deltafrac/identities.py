@@ -10,11 +10,20 @@ the statement names.  The power-rule sweep skips swept orders off the rule
 and refuses a pinned one; the Saalschutz sweep drops excluded points
 unless pinned or ``force`` is set.  Every n-th forward difference a
 verifier uses is gridfn's one int difference, which delta_n wraps, so
-each order is checked.  Two sums run on ints rather than through
-weighted_sum: the right side of the Leibniz check, gridfn's column
-product of transform and difference columns, and the terminating 3F2,
-stepped by its term ratio.  The Leibniz left side is a frac_sum_diff
-window, as every other operator side is.
+each order is checked.  These sums run on ints rather than through
+weighted_sum or a Fraction per term:
+  - the right side of the Leibniz check, gridfn's column product of
+    transform and difference columns, with C(-alpha, n) stepped by its ratio;
+  - the left side of the alternating-sum lemma, a signed binomial sum of
+    difference columns;
+  - the binomial sums of binom-falling, binom-poch and gamma-sum, over
+    rising or falling runs stepped one factor at a time;
+  - the power rule's closed side, (mu+nu+1)_n / n! stepped by its ratio;
+  - the terminating 3F2, stepped by its term ratio.
+Each reduces once per value.  The left sides of the binomial checks stay
+single rising or falling products from exact.poch_int, so the two sides
+share no arithmetic.  The Leibniz left side is a frac_sum_diff window, as
+every other operator side is.
 """
 from __future__ import annotations
 
@@ -24,6 +33,7 @@ from typing import Callable
 
 from .errors import DenominatorPochhammerZero, DomainError, WindowTooShort
 from .exact import (
+    GammaPolynomial,
     RationalLike,
     as_polynomial,
     as_rational,
@@ -36,7 +46,7 @@ from .exact import (
     weighted_sum,
 )
 from .fracops import _convolve, ae_frac_diff, frac_sum_diff, nabla_poch_diff
-from .gridfn import GridFunction, _difference, _materialize, _product, delta_n, sample_falling_power
+from .gridfn import GridFunction, _difference, _materialize, _product, sample_falling_power
 from .report import MISMATCH, POLE, VerificationReport, report_compare, report_excluded
 from .special import falling, falling_int, gen_binomial, pochhammer
 
@@ -62,9 +72,21 @@ __all__ = [
 ]
 
 
-def _binomial_sum(power: Callable, x: Fraction, y: Fraction, n: int) -> Fraction:
-    """sum(C(n,k) * power(x, n-k) * power(y, k) for k <= n), over the rationals."""
-    return sum(math.comb(n, k) * power(x, n - k) * power(y, k) for k in range(n + 1))
+def _binomial_sum(x: Fraction, y: Fraction, n: int, step: int) -> Fraction:
+    """sum(C(n,k) * x[n-k] * y[k] for k <= n), x[j] being x(x+step)...(x+(j-1)step).
+
+    step +1 makes the powers rising products, step -1 falling ones.  With
+    x = p/q and y = r/s, x[j] is xs[j] / (q s)^j, stepped on ints by
+    xs[j+1] = xs[j] (p + j step q) s, and y[k] likewise, so the sum is one
+    int over (q s)^n, reduced once.
+    """
+    p, q = x.numerator, x.denominator
+    r, s = y.numerator, y.denominator
+    xs, ys = [1], [1]
+    for j in range(n):
+        xs.append(xs[-1] * (p + j * step * q) * s)
+        ys.append(ys[-1] * (r + j * step * s) * q)
+    return Fraction(sum(math.comb(n, k) * xs[n - k] * ys[k] for k in range(n + 1)), (q * s) ** n)
 
 
 def falling_poch_bridge_check(t: RationalLike, alpha: RationalLike) -> VerificationReport:
@@ -108,24 +130,26 @@ def index_law_check(t: RationalLike, alpha: RationalLike, beta: RationalLike) ->
     return report_compare("index-law", params, whole.value, left.value * right.value)
 
 
-def _binom_check(identity: str, power: Callable, x: RationalLike, y: RationalLike, n: int) -> VerificationReport:
+def _binom_check(
+    identity: str, power: Callable, step: int, x: RationalLike, y: RationalLike, n: int
+) -> VerificationReport:
     x = as_rational(x)
     y = as_rational(y)
     if n < 0:
         raise DomainError("n must be a nonnegative integer")
     lhs = power(x + y, n)
-    rhs = _binomial_sum(power, x, y, n)
+    rhs = _binomial_sum(x, y, n, step)
     return report_compare(identity, {"x": x, "y": y, "n": n}, lhs, rhs)
 
 
 def binom_falling_check(x: RationalLike, y: RationalLike, n: int) -> VerificationReport:
     """Binomial expansion of a falling power of a sum, order n >= 0."""
-    return _binom_check("binom-falling", falling_int, x, y, n)
+    return _binom_check("binom-falling", falling_int, -1, x, y, n)
 
 
 def binom_poch_check(x: RationalLike, y: RationalLike, n: int) -> VerificationReport:
     """Binomial expansion of a rising power of a sum, order n >= 0."""
-    return _binom_check("binom-poch", poch_int, x, y, n)
+    return _binom_check("binom-poch", poch_int, 1, x, y, n)
 
 
 def power_rule_order_violation(
@@ -152,16 +176,22 @@ def power_rule_closed(
 
     The window lies on the output grid {a+mu+nu, a+mu+nu+1, ...}; its value
     at offset n is Gamma(mu+1) * (mu+nu+1)_n / n!, a single Gamma monomial.
+    With mu+nu+1 = p/q, (mu+nu+1)_n / n! is stepped on ints by its ratio
+    (p + n q) / (q (n + 1)), and each offset makes one Fraction.
     """
     a = as_rational(a)
     mu = as_rational(mu)
     nu = as_rational(nu)
     _check_power_rule_orders(mu, nu)
     gamma = gamma_of(mu + 1)
-    return GridFunction(
-        a + mu + nu,
-        [gamma * (poch_int(mu + nu + 1, n) / math.factorial(n)) for n in range(length)],
-    )
+    rising = mu + nu + 1
+    p, q = rising.numerator, rising.denominator
+    values, num, den = [], 1, 1
+    for n in range(length):
+        values.append(gamma * Fraction(num, den))
+        num *= p + n * q
+        den *= q * (n + 1)
+    return GridFunction(a + mu + nu, values)
 
 
 def corollary_closed(
@@ -225,7 +255,7 @@ def gamma_sum_check(mu: RationalLike, nu: RationalLike, n: int) -> VerificationR
     _check_power_rule_orders(mu, nu)
     if n < 0:
         raise DomainError("n must be a nonnegative integer")
-    total = _binomial_sum(poch_int, nu, mu + 1, n)
+    total = _binomial_sum(nu, mu + 1, n, 1)
     if n < -total_order:
         return report_excluded(
             "gamma-sum", params, "n must be at least -(mu+nu)", boundary=total
@@ -267,7 +297,9 @@ def alt_sum_lemma_check(
 
     Checks sum((-1)^n C(k,n) (delta^n g)(t - alpha - n)) = g(t - alpha - k)
     at t = origin + alpha + t_index, which needs t_index >= k and a window
-    reaching index t_index.  Each delta^n g is delta_n(g, n).
+    reaching index t_index.  Each delta^n g is gridfn's int difference of
+    g's columns, the one delta_n takes; the sum runs on ints, one per factor
+    signature, and makes one Fraction per signature.
     """
     alpha = as_rational(alpha)
     if k < 0:
@@ -281,10 +313,13 @@ def alt_sum_lemma_check(
         return report_excluded(
             "alt-sum", params, "t must lie on the shifted grid (t_index >= k)"
         )
-    lhs = weighted_sum(
-        (delta_n(g, n).values[t_index - n], (-1) ** n * math.comb(k, n))
-        for n in range(k + 1)
-    )
+    columns = {signature: (xs[:t_index + 1], den) for signature, (xs, den) in g._columns.items()}
+    sums = dict.fromkeys(columns, 0)
+    for n in range(k + 1):
+        weight = (-1) ** n * math.comb(k, n)
+        for signature, (xs, _) in _difference(columns, n).items():
+            sums[signature] += weight * xs[t_index - n]
+    lhs = GammaPolynomial({signature: Fraction(sums[signature], den) for signature, (_, den) in columns.items()})
     rhs = g.values[t_index - k]
     return report_compare("alt-sum", params, lhs, rhs)
 
@@ -328,20 +363,28 @@ def _leibniz_expansion(f: GridFunction, g: GridFunction, alpha: Fraction) -> Gri
     It covers the points f and g share, on origin + alpha.  Order n pairs
     the convolution's columns of f at order alpha+n, weighted by
     C(-alpha, n), with g's n-th difference columns, both shifted n entries
-    on; gridfn's column product sums the pairs, materialized once.
+    on; gridfn's column product sums the pairs, materialized once.  Only
+    length - n entries of order n are kept, so f's columns are cut to them
+    before they are convolved.  With alpha = a/b, C(-alpha, n) is stepped
+    on ints by its ratio (-a - n b) / (b (n + 1)) and stays unreduced, as
+    the columns do.
     """
     length = min(len(f), len(g))
+    a, b = alpha.numerator, alpha.denominator
+    weight_num = weight_den = 1
     pairs = []
     for n in range(length):
-        weight = gen_binomial(-alpha, n)
-        transform = _convolve(f._columns, alpha + n, len(f))
+        kept = {signature: (xs[:length - n], den) for signature, (xs, den) in f._columns.items()}
+        transform = _convolve(kept, alpha + n, length - n)
         pairs.append((
             {
-                signature: ([0] * n + [weight.numerator * x for x in xs[:length - n]], den * weight.denominator)
+                signature: ([0] * n + [weight_num * x for x in xs], den * weight_den)
                 for signature, (xs, den) in transform.items()
             },
             {signature: ([0] * n + ys, den) for signature, (ys, den) in _difference(g._columns, n).items()},
         ))
+        weight_num *= -a - n * b
+        weight_den *= b * (n + 1)
     return _materialize(f.origin + alpha, _product(pairs, length), length)
 
 

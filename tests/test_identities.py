@@ -36,10 +36,13 @@ from deltafrac import (
 )
 from deltafrac import fracops, gridfn, identities
 from deltafrac.exact import weighted_sum
-from deltafrac.identities import mr_ae_sweep, saalschutz_hypothesis_violation
+from deltafrac.identities import mr_ae_sweep, power_rule_order_violation, saalschutz_hypothesis_violation
+from deltafrac.special import falling_int
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
 orders = rationals.filter(lambda q: not (q.denominator == 1 and q <= 0))
+# integers too, where a rising or falling run of factors reaches zero
+run_starts = st.one_of(rationals, st.integers(min_value=-6, max_value=6).map(Q))
 
 
 class TestBinomialChecks:
@@ -60,12 +63,32 @@ class TestBinomialChecks:
         assert binom_falling_check(x, y, n).status == "exact"
         assert binom_poch_check(x, y, n).status == "exact"
 
+    @pytest.mark.parametrize("step, power", [(1, poch_int), (-1, falling_int)])
+    @given(x=run_starts, y=run_starts, n=st.integers(min_value=0, max_value=40))
+    @settings(max_examples=60, deadline=None)
+    def test_the_int_sum_matches_the_termwise_sum(self, step, power, x, y, n):
+        termwise = sum(math.comb(n, k) * power(x, n - k) * power(y, k) for k in range(n + 1))
+        assert identities._binomial_sum(x, y, n, step) == termwise
+
 
 class TestPowerRule:
     def test_closed_form_values(self):
         window = power_rule_closed(0, 0, Q(1, 2), 3)
         assert [v.render() for v in window.values] == ["1", "3/2", "15/8"]
         assert power_rule_closed(0, Q(1, 2), Q(1, 2), 1).values == (gamma_of(Q(3, 2)) * 1,)
+
+    @given(
+        rationals.filter(lambda q: not (q.denominator == 1 and q < 0)),
+        st.one_of(rationals, st.sampled_from([Q(0), Q(-1), Q(-2)])),
+        st.integers(min_value=1, max_value=14),
+    )
+    @settings(max_examples=60)
+    def test_closed_window_matches_the_rising_products(self, mu, total, length):
+        # total = mu+nu+1; at 0, -1 and -2 the rising product reaches zero
+        nu = total - 1 - mu
+        assume(power_rule_order_violation(mu, nu) is None)
+        values = [gamma_of(mu + 1) * (poch_int(total, n) / math.factorial(n)) for n in range(length)]
+        assert power_rule_closed(0, mu, nu, length) == GridFunction(mu + nu, values)
 
     def test_closed_windows_lie_on_a_plus_mu_plus_nu(self):
         a, mu, nu = Q(1, 4), Q(1, 2), Q(1, 3)
@@ -245,6 +268,19 @@ class TestAltSum:
         with pytest.raises(WindowTooShort):
             alt_sum_lemma_check(g, Q(1, 2), 1, 5)
 
+    @given(st.data(), rationals, rationals)
+    @settings(max_examples=60, deadline=None)
+    def test_left_side_matches_the_delta_n_windows(self, data, origin, alpha):
+        g = data.draw(_gamma_windows(origin, most_signatures=3))
+        k = data.draw(st.integers(min_value=0, max_value=len(g) - 1))
+        t_index = data.draw(st.integers(min_value=k, max_value=len(g) - 1))
+        lhs = weighted_sum(
+            (delta_n(g, n).values[t_index - n], (-1) ** n * math.comb(k, n)) for n in range(k + 1)
+        )
+        rep = alt_sum_lemma_check(g, alpha, k, t_index)
+        assert rep.status == "exact"
+        assert rep.lhs == lhs.render()
+
 
 class TestLeibniz:
     def test_product_with_constant(self):
@@ -299,10 +335,10 @@ _SIGNATURES = [(), ((Q(1, 2), 1),), ((Q(1, 2), -1),), ((Q(1, 3), 1), (Q(1, 2), -
 
 
 @st.composite
-def _gamma_windows(draw, origin):
-    """A window of 1 to 8 values on origin, each a combination of the same one or two signatures."""
-    signatures = draw(st.lists(st.sampled_from(_SIGNATURES), min_size=1, max_size=2, unique=True))
-    length = draw(st.integers(min_value=1, max_value=8))
+def _gamma_windows(draw, origin, lengths=st.integers(min_value=1, max_value=8), most_signatures=2):
+    """A window of lengths values on origin, each a combination of the same 1 to most_signatures signatures."""
+    signatures = draw(st.lists(st.sampled_from(_SIGNATURES), min_size=1, max_size=most_signatures, unique=True))
+    length = draw(lengths)
     return GridFunction(origin, [
         GammaPolynomial({signature: draw(rationals) for signature in signatures})
         for _ in range(length)
@@ -342,6 +378,16 @@ class TestLeibnizExpansion:
         expansion = identities._leibniz_expansion(f, g, alpha)
         assert expansion == _expansion_from_windows(f, g, alpha)
         assert {rep.status for rep in leibniz_sweep(f, g, alpha)} == {"exact"}
+
+    @given(st.data(), rationals, orders, st.sampled_from([(30, 40), (57, 63)]))
+    @settings(max_examples=10, deadline=None)
+    def test_long_windows_match_the_expansion_built_from_windows(self, data, origin, alpha, bounds):
+        # order n convolves length - n points, so the orders cross the packed
+        # kernel's threshold; f may be the longer window, whose columns are cut
+        lengths = st.integers(min_value=bounds[0], max_value=bounds[1])
+        f = data.draw(_gamma_windows(origin, lengths))
+        g = data.draw(_gamma_windows(origin, lengths))
+        assert identities._leibniz_expansion(f, g, alpha) == _expansion_from_windows(f, g, alpha)
 
 
 def test_a_fault_at_difference_order_3_is_a_mismatch(monkeypatch):
