@@ -82,6 +82,11 @@ def _gen_binomial_n4(original):
     return lambda alpha, n: original(alpha, n) * 2 if n == 4 else original(alpha, n)
 
 
+def _ratio_2_doubled(original):
+    """The stepper with the numerator of ratio 2 doubled as it passes through."""
+    return lambda ratios: original((n * 2 if k == 2 else n, d) for k, (n, d) in enumerate(ratios))
+
+
 def _origin_plus_one(original):
     def faulty(*args):
         out = original(*args)
@@ -118,6 +123,8 @@ FAULTS = {
     ),
     "product": (gridfn, "_product", "entry 1 doubled", _product_doubled_at_1),
     "gen_binomial": (special, "gen_binomial", "doubled at n = 4", _gen_binomial_n4),
+    "ratio_run": (exact, "_ratio_run", "ratio 2's numerator doubled", _ratio_2_doubled),
+    "ratio_sum": (exact, "_ratio_sum", "ratio 2's numerator doubled", _ratio_2_doubled),
     "frac_sum_diff-origin": (
         fracops, "frac_sum_diff", "output origin moved by +1", _origin_plus_one
     ),

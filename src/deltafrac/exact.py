@@ -22,9 +22,10 @@ Fraction or GammaMonomial to a polynomial; the zero polynomial is
 GammaPolynomial().  poch_int is the one single rising product
 x(x+1)...(x+k-1): gamma_of's shift, special.falling_int, the integer-order
 Pochhammer symbol and every lone rising product a verifier takes are all
-written with it.  The verifiers' sums over runs of rising products step by
-their term ratios on ints instead.  The float path exists only as a
-cross-check on the exact one, never as a substitute.
+written with it.  Every run of terms stepped by int ratios, in the
+verifiers and the nabla kernel, is _ratio_run's unreduced prefix products
+or _ratio_sum's sum of them, reduced once.  The float path exists only as
+a cross-check on the exact one, never as a substitute.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import GammaPole
 
@@ -225,6 +226,27 @@ def poch_int(x: RationalLike, k: int) -> Fraction:
     for j in range(k):
         product *= x + j
     return product
+
+
+def _ratio_run(ratios: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """The prefix products of int ratios n_k/d_k as unreduced (num, den), from (1, 1) on."""
+    num = den = 1
+    yield num, den
+    for n, d in ratios:
+        num *= n
+        den *= d
+        yield num, den
+
+
+def _ratio_sum(ratios: Iterable[tuple[int, int]]) -> Fraction:
+    """The sum of _ratio_run's products, over one running denominator, reduced once."""
+    # the product so far is term / den and the partial sum total / den
+    term = den = total = 1
+    for n, d in ratios:
+        term *= n
+        total = total * d + term
+        den *= d
+    return Fraction(total, den)
 
 
 def as_polynomial(value) -> "GammaPolynomial":

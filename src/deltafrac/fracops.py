@@ -18,10 +18,10 @@ int (Kronecker substitution), so one big-int dot product makes eight
 outputs, the same ints the plain dot products make.  Two classical
 difference constructions are layered on top and agree on their common
 domain; the stepped one takes its integer difference on the
-convolution's unreduced columns, so it too materializes once.  A nabla-kernel evaluation completes the set: it
-takes its first summand from pochhammer and steps to each later one by a
-rational ratio on ints, reducing the sum once.  Only the first summand
-can hold a Gamma pole, so only it is checked.
+convolution's unreduced columns, so it too materializes once.  A
+nabla-kernel evaluation completes the set: its first summand comes from
+pochhammer, the rest from exact._ratio_sum of the ratios between
+summands; only the first can hold a Gamma pole, so only it is checked.
 """
 from __future__ import annotations
 
@@ -34,6 +34,7 @@ from .errors import DomainError, SpecialValuePole, WindowTooShort
 from .exact import (
     GammaPolynomial,
     RationalLike,
+    _ratio_sum,
     as_polynomial,
     as_rational,
     gamma_of,
@@ -208,12 +209,11 @@ def nabla_poch_diff(
 
         (x - 1)(j + p) / ((x - 2 - alpha) j),
 
-    so the sum is summand 1 times a rational that is accumulated on ints
-    over one running denominator and reduced once.  Summand 1's two Gamma
-    monomials, that rational and 1/Gamma(-alpha) make one monomial, which
-    is returned as a polynomial.  A pole in summand 1 raises
-    SpecialValuePole rather than being silently dropped; no later summand
-    can hold one.
+    so the sum is summand 1 times exact._ratio_sum of those ratios.
+    Summand 1's two Gamma monomials, that rational and 1/Gamma(-alpha)
+    make one monomial, which is returned as a polynomial.  A pole in
+    summand 1 raises SpecialValuePole rather than being silently dropped;
+    no later summand can hold one.
     """
     as_rational(a)
     p = as_rational(p)
@@ -232,12 +232,8 @@ def nabla_poch_diff(
     # every larger j.  So every ratio below is finite and nonzero.
     pn, pd = p.numerator, p.denominator
     an, ad = alpha.numerator, alpha.denominator
-    # summand j over summand 1 is ratio / den, and the partial sum is total / den
-    ratio = den = total = 1
-    for j in range(1, t_index):
-        x = t_index - j + 1
-        step_den = ((x - 2) * ad - an) * j * pd
-        ratio *= (x - 1) * (j * pd + pn) * ad
-        total = total * step_den + ratio
-        den *= step_den
-    return as_polynomial(kernel.value * sample.value * Fraction(total, den) / gamma_of(-alpha))
+    total = _ratio_sum(
+        ((x - 1) * (j * pd + pn) * ad, ((x - 2) * ad - an) * j * pd)
+        for j, x in zip(range(1, t_index), range(t_index, 1, -1))
+    )
+    return as_polynomial(kernel.value * sample.value * total / gamma_of(-alpha))

@@ -10,20 +10,14 @@ the statement names.  The power-rule sweep skips swept orders off the rule
 and refuses a pinned one; the Saalschutz sweep drops excluded points
 unless pinned or ``force`` is set.  Every n-th forward difference a
 verifier uses is gridfn's one int difference, which delta_n wraps, so
-each order is checked.  These sums run on ints rather than through
-weighted_sum or a Fraction per term:
-  - the right side of the Leibniz check, gridfn's column product of
-    transform and difference columns, with C(-alpha, n) stepped by its ratio;
-  - the left side of the alternating-sum lemma, a signed binomial sum of
-    difference columns;
-  - the binomial sums of binom-falling, binom-poch and gamma-sum, over
-    rising or falling runs stepped one factor at a time;
-  - the power rule's closed side, (mu+nu+1)_n / n! stepped by its ratio;
-  - the terminating 3F2, stepped by its term ratio.
-Each reduces once per value.  The left sides of the binomial checks stay
-single rising or falling products from exact.poch_int, so the two sides
-share no arithmetic.  The Leibniz left side is a frac_sum_diff window, as
-every other operator side is.
+each order is checked.  Every run of term ratios here (the binomial
+sums' rising and falling runs, the power rule's (mu+nu+1)_n / n!, the
+Leibniz weights C(-alpha, n)) is exact._ratio_run on ints, and the
+terminating 3F2 is exact._ratio_sum.  That stepper stays on one side of
+each identity: the binomial checks' left sides are single products from
+poch_int and falling_int, the power-rule and Leibniz left sides
+frac_sum_diff windows, and the Saalschutz product side poch_int runs.  The
+Leibniz right side and the alt-sum left side are sums of int columns.
 """
 from __future__ import annotations
 
@@ -35,6 +29,8 @@ from .errors import DenominatorPochhammerZero, DomainError, WindowTooShort
 from .exact import (
     GammaPolynomial,
     RationalLike,
+    _ratio_run,
+    _ratio_sum,
     as_polynomial,
     as_rational,
     gamma_of,
@@ -76,16 +72,14 @@ def _binomial_sum(x: Fraction, y: Fraction, n: int, step: int) -> Fraction:
     """sum(C(n,k) * x[n-k] * y[k] for k <= n), x[j] being x(x+step)...(x+(j-1)step).
 
     step +1 makes the powers rising products, step -1 falling ones.  With
-    x = p/q and y = r/s, x[j] is xs[j] / (q s)^j, stepped on ints by
-    xs[j+1] = xs[j] (p + j step q) s, and y[k] likewise, so the sum is one
-    int over (q s)^n, reduced once.
+    x = p/q and y = r/s, x[j] is xs[j] / (q s)^j, the run of the ratios
+    (p + j step q) s / (q s), and y[k] likewise, so the sum is one int over
+    (q s)^n, reduced once.
     """
     p, q = x.numerator, x.denominator
     r, s = y.numerator, y.denominator
-    xs, ys = [1], [1]
-    for j in range(n):
-        xs.append(xs[-1] * (p + j * step * q) * s)
-        ys.append(ys[-1] * (r + j * step * s) * q)
+    xs = [num for num, _ in _ratio_run(((p + j * step * q) * s, q * s) for j in range(n))]
+    ys = [num for num, _ in _ratio_run(((r + j * step * s) * q, q * s) for j in range(n))]
     return Fraction(sum(math.comb(n, k) * xs[n - k] * ys[k] for k in range(n + 1)), (q * s) ** n)
 
 
@@ -176,7 +170,7 @@ def power_rule_closed(
 
     The window lies on the output grid {a+mu+nu, a+mu+nu+1, ...}; its value
     at offset n is Gamma(mu+1) * (mu+nu+1)_n / n!, a single Gamma monomial.
-    With mu+nu+1 = p/q, (mu+nu+1)_n / n! is stepped on ints by its ratio
+    With mu+nu+1 = p/q, (mu+nu+1)_n / n! is the run of the ratios
     (p + n q) / (q (n + 1)), and each offset makes one Fraction.
     """
     a = as_rational(a)
@@ -184,14 +178,10 @@ def power_rule_closed(
     nu = as_rational(nu)
     _check_power_rule_orders(mu, nu)
     gamma = gamma_of(mu + 1)
-    rising = mu + nu + 1
-    p, q = rising.numerator, rising.denominator
-    values, num, den = [], 1, 1
-    for n in range(length):
-        values.append(gamma * Fraction(num, den))
-        num *= p + n * q
-        den *= q * (n + 1)
-    return GridFunction(a + mu + nu, values)
+    p, q = (mu + nu + 1).as_integer_ratio()
+    # length - 1 ratios make length products; a length of 0 keeps none of them
+    run = _ratio_run((p + n * q, q * (n + 1)) for n in range(length - 1))
+    return GridFunction(a + mu + nu, [gamma * Fraction(num, den) for num, den in run][:length])
 
 
 def corollary_closed(
@@ -365,15 +355,15 @@ def _leibniz_expansion(f: GridFunction, g: GridFunction, alpha: Fraction) -> Gri
     C(-alpha, n), with g's n-th difference columns, both shifted n entries
     on; gridfn's column product sums the pairs, materialized once.  Only
     length - n entries of order n are kept, so f's columns are cut to them
-    before they are convolved.  With alpha = a/b, C(-alpha, n) is stepped
-    on ints by its ratio (-a - n b) / (b (n + 1)) and stays unreduced, as
-    the columns do.
+    before they are convolved.  With alpha = a/b, C(-alpha, n) is the run
+    of the ratios (-a - n b) / (b (n + 1)) and stays unreduced, as the
+    columns do.
     """
     length = min(len(f), len(g))
     a, b = alpha.numerator, alpha.denominator
-    weight_num = weight_den = 1
+    weights = _ratio_run((-a - n * b, b * (n + 1)) for n in range(length - 1))
     pairs = []
-    for n in range(length):
+    for n, (weight_num, weight_den) in enumerate(weights):
         kept = {signature: (xs[:length - n], den) for signature, (xs, den) in f._columns.items()}
         transform = _convolve(kept, alpha + n, length - n)
         pairs.append((
@@ -383,8 +373,6 @@ def _leibniz_expansion(f: GridFunction, g: GridFunction, alpha: Fraction) -> Gri
             },
             {signature: ([0] * n + ys, den) for signature, (ys, den) in _difference(g._columns, n).items()},
         ))
-        weight_num *= -a - n * b
-        weight_den *= b * (n + 1)
     return _materialize(f.origin + alpha, _product(pairs, length), length)
 
 
@@ -467,10 +455,9 @@ def hyp3f2_terminating(
     """Terminating 3F2 series: sum over k <= m of the Pochhammer ratio.
 
     The third upper parameter is -m, so the series stops after m+1 terms.
-    Term k+1 is term k times (a1+k)(a2+k)(k-m)z / ((b1+k)(b2+k)(k+1)).
-    The ratio is stepped on the parameters' int numerators and
-    denominators, the terms are added over one running denominator, and
-    the sum is reduced once.  Both lower parameters must keep their
+    Term k+1 is term k times (a1+k)(a2+k)(k-m)z / ((b1+k)(b2+k)(k+1)),
+    taken on the parameters' int numerators and denominators and summed by
+    exact._ratio_sum.  Both lower parameters must keep their
     Pochhammer factors nonzero through k = m; a hit raises
     DenominatorPochhammerZero naming the first offending k.
     """
@@ -492,14 +479,9 @@ def hyp3f2_terminating(
     r1, s1 = b1.numerator, b1.denominator
     r2, s2 = b2.numerator, b2.denominator
     zn, zd = z.numerator, z.denominator
-    # term k is term / den and the partial sum is total / den
-    term = den = total = 1
-    for k in range(m):
-        step_den = (r1 + k * s1) * (r2 + k * s2) * (k + 1) * q1 * q2 * zd
-        term *= (p1 + k * q1) * (p2 + k * q2) * (k - m) * zn * s1 * s2
-        total = total * step_den + term
-        den *= step_den
-    return Fraction(total, den)
+    ups = ((p1 + k * q1) * (p2 + k * q2) * (k - m) * zn * s1 * s2 for k in range(m))
+    downs = ((r1 + k * s1) * (r2 + k * s2) * (k + 1) * q1 * q2 * zd for k in range(m))
+    return _ratio_sum(zip(ups, downs))
 
 
 def saalschutz_lhs(

@@ -16,6 +16,8 @@ from deltafrac import (
     parse_rational,
 )
 from deltafrac.exact import (
+    _ratio_run,
+    _ratio_sum,
     is_integer,
     is_negative_integer,
     is_nonpositive_integer,
@@ -96,6 +98,38 @@ class TestGammaOf:
             assert as_polynomial(gamma_of(x)).to_float() == pytest.approx(
                 math.gamma(float(x)), rel=1e-12
             )
+
+
+# signed and zero numerators, signed nonzero denominators
+int_ratios = st.lists(
+    st.tuples(st.integers(min_value=-50, max_value=50), st.integers(min_value=-50, max_value=50).filter(bool)),
+    max_size=12,
+)
+
+
+class TestRatioStepper:
+    def test_no_ratios_is_the_empty_product(self):
+        assert list(_ratio_run([])) == [(1, 1)]
+        assert _ratio_sum([]) == 1
+
+    @given(int_ratios)
+    def test_each_run_pair_is_its_prefix_product(self, ratios):
+        run = list(_ratio_run(ratios))
+        assert len(run) == len(ratios) + 1
+        for k, (num, den) in enumerate(run):
+            expected = Q(1)
+            for n, d in ratios[:k]:
+                expected *= Q(n, d)
+            assert Q(num, den) == expected
+
+    @given(int_ratios)
+    def test_the_sum_is_the_sum_of_the_prefix_products(self, ratios):
+        products, expected = Q(1), Q(1)
+        for n, d in ratios:
+            products *= Q(n, d)
+            expected += products
+        total = _ratio_sum(ratios)
+        assert type(total) is Q and total == expected
 
 
 class TestGammaMonomial:

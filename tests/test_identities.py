@@ -38,6 +38,7 @@ from deltafrac import fracops, gridfn, identities
 from deltafrac.exact import weighted_sum
 from deltafrac.identities import mr_ae_sweep, power_rule_order_violation, saalschutz_hypothesis_violation
 from deltafrac.special import falling_int
+from deltafrac.sweeps import default_suite, run_sweep
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
 orders = rationals.filter(lambda q: not (q.denominator == 1 and q <= 0))
@@ -436,6 +437,26 @@ def test_a_fault_in_the_packed_kernel_is_a_mismatch(monkeypatch):
     power_rule, leibniz = statuses()
     assert "mismatch" in power_rule
     assert "mismatch" in leibniz
+
+
+def test_a_fault_in_the_ratio_stepper_is_a_mismatch(monkeypatch):
+    # the binomial sums, the power rule's closed side and the Leibniz weights run
+    # through identities' binding of _ratio_run; the 3F2 and the nabla sum through
+    # the bindings of _ratio_sum in identities and fracops
+    def ratio_2_doubled(original):
+        return lambda ratios: original((n * 2 if k == 2 else n, d) for k, (n, d) in enumerate(ratios))
+
+    configs = {config.identity: config for config in default_suite()}
+
+    def statuses(identity):
+        return {rep.status for rep in run_sweep(configs[identity])}
+
+    checked = ("gamma-sum", "nabla-zero", "saalschutz")
+    assert all("mismatch" not in statuses(identity) for identity in checked)
+    for module, name in ((identities, "_ratio_run"), (identities, "_ratio_sum"), (fracops, "_ratio_sum")):
+        monkeypatch.setattr(module, name, ratio_2_doubled(getattr(module, name)))
+    for identity in checked:
+        assert "mismatch" in statuses(identity)
 
 
 class TestMrAe:
