@@ -21,8 +21,8 @@ Fractions as it is.  as_polynomial is the one conversion of an int,
 Fraction or GammaMonomial to a polynomial; the zero polynomial is
 GammaPolynomial().  poch_int is the one single rising product
 x(x+1)...(x+k-1): gamma_of's shift, special.falling_int, the integer-order
-Pochhammer symbol and every lone rising product a verifier takes are all
-written with it.  Every run of terms stepped by int ratios, in the
+Pochhammer symbol, the binomial checks' left sides and form1's left scale
+are all written with it.  Every run of terms stepped by int ratios, in the
 verifiers and the nabla kernel, is _ratio_run's unreduced prefix products
 or _ratio_sum's sum of them, reduced once.  The float path exists only as
 a cross-check on the exact one, never as a substitute.

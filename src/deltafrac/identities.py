@@ -12,12 +12,13 @@ unless pinned or ``force`` is set.  Every n-th forward difference a
 verifier uses is gridfn's one int difference, which delta_n wraps, so
 each order is checked.  Every run of term ratios here (the binomial
 sums' rising and falling runs, the power rule's (mu+nu+1)_n / n!, the
-Leibniz weights C(-alpha, n)) is exact._ratio_run on ints, and the
-terminating 3F2 is exact._ratio_sum.  That stepper stays on one side of
-each identity: the binomial checks' left sides are single products from
-poch_int and falling_int, the power-rule and Leibniz left sides
-frac_sum_diff windows, and the Saalschutz product side poch_int runs.  The
-Leibniz right side and the alt-sum left side are sums of int columns.
+Leibniz weights C(-alpha, n), the Saalschutz product side and form1's
+right-side coefficients) is exact._ratio_run on ints, and the terminating
+3F2 is exact._ratio_sum.  That stepper stays on one side of each identity:
+the binomial checks' left sides are single products from poch_int and
+falling_int, the power-rule and Leibniz left sides frac_sum_diff windows,
+form1's left scale poch_int's, and the Saalschutz series _ratio_sum's.
+The Leibniz right side and the alt-sum left side are sums of int columns.
 """
 from __future__ import annotations
 
@@ -411,7 +412,11 @@ def prop_form1_check(
     requiring alpha not a nonpositive integer and beta, beta+gamma not
     negative integers.  No summand holds a pole: falling(x, y) has one only
     at a negative integer x, and x = beta+gamma+n-j is either not an
-    integer or, with beta+gamma >= 0, at least n-j >= 0.
+    integer or, with beta+gamma >= 0, at least n-j >= 0.  The left scale
+    is poch_int's; on the right, with alpha+beta = p/q and gamma = g/h,
+    (alpha+beta+j+1)_{n-j}/(n-j)! is entry n-j of the run of the ratios
+    (p + (n-i) q) / (q (i+1)) and falling(gamma, j) entry j of the run of
+    the ratios (g - i h) / h.
     """
     alpha = as_rational(alpha)
     beta = as_rational(beta)
@@ -430,14 +435,14 @@ def prop_form1_check(
     prefactor = gamma_of(beta + gamma + 1) / gamma_of(beta + 1)
     scale = poch_int(alpha + beta + gamma + 1, n) / math.factorial(n)
     lhs = as_polynomial(prefactor * scale)
+    p, q = (alpha + beta).as_integer_ratio()
+    g, h = gamma.as_integer_ratio()
+    rises = list(_ratio_run((p + (n - i) * q, q * (i + 1)) for i in range(n)))
+    falls = _ratio_run((g - i * h, h) for i in range(n))
     summands = []
-    for j in range(n + 1):
-        coeff = (
-            gen_binomial(-alpha, j)
-            * poch_int(alpha + beta + j + 1, n - j)
-            / math.factorial(n - j)
-            * falling_int(gamma, j)
-        )
+    for j, (fall_num, fall_den) in enumerate(falls):
+        rise_num, rise_den = rises[n - j]
+        coeff = gen_binomial(-alpha, j) * Fraction(rise_num * fall_num, rise_den * fall_den)
         if coeff == 0:
             continue
         summands.append((falling(beta + gamma + n - j, gamma - j).as_polynomial(), coeff))
@@ -487,19 +492,32 @@ def hyp3f2_terminating(
 def saalschutz_lhs(
     a: RationalLike, b: RationalLike, c: RationalLike, m: int
 ) -> Fraction:
-    """Product side of the terminating summation: four Pochhammer runs."""
+    """Product side of the terminating summation: one run of combined ratios.
+
+    (c-a)_m (c-b)_m / ((c)_m (c-a-b)_m) is the run of the m ratios
+    (c-a+j)(c-b+j) / ((c+j)(c-a-b+j)).  With d the lcm of the denominators
+    of a, b and c, each factor is an int over d, the d's cancel, and the
+    last product makes one Fraction.  A vanishing (c)_m, then (c-a-b)_m,
+    raises ZeroDivisionError naming it.
+    """
     a = as_rational(a)
     b = as_rational(b)
     c = as_rational(c)
     if m < 0:
         raise DomainError("m must be a nonnegative integer")
-    denom_c = poch_int(c, m)
-    if denom_c == 0:
-        raise ZeroDivisionError(f"(c)_m vanishes for c={c}, m={m}")
-    denom_cab = poch_int(c - a - b, m)
-    if denom_cab == 0:
-        raise ZeroDivisionError(f"(c-a-b)_m vanishes for c-a-b={c - a - b}, m={m}")
-    return poch_int(c - a, m) * poch_int(c - b, m) / (denom_c * denom_cab)
+    d = math.lcm(a.denominator, b.denominator, c.denominator)
+    ad, bd, cd = (x.numerator * (d // x.denominator) for x in (a, b, c))
+    cad, cbd, cabd = cd - ad, cd - bd, cd - ad - bd
+    # (x)_m vanishes when x = xd / d is an integer with -m < x <= 0
+    for name, xd in (("c", cd), ("c-a-b", cabd)):
+        if xd % d == 0 and -m * d < xd <= 0:
+            raise ZeroDivisionError(f"({name})_m vanishes for {name}={Fraction(xd, d)}, m={m}")
+    run = _ratio_run(
+        ((cad + j * d) * (cbd + j * d), (cd + j * d) * (cabd + j * d)) for j in range(m)
+    )
+    for num, den in run:
+        pass
+    return Fraction(num, den)
 
 
 def saalschutz_hypothesis_violation(

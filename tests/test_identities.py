@@ -1,11 +1,12 @@
 """Identity verifiers: frozen oracles plus structural properties."""
 import ast
 import math
+import re
 from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from deltafrac import (
     DenominatorPochhammerZero,
@@ -459,6 +460,27 @@ def test_a_fault_in_the_ratio_stepper_is_a_mismatch(monkeypatch):
         assert "mismatch" in statuses(identity)
 
 
+def test_a_fault_in_the_ratio_run_alone_reaches_saalschutz_and_form1(monkeypatch):
+    # the Saalschutz product side and form1's right-side coefficients step through
+    # identities' binding of _ratio_run; the 3F2 side keeps _ratio_sum, and form1's
+    # left scale poch_int, so the fault sits on one side of each identity
+    original = identities._ratio_run
+    configs = {config.identity: config for config in default_suite()}
+
+    def statuses(identity):
+        return {rep.status for rep in run_sweep(configs[identity])}
+
+    checked = ("saalschutz", "form1")
+    assert all("mismatch" not in statuses(identity) for identity in checked)
+    monkeypatch.setattr(
+        identities,
+        "_ratio_run",
+        lambda ratios: original((n * 2 if k == 2 else n, d) for k, (n, d) in enumerate(ratios)),
+    )
+    for identity in checked:
+        assert "mismatch" in statuses(identity)
+
+
 class TestMrAe:
     f = GridFunction(Q(1, 3), [Q(2), Q(-1), Q(1, 3), gamma_of(Q(1, 2)), Q(-5, 2), Q(4)])
 
@@ -511,6 +533,16 @@ class TestForm1:
             prop_form1_check(Q(1, 2), -1, Q(1, 3), 1)  # beta a negative integer
         with pytest.raises(DomainError):
             prop_form1_check(Q(1, 2), Q(1, 2), Q(-5, 2), 1)  # beta + gamma = -2
+
+    # gamma = 2 with n = 5: falling(gamma, j) vanishes for j >= 3, so those summands are skipped
+    @example(Q(1, 2), Q(1, 4), Q(2), 5)
+    @example(Q(7, 3), Q(0), Q(0), 10)
+    @given(orders, run_starts, run_starts, st.integers(min_value=0, max_value=10))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_inside_the_hypotheses(self, alpha, beta, gamma, n):
+        assume(not (beta.denominator == 1 and beta < 0))
+        assume(not ((beta + gamma).denominator == 1 and beta + gamma < 0))
+        assert prop_form1_check(alpha, beta, gamma, n).status == "exact"
 
 
 class TestHyp3F2:
@@ -600,6 +632,31 @@ class TestSaalschutz:
     def test_lhs_names_vanishing_denominator(self):
         with pytest.raises(ZeroDivisionError, match="vanishes"):
             saalschutz_lhs(Q(1, 2), Q(1, 2), 0, 1)
+
+    @given(run_starts, run_starts, run_starts, st.integers(min_value=0, max_value=12))
+    @settings(max_examples=100)
+    def test_lhs_matches_four_rising_products(self, a, b, c, m):
+        denom_c = poch_int(c, m)
+        denom_cab = poch_int(c - a - b, m)
+        if denom_c == 0:
+            message = f"(c)_m vanishes for c={c}, m={m}"
+        elif denom_cab == 0:
+            message = f"(c-a-b)_m vanishes for c-a-b={c - a - b}, m={m}"
+        else:
+            expected = poch_int(c - a, m) * poch_int(c - b, m) / (denom_c * denom_cab)
+            assert saalschutz_lhs(a, b, c, m) == expected
+            return
+        with pytest.raises(ZeroDivisionError, match=f"^{re.escape(message)}$"):
+            saalschutz_lhs(a, b, c, m)
+
+    def test_lhs_names_the_vanishing_denominators_in_order(self):
+        # c = 0 and c - a - b = 0 both vanish at m = 1: (c)_m is named first
+        with pytest.raises(ZeroDivisionError, match=r"^\(c\)_m vanishes for c=0, m=1$"):
+            saalschutz_lhs(Q(1, 2), Q(-1, 2), 0, 1)
+        # c - a - b = -2 vanishes from m = 3 on, not before
+        with pytest.raises(ZeroDivisionError, match=r"^\(c-a-b\)_m vanishes for c-a-b=-2, m=3$"):
+            saalschutz_lhs(Q(3, 2), Q(3, 2), 1, 3)
+        assert saalschutz_lhs(Q(3, 2), Q(3, 2), 1, 2) == Q(1, 64)
 
     def test_verify_point(self):
         rep = saalschutz_verify(Q(1, 2), Q(1, 2), 2, 1)
