@@ -31,7 +31,7 @@ total = a + b
 print("Gamma(-1/2)Gamma(3/2) + Gamma(-3/2)Gamma(5/2) =", total)
 print("is exactly zero:", total.is_zero)
 
-# the float path exists only as a cross-check on the exact one
+# floats never decide equality; to_float gives a value's double, or None past one
 half = as_polynomial(gamma_of(Q(3, 2)))
 print("float(Gamma(3/2)) =", half.to_float())
 

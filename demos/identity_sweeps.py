@@ -4,8 +4,8 @@ Verification sweeps: power rule, product rule, closed-form series
 
 Each identity registers a named sweep with seeded defaults.  A report has
 status exact only when the formal difference of both computation routes
-is the zero polynomial; floats never decide anything, they only
-cross-check.
+is the zero polynomial; floats never decide anything, they only grade
+a formal failure.
 """
 from collections import Counter
 from fractions import Fraction as Q

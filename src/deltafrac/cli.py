@@ -39,7 +39,6 @@ from .report import (
     MISMATCH,
     POLE,
     VerificationReport,
-    _finite_float,
 )
 from .special import SpecialValue, falling, gen_binomial, pochhammer
 from .sweeps import (
@@ -105,7 +104,7 @@ def _render_value(value) -> tuple[str, float | None]:
             return "pole", None
         value = value.as_polynomial()
     value = as_polynomial(value)
-    return value.render(), _finite_float(value)
+    return value.render(), value.to_float()
 
 
 # The subjects of eval and table: the flags each needs, the commands that

@@ -24,8 +24,8 @@ x(x+1)...(x+k-1): gamma_of's shift, special.falling_int, the integer-order
 Pochhammer symbol, the binomial checks' left sides and form1's left scale
 are all written with it.  Every run of terms stepped by int ratios, in the
 verifiers and the nabla kernel, is _ratio_run's unreduced prefix products
-or _ratio_sum's sum of them, reduced once.  The float path exists only as
-a cross-check on the exact one, never as a substitute.
+or _ratio_sum's sum of them, reduced once.  Floats never decide equality:
+they only grade a formal failure and give eval's float.
 """
 from __future__ import annotations
 
@@ -323,16 +323,19 @@ class GammaPolynomial:
 
     __hash__ = None  # mutable-dict backed; identity-level hashing is a bug
 
-    def to_float(self) -> float:
-        """Float value via log-Gamma, summed in signature order.
+    def to_float(self) -> float | None:
+        """Float value via log-Gamma, summed in signature order; None past a double.
 
-        Summation order is fixed by the canonical signature ordering so the
-        result is deterministic for a given term map.
+        The fixed order makes the result deterministic for a given term map.
+        It only grades a report's formal failure and gives eval's ``float``.
         """
         total = 0.0
-        for signature in sorted(self._terms):
-            total += float(self._terms[signature]) * _factors_float(signature)
-        return total
+        try:
+            for signature in sorted(self._terms):
+                total += float(self._terms[signature]) * _factors_float(signature)
+        except OverflowError:
+            return None
+        return total if math.isfinite(total) else None
 
     def render(self) -> str:
         """Canonical string: terms sorted by signature, joined by ' + '.

@@ -1,16 +1,16 @@
 """Verification reports: the uniform result record for identity checks.
 
 A report compares two exactly-computed values.  Status ``exact`` means the
-formal difference is the zero polynomial; the float fields exist only to
-cross-check the exact path and to classify near-misses honestly.
+two term maps are equal, so both sides are one value and its float gap is
+0.0.  Floats only grade a formal failure, as a near-miss or a mismatch.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
-from .exact import GammaPolynomial, as_polynomial
+from .exact import as_polynomial
 
 __all__ = [
     "EXACT",
@@ -31,13 +31,20 @@ DOMAIN_EXCLUDED = "domain_excluded"
 POLE = "pole"
 
 # Relative tolerance separating float_only from mismatch when a comparison
-# fails formally.  Exact reports must also satisfy this bound; that is the
-# cross-check on the float path itself.
+# fails formally.  An exact report is never graded by it: its gap is 0.0.
 FLOAT_RTOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class VerificationReport:
+    """One parameter point of a check, with both sides rendered.
+
+    An excluded point's boundary value, if any, is ``lhs``; ``excluded_by``
+    names its precondition.  ``abs_float_gap`` is 0.0 for an exact report
+    and the float gap that graded a formal failure; it is None past a
+    double, and for an excluded point or a pole.
+    """
+
     identity: str
     params: Mapping[str, object]
     status: str
@@ -45,7 +52,6 @@ class VerificationReport:
     rhs: str = ""
     abs_float_gap: float | None = None
     excluded_by: str | None = None
-    lhs_float: float | None = field(default=None, repr=False)
 
     @property
     def is_failure(self) -> bool:
@@ -68,43 +74,34 @@ class VerificationReport:
         return doc
 
 
-def _finite_float(value: GammaPolynomial) -> float | None:
-    """The float value, or None when it does not fit in a double."""
-    try:
-        result = value.to_float()
-    except OverflowError:
-        return None
-    return result if math.isfinite(result) else None
-
-
 def report_compare(identity: str, params: Mapping[str, object], lhs, rhs) -> VerificationReport:
-    """Compare two values and classify the outcome.
+    """Compare two values exactly and classify the outcome.
 
     ``lhs`` and ``rhs`` may be GammaPolynomial, GammaMonomial, Fraction or
-    int.  The comparison is exact; floats only grade a formal failure, and
-    a side that does not fit in a double leaves the gap None.
+    int.  Equal term maps are one value, rendered and floated once.  Only a
+    formal failure takes both floats, graded by FLOAT_RTOL.
     """
     lhs = as_polynomial(lhs)
     rhs = as_polynomial(rhs)
-    lhs_float = _finite_float(lhs)
-    rhs_float = _finite_float(rhs)
-    gap = None
-    if lhs_float is not None and rhs_float is not None and math.isfinite(lhs_float - rhs_float):
-        gap = abs(lhs_float - rhs_float)
+    lhs_text = lhs.render()
     if lhs == rhs:
-        status = EXACT
-    elif gap is not None and gap <= FLOAT_RTOL * (1 + max(abs(lhs_float), abs(rhs_float))):
-        status = FLOAT_ONLY
+        status, rhs_text = EXACT, lhs_text
+        gap = None if lhs.to_float() is None else 0.0
     else:
-        status = MISMATCH
+        rhs_text = rhs.render()
+        lhs_float, rhs_float = lhs.to_float(), rhs.to_float()
+        gap = None
+        if lhs_float is not None and rhs_float is not None and math.isfinite(lhs_float - rhs_float):
+            gap = abs(lhs_float - rhs_float)
+        near = gap is not None and gap <= FLOAT_RTOL * (1 + max(abs(lhs_float), abs(rhs_float)))
+        status = FLOAT_ONLY if near else MISMATCH
     return VerificationReport(
         identity=identity,
         params=dict(params),
         status=status,
-        lhs=lhs.render(),
-        rhs=rhs.render(),
+        lhs=lhs_text,
+        rhs=rhs_text,
         abs_float_gap=gap,
-        lhs_float=lhs_float,
     )
 
 

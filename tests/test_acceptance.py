@@ -7,7 +7,7 @@ Each test prints a single line
 or an ACCEPTANCE FAIL line before raising.  Exactness criteria assert
 status == "exact" for every report, which means the formal difference of
 the two computation routes is the zero polynomial; no tolerance is
-involved anywhere except the stated float cross-check gate.
+involved anywhere.
 """
 import subprocess
 import sys
@@ -18,7 +18,6 @@ import pytest
 from click.testing import CliRunner
 
 from deltafrac import (
-    FLOAT_RTOL,
     corollary_closed,
     default_suite,
     power_rule_closed,
@@ -196,7 +195,7 @@ def test_gamma_sum_vanishing(capsys, suite):
 
 
 def test_float_cross_check(capsys, suite):
-    """Every exact report's float gap sits inside the relative gate."""
+    """Every exact report is one value: both sides render alike and the float gap is 0.0."""
 
     def fn():
         checked = 0
@@ -204,8 +203,8 @@ def test_float_cross_check(capsys, suite):
             for rep in reports:
                 if rep.status != "exact":
                     continue
-                assert rep.abs_float_gap is not None and rep.lhs_float is not None
-                assert rep.abs_float_gap <= FLOAT_RTOL * (1 + abs(rep.lhs_float))
+                assert rep.lhs == rep.rhs
+                assert rep.abs_float_gap == 0.0
                 checked += 1
         assert checked > 5000
         return checked, 0.0

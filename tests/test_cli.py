@@ -598,9 +598,11 @@ class TestVerify:
 
 
 def test_verify_all_golden_digest(runner):
-    """The default suite's JSON stream, float gaps aside, is pinned."""
+    """The default suite's JSON stream is pinned whole, and its float gaps aside."""
     result = runner.invoke(main, ["verify", "all", "--format", "json"])
     assert result.exit_code == 0
+    whole = hashlib.sha256(result.stdout.encode()).hexdigest()
+    assert whole == "ee23a4aafb80661bed9778944de1ce08e7d19cd27306fd00bb5ce9b76f562f09"
     digest = hashlib.sha256()
     statuses = Counter()
     lines = result.stdout.splitlines()
@@ -626,9 +628,11 @@ def test_verify_all_text_digest(runner):
 
 
 def test_verify_all_csv_digest(runner):
-    """The default suite's CSV stream, its abs_float_gap column aside, is pinned."""
+    """The default suite's CSV stream is pinned whole, and its abs_float_gap column aside."""
     result = runner.invoke(main, ["verify", "all", "--format", "csv"])
     assert result.exit_code == 0
+    whole = hashlib.sha256(result.stdout.encode()).hexdigest()
+    assert whole == "14922be38e1ff3e1284eafa396412f92f3a7452727bf567a8f585b82bba2b17b"
     rows = list(csv.reader(io.StringIO(result.stdout, newline="")))
     assert len(rows) == 5698
     # the index-law exclusions name "falling(t, alpha+beta) is not finite (0)", quoted

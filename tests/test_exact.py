@@ -201,6 +201,11 @@ class TestGammaPolynomial:
     def test_zero_float_is_a_float(self):
         assert type(GammaPolynomial().to_float()) is float
 
+    def test_float_past_a_double_is_none(self):
+        # 10**400 overflows float(); 10**308 * Gamma(1/4) sums to inf
+        assert as_polynomial(Q(10**400)).to_float() is None
+        assert (Q(10**308) * as_polynomial(gamma_of(Q(1, 4)))).to_float() is None
+
     def test_render_examples(self):
         assert GammaPolynomial().render() == "0"
         p = as_polynomial(3) + as_polynomial(gamma_of(Q(1, 2))) * -2

@@ -48,7 +48,7 @@ def test_value_beyond_a_double_has_no_float_gap():
     for big in (Q(10**400), Q(10**308) * as_polynomial(gamma_of(Q(1, 4)))):
         rep = report_compare("t", {}, big, big)
         assert rep.status == EXACT
-        assert rep.abs_float_gap is None and rep.lhs_float is None
+        assert rep.abs_float_gap is None
         assert rep.to_json_dict()["abs_float_gap"] is None
 
 
@@ -98,9 +98,10 @@ def test_pole_report():
 
 
 def test_float_cross_check_on_exact_reports():
-    # an exact report's float gap must sit within the stated relative gate
+    # an exact report is one value: both sides render alike and its float gap is 0.0
     lhs = as_polynomial(gamma_of(Q(7, 2))) * Q(3, 5) + Q(2, 7)
     rhs = Q(3, 5) * as_polynomial(gamma_of(Q(7, 2))) + Q(2, 7)
     rep = report_compare("t", {}, lhs, rhs)
     assert rep.status == EXACT
-    assert rep.abs_float_gap <= FLOAT_RTOL * (1 + abs(rep.lhs_float))
+    assert rep.lhs == rep.rhs
+    assert rep.abs_float_gap == 0.0
