@@ -20,25 +20,25 @@ print("Gamma(-1/2) =", gamma_of(Q(-1, 2)))
 
 # the same value reached along two routes has one canonical form
 lhs = gamma_of(Q(3, 2))
-rhs = Q(1, 2) * as_polynomial(gamma_of(Q(1, 2)))
-print("Gamma(3/2) == (1/2) Gamma(1/2):", as_polynomial(lhs) == rhs)
+rhs = Q(1, 2) * gamma_of(Q(1, 2))
+print("Gamma(3/2) == (1/2) Gamma(1/2):", lhs == rhs)
 
 # sums cancel exactly, not approximately; this pair of Pochhammer
 # products is a finite Gamma combination that collapses to zero
-a = as_polynomial(gamma_of(Q(-1, 2))) * gamma_of(Q(3, 2))
-b = as_polynomial(gamma_of(Q(-3, 2))) * gamma_of(Q(5, 2))
+a = gamma_of(Q(-1, 2)) * gamma_of(Q(3, 2))
+b = gamma_of(Q(-3, 2)) * gamma_of(Q(5, 2))
 total = a + b
 print("Gamma(-1/2)Gamma(3/2) + Gamma(-3/2)Gamma(5/2) =", total)
 print("is exactly zero:", total.is_zero)
 
 # floats never decide equality; to_float gives a value's double, or None past one
-half = as_polynomial(gamma_of(Q(3, 2)))
+half = gamma_of(Q(3, 2))
 print("float(Gamma(3/2)) =", half.to_float())
 
 # renders are a reversible encoding of the term map
 from deltafrac import parse_gamma_polynomial
 
-p = as_polynomial(3) + as_polynomial(gamma_of(Q(1, 3)))
+p = as_polynomial(3) + gamma_of(Q(1, 3))
 text = p.render()
 print("render:", text)
 print("round-trips:", parse_gamma_polynomial(text) == p)

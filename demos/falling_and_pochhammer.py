@@ -2,7 +2,7 @@
 
 Both functions are Gamma ratios away from the integer special cases, and
 both carry explicit zero and pole conventions.  The value is always one
-of: a finite Gamma monomial, an exact zero, or a pole marker.
+of: a finite single Gamma term, an exact zero, or a pole marker.
 """
 from fractions import Fraction as Q
 

@@ -1,10 +1,10 @@
 """Mutation audit: every injected fault must flip a status in the default suite.
 
-Each fault wraps one library function.  The runner patches the wrapper into
-every deltafrac module that binds that function, runs the default suite in
-process, restores the bindings, and compares each report's status with an
-unpatched run.  A fault that leaves every status unchanged is a fault the
-checks cannot see.
+Each fault wraps one library function or method.  The runner patches the
+wrapper into every deltafrac module that binds that function, or into the
+method's class, runs the default suite in process, restores the bindings,
+and compares each report's status with an unpatched run.  A fault that
+leaves every status unchanged is a fault the checks cannot see.
 
     python mutants/run.py
 
@@ -87,6 +87,15 @@ def _ratio_2_doubled(original):
     return lambda ratios: original((n * 2 if k == 2 else n, d) for k, (n, d) in enumerate(ratios))
 
 
+def _divisor_exponents_kept(original):
+    """Division by a term that inverts its coefficient but keeps its Gamma exponents."""
+    def faulty(self, other):
+        if not isinstance(other, exact.GammaPolynomial):
+            return original(self, other)
+        return self * exact.GammaPolynomial({other.factors: 1 / other.coeff})
+    return faulty
+
+
 def _origin_plus_one(original):
     def faulty(*args):
         out = original(*args)
@@ -101,7 +110,7 @@ def _sample_falling_power_origin(original):
     return faulty
 
 
-# name: (defining module, function, what the fault does, wrapper factory)
+# name: (defining module or class, function or method, what the fault does, wrapper factory)
 FAULTS = {
     "poch_int": (exact, "poch_int", "one factor long", _one_factor_long),
     "falling_int": (special, "falling_int", "one factor long", _one_factor_long),
@@ -125,6 +134,10 @@ FAULTS = {
     "gen_binomial": (special, "gen_binomial", "doubled at n = 4", _gen_binomial_n4),
     "ratio_run": (exact, "_ratio_run", "ratio 2's numerator doubled", _ratio_2_doubled),
     "ratio_sum": (exact, "_ratio_sum", "ratio 2's numerator doubled", _ratio_2_doubled),
+    "truediv": (
+        exact.GammaPolynomial, "__truediv__", "divisor's exponents not negated",
+        _divisor_exponents_kept,
+    ),
     "frac_sum_diff-origin": (
         fracops, "frac_sum_diff", "output origin moved by +1", _origin_plus_one
     ),
@@ -143,11 +156,11 @@ def suite_statuses() -> list[tuple[str, str]]:
 
 
 def run_fault(name: str) -> list[tuple[str, str]]:
-    """The suite's statuses with one fault patched into every module that binds its target."""
+    """The suite's statuses with one fault patched into its class, or every module binding it."""
     home, target, _, factory = FAULTS[name]
-    original = getattr(home, target)
+    original = vars(home)[target]
     faulty = factory(original)
-    bound = [
+    bound = [home] if isinstance(home, type) else [
         module for key, module in list(sys.modules.items())
         if key.split(".")[0] == "deltafrac" and getattr(module, target, None) is original
     ]

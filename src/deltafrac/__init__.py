@@ -1,10 +1,11 @@
 """Exact discrete fractional calculus over the rationals.
 
-Values are Gamma monomials q*prod Gamma(b_i)^e_i with rational q and
-bases in (0, 1); sums of these form GammaPolynomials with a decidable
-zero test.  On top of that sit generalized falling/Pochhammer functions,
-fractional sum and difference operators on uniform grids, and verifiers
-that check the library's identities by exact cancellation.
+Values are GammaPolynomials: sums of terms q*prod Gamma(b_i)^e_i with
+rational q and bases in (0, 1), with a decidable zero test; a single
+term is a polynomial of one term.  On top of that sit generalized
+falling/Pochhammer functions, fractional sum and difference operators on
+uniform grids, and verifiers that check the library's identities by exact
+cancellation.
 """
 from types import ModuleType as _ModuleType
 
@@ -17,7 +18,6 @@ from .errors import (
     WindowTooShort,
 )
 from .exact import (
-    GammaMonomial,
     GammaPolynomial,
     as_polynomial,
     as_rational,

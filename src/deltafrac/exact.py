@@ -8,18 +8,21 @@ finite sum of terms
 where q is rational, each base b_i is a rational in the open interval
 (0, 1) and each exponent e_i is a nonzero integer.  Gamma at a positive
 integer argument is folded into q as a factorial, so purely rational
-quantities never carry Gamma factors.  Equality is tested by normalizing
-both sides and comparing term maps, with distinct bases treated as
-independent.  The test is sound (a zero difference proves equality) but
-not complete: reflection and Gauss multiplication relate Gamma at distinct
-bases, so Gamma(1/6)*Gamma(5/6) and 2*Gamma(1/2)**2 compare unequal though
-they are equal.  Every polynomial sum here goes through weighted_sum,
-GammaPolynomial's + and - included.  Window sums and products run on the
-int columns in gridfn and fracops instead, and build their outputs with
-GammaPolynomial._adopt, which takes a term map of nonzero reduced
-Fractions as it is.  as_polynomial is the one conversion of an int,
-Fraction or GammaMonomial to a polynomial; the zero polynomial is
-GammaPolynomial().  poch_int is the one single rising product
+quantities never carry Gamma factors.  One type, GammaPolynomial, holds
+every such value, and its constructor checks that each signature is
+canonical; a single term, such as gamma_of's result, is a polynomial of one
+term and reads as its coeff and factors.  Equality is tested by
+normalizing both sides and comparing term maps, with distinct bases
+treated as independent.  The test is sound (a zero difference proves
+equality) but not complete: reflection and Gauss multiplication relate
+Gamma at distinct bases, so Gamma(1/6)*Gamma(5/6) and 2*Gamma(1/2)**2
+compare unequal though they are equal.  Every polynomial sum here goes
+through weighted_sum, GammaPolynomial's + and - included.  Window sums and
+products run on the int columns in gridfn and fracops instead, and build
+their outputs with GammaPolynomial._adopt, which takes a term map of
+canonical signatures and nonzero reduced Fractions as it is.  as_polynomial
+is the one conversion of an int or Fraction to a polynomial; the zero
+polynomial is GammaPolynomial().  poch_int is the one single rising product
 x(x+1)...(x+k-1): gamma_of's shift, special.falling_int, the integer-order
 Pochhammer symbol, the binomial checks' left sides and form1's left scale
 are all written with it.  Every run of terms stepped by int ratios, in the
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -45,7 +47,6 @@ __all__ = [
     "is_positive_integer",
     "is_nonpositive_integer",
     "is_negative_integer",
-    "GammaMonomial",
     "GammaPolynomial",
     "as_polynomial",
     "gamma_of",
@@ -111,9 +112,21 @@ def is_negative_integer(q: RationalLike) -> bool:
     return q.denominator == 1 and q <= -1
 
 
-# A factor signature is the Gamma part of a monomial: base/exponent pairs,
+# A factor signature is the Gamma part of a term: base/exponent pairs,
 # sorted by base, bases in (0, 1), exponents nonzero.  Signatures are the
 # keys of GammaPolynomial term maps.
+
+
+def _check_signature(signature: tuple) -> None:
+    previous = 0
+    for base, exponent in signature:
+        if not isinstance(base, Fraction) or not (0 < base < 1):
+            raise ValueError(f"Gamma base out of range (0, 1): {base}")
+        if not isinstance(exponent, int) or exponent == 0:
+            raise ValueError(f"bad Gamma exponent: {exponent}")
+        if base <= previous:
+            raise ValueError("factor bases must be strictly increasing")
+        previous = base
 
 
 def _canonical_factors(factor_map: Mapping[Fraction, int]) -> tuple:
@@ -140,67 +153,8 @@ def _factors_float(factors: tuple) -> float:
     return math.exp(sum(e * math.lgamma(float(b)) for b, e in factors))
 
 
-@dataclass(frozen=True)
-class GammaMonomial:
-    """A single term q * prod Gamma(b)^e in canonical form.
-
-    The zero monomial is (0, ()).  A nonzero monomial with an empty factor
-    tuple is a plain rational.
-    """
-
-    coeff: Fraction
-    factors: tuple = ()
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.coeff, Fraction):
-            object.__setattr__(self, "coeff", as_rational(self.coeff))
-        if self.coeff == 0 and self.factors:
-            object.__setattr__(self, "factors", ())
-            return
-        previous = None
-        for base, exponent in self.factors:
-            if not isinstance(base, Fraction) or not (0 < base < 1):
-                raise ValueError(f"Gamma base out of range (0, 1): {base}")
-            if not isinstance(exponent, int) or exponent == 0:
-                raise ValueError(f"bad Gamma exponent: {exponent}")
-            if previous is not None and base <= previous:
-                raise ValueError("factor bases must be strictly increasing")
-            previous = base
-
-    def __mul__(self, other) -> "GammaMonomial":
-        if isinstance(other, GammaMonomial):
-            coeff = self.coeff * other.coeff
-            if coeff == 0:
-                return GammaMonomial(Fraction(0))
-            return GammaMonomial(coeff, _merge_factors(self.factors, other.factors))
-        if isinstance(other, (int, Fraction)):
-            coeff = self.coeff * as_rational(other)
-            return GammaMonomial(coeff, self.factors if coeff else ())
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "GammaMonomial":
-        if isinstance(other, GammaMonomial):
-            if other.coeff == 0:
-                raise ZeroDivisionError("division by the zero monomial")
-            inverse = GammaMonomial(
-                1 / other.coeff, tuple([(b, -e) for b, e in other.factors])
-            )
-            return self * inverse
-        if isinstance(other, (int, Fraction)):
-            return GammaMonomial(self.coeff / as_rational(other), self.factors)
-        return NotImplemented
-
-    def render(self) -> str:
-        return _render_term(self.coeff, self.factors)
-
-    def __str__(self) -> str:
-        return self.render()
-
-
-def gamma_of(x: RationalLike) -> GammaMonomial:
-    """Gamma(x) as a canonical monomial.
+def gamma_of(x: RationalLike) -> "GammaPolynomial":
+    """Gamma(x) as a one-term polynomial.
 
     Integer x >= 1 collapses to the rational (x-1)!.  Any other rational is
     shifted to its base b = x - floor(x) in (0, 1) through the recurrence
@@ -212,11 +166,11 @@ def gamma_of(x: RationalLike) -> GammaMonomial:
     if is_integer(x):
         if x <= 0:
             raise GammaPole(f"Gamma pole at {x}")
-        return GammaMonomial(Fraction(math.factorial(int(x) - 1)))
+        return GammaPolynomial._adopt({(): Fraction(math.factorial(int(x) - 1))})
     shift = math.floor(x)
     base = x - shift
     coeff = poch_int(base, shift) if shift >= 0 else 1 / poch_int(x, -shift)
-    return GammaMonomial(coeff, ((base, 1),))
+    return GammaPolynomial._adopt({((base, 1),): coeff})
 
 
 def poch_int(x: RationalLike, k: int) -> Fraction:
@@ -250,32 +204,39 @@ def _ratio_sum(ratios: Iterable[tuple[int, int]]) -> Fraction:
 
 
 def as_polynomial(value) -> "GammaPolynomial":
-    """A polynomial as is; an int, Fraction or GammaMonomial as a new one; else TypeError."""
+    """A polynomial as is; an int or Fraction as a new one; else TypeError."""
     return value if isinstance(value, GammaPolynomial) else weighted_sum(((value, 1),))
 
 
 class GammaPolynomial:
-    """A finite sum of Gamma monomials, keyed by factor signature.
+    """A finite sum of terms q * prod Gamma(b)^e, keyed by factor signature.
 
     The term map never stores zero coefficients; the zero polynomial is the
-    empty map.  Instances are immutable by convention: every operation
+    empty map.  A value of at most one term reads as ``coeff`` and
+    ``factors``.  Instances are immutable by convention: every operation
     returns a fresh object, so values can be freely shared.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple, Fraction] | None = None):
+        """The polynomial of a term map; a kept term's signature must be canonical."""
         canonical: dict[tuple, Fraction] = {}
         if terms:
             for signature, coeff in terms.items():
                 coeff = as_rational(coeff)
                 if coeff != 0:
+                    _check_signature(signature)
                     canonical[signature] = coeff
         self._terms = canonical
 
     @classmethod
     def _adopt(cls, terms: dict) -> "GammaPolynomial":
-        """The polynomial whose term map is terms itself: nonzero reduced Fractions only."""
+        """The polynomial whose term map is terms itself, unchecked.
+
+        Its signatures must be canonical and its coefficients nonzero
+        reduced Fractions.
+        """
         poly = object.__new__(cls)
         poly._terms = terms
         return poly
@@ -286,6 +247,22 @@ class GammaPolynomial:
 
     def terms(self) -> dict:
         return dict(self._terms)
+
+    def _single(self) -> tuple:
+        """(coeff, factors) of a value of at most one term; zero is (0, ())."""
+        if len(self._terms) > 1:
+            raise ValueError(f"not a single term: {self.render()}")
+        for factors, coeff in self._terms.items():
+            return coeff, factors
+        return Fraction(0), ()
+
+    @property
+    def coeff(self) -> Fraction:
+        return self._single()[0]
+
+    @property
+    def factors(self) -> tuple:
+        return self._single()[1]
 
     def __add__(self, other) -> "GammaPolynomial":
         return weighted_sum(((self, 1), (other, 1)))
@@ -313,6 +290,17 @@ class GammaPolynomial:
         return GammaPolynomial(product)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "GammaPolynomial":
+        """self / other for a nonzero rational or a nonzero single term."""
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / as_rational(other))
+        if not isinstance(other, GammaPolynomial):
+            return NotImplemented
+        coeff, factors = other._single()
+        if coeff == 0:
+            raise ZeroDivisionError("division by the zero polynomial")
+        return self * GammaPolynomial._adopt({tuple([(b, -e) for b, e in factors]): 1 / coeff})
 
     def __eq__(self, other) -> bool:
         try:
@@ -359,18 +347,21 @@ class GammaPolynomial:
         return f"GammaPolynomial({self.render()!r})"
 
 
+# Not a second type: perfbench/tracing.py looks this name up and wraps its
+# operators.  ROADMAP item 1 frees the benchmark from it and removes it.
+GammaMonomial = GammaPolynomial
+
+
 def weighted_sum(pairs: Iterable[tuple[object, int | Fraction]]) -> GammaPolynomial:
     """Sum weight * value over (value, weight) pairs into one polynomial.
 
-    A value is an int, Fraction, GammaMonomial or GammaPolynomial and a
-    weight an int or Fraction; the polynomial is built once, at the end.
+    A value is an int, Fraction or GammaPolynomial and a weight an int or
+    Fraction; the polynomial is built once, at the end.
     """
     folded: dict[tuple, Fraction] = {}
     for value, weight in pairs:
         if isinstance(value, GammaPolynomial):
             items = value._terms.items()
-        elif isinstance(value, GammaMonomial):
-            items = ((value.factors, value.coeff),)
         elif isinstance(value, (int, Fraction)):
             items = (((), value),)
         else:
@@ -382,7 +373,7 @@ def weighted_sum(pairs: Iterable[tuple[object, int | Fraction]]) -> GammaPolynom
 
 def parse_gamma_polynomial(text: str) -> GammaPolynomial:
     """Parse the canonical rendering back into a polynomial."""
-    monomials = []
+    terms = []
     for chunk in text.strip().split(" + "):
         pieces = chunk.split("*")
         coeff = parse_rational(pieces[0])
@@ -393,5 +384,5 @@ def parse_gamma_polynomial(text: str) -> GammaPolynomial:
                 raise ValueError(f"bad Gamma factor: {piece!r}")
             base = parse_rational(match.group(1))
             factor_map[base] = factor_map.get(base, 0) + int(match.group(2))
-        monomials.append((GammaMonomial(coeff, _canonical_factors(factor_map)), 1))
-    return weighted_sum(monomials)
+        terms.append((GammaPolynomial({_canonical_factors(factor_map): coeff}), 1))
+    return weighted_sum(terms)

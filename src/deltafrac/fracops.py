@@ -35,7 +35,6 @@ from .exact import (
     GammaPolynomial,
     RationalLike,
     _ratio_sum,
-    as_polynomial,
     as_rational,
     gamma_of,
     is_nonpositive_integer,
@@ -236,4 +235,4 @@ def nabla_poch_diff(
         ((x - 1) * (j * pd + pn) * ad, ((x - 2) * ad - an) * j * pd)
         for j, x in zip(range(1, t_index), range(t_index, 1, -1))
     )
-    return as_polynomial(kernel.value * sample.value * total / gamma_of(-alpha))
+    return kernel.value * sample.value * total / gamma_of(-alpha)

@@ -32,7 +32,6 @@ from .exact import (
     RationalLike,
     _ratio_run,
     _ratio_sum,
-    as_polynomial,
     as_rational,
     gamma_of,
     is_integer,
@@ -434,7 +433,7 @@ def prop_form1_check(
         raise DomainError("n must be a nonnegative integer")
     prefactor = gamma_of(beta + gamma + 1) / gamma_of(beta + 1)
     scale = poch_int(alpha + beta + gamma + 1, n) / math.factorial(n)
-    lhs = as_polynomial(prefactor * scale)
+    lhs = prefactor * scale
     p, q = (alpha + beta).as_integer_ratio()
     g, h = gamma.as_integer_ratio()
     rises = list(_ratio_run((p + (n - i) * q, q * (i + 1)) for i in range(n)))

@@ -77,9 +77,9 @@ class VerificationReport:
 def report_compare(identity: str, params: Mapping[str, object], lhs, rhs) -> VerificationReport:
     """Compare two values exactly and classify the outcome.
 
-    ``lhs`` and ``rhs`` may be GammaPolynomial, GammaMonomial, Fraction or
-    int.  Equal term maps are one value, rendered and floated once.  Only a
-    formal failure takes both floats, graded by FLOAT_RTOL.
+    ``lhs`` and ``rhs`` may be GammaPolynomial, Fraction or int.  Equal
+    term maps are one value, rendered and floated once.  Only a formal
+    failure takes both floats, graded by FLOAT_RTOL.
     """
     lhs = as_polynomial(lhs)
     rhs = as_polynomial(rhs)

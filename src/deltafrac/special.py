@@ -2,13 +2,13 @@
 
 Both functions extend the classical integer-order products to arbitrary
 rational order through Gamma ratios.  For non-classical orders the value
-can be a finite Gamma monomial, an exact zero (the denominator Gamma pole
+can be a finite single Gamma term, an exact zero (the denominator Gamma pole
 swallows the ratio) or an unresolved pole.  All three outcomes are first
 class: SpecialValue keeps them distinct instead of collapsing poles into
 exceptions, so identity checks can classify points honestly.  A
 SpecialValue records an outcome and does no arithmetic; a caller that
 combines values first checks that each is finite and then works on the
-GammaMonomial in ``value``.  This module holds the special functions only;
+GammaPolynomial in ``value``.  This module holds the special functions only;
 those checks are in identities.
 """
 from __future__ import annotations
@@ -19,10 +19,8 @@ from fractions import Fraction
 
 from .errors import SpecialValuePole
 from .exact import (
-    GammaMonomial,
     GammaPolynomial,
     RationalLike,
-    as_polynomial,
     as_rational,
     gamma_of,
     is_integer,
@@ -44,17 +42,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpecialValue:
-    """Outcome of a generalized factorial: finite monomial, zero, or pole."""
+    """Outcome of a generalized factorial: finite single term, zero, or pole."""
 
     kind: str
-    value: GammaMonomial | None = None
+    value: GammaPolynomial | None = None
 
     @classmethod
-    def finite(cls, value: GammaMonomial | RationalLike) -> "SpecialValue":
-        """A finite value from a monomial or a rational; zero gives ZERO."""
-        if not isinstance(value, GammaMonomial):
-            value = GammaMonomial(value)
-        if value.coeff == 0:
+    def finite(cls, value: GammaPolynomial | RationalLike) -> "SpecialValue":
+        """A finite value from a polynomial or a rational; zero gives ZERO."""
+        if not isinstance(value, GammaPolynomial):
+            value = GammaPolynomial({(): value})
+        if value.is_zero:
             return ZERO
         return cls("finite", value)
 
@@ -69,7 +67,7 @@ class SpecialValue:
     def as_polynomial(self) -> GammaPolynomial:
         if self.kind == "pole":
             raise SpecialValuePole("cannot convert a pole to a polynomial")
-        return as_polynomial(self.value)
+        return self.value
 
     def render(self) -> str:
         if self.kind == "pole":
@@ -80,7 +78,7 @@ class SpecialValue:
         return self.render()
 
 
-ZERO = SpecialValue("zero", GammaMonomial(Fraction(0)))
+ZERO = SpecialValue("zero", GammaPolynomial())
 POLE_VALUE = SpecialValue("pole")
 
 

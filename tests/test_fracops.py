@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from deltafrac import (
     DomainError,
-    GammaMonomial,
     GammaPolynomial,
     GridFunction,
     SpecialValuePole,
@@ -421,7 +420,7 @@ def termwise_nabla(p, alpha, t_index):
         if kernel.is_pole or sample.is_pole:
             raise SpecialValuePole(f"summand at j={j} has an unresolved Gamma pole")
         pairs.append((kernel.value * sample.value, 1))
-    return weighted_sum(pairs) * (GammaMonomial(1) / gamma_of(-alpha))
+    return weighted_sum(pairs) / gamma_of(-alpha)
 
 
 class TestNablaPochDiff:

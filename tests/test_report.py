@@ -62,7 +62,7 @@ def test_formal_difference_without_a_float_gap_is_mismatch():
 
 def test_accepts_bare_rationals_and_monomials():
     assert report_compare("t", {}, Q(3, 2), as_polynomial(Q(3, 2))).status == EXACT
-    # bare GammaMonomial arguments are coerced too
+    # gamma_of's one-term value is taken as it is
     rep = report_compare("t", {}, gamma_of(Q(3, 2)), Q(1, 2) * as_polynomial(gamma_of(Q(1, 2))))
     assert rep.status == EXACT
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from deltafrac import (
-    GammaMonomial,
+    GammaPolynomial,
     SpecialValuePole,
     as_polynomial,
     falling,
@@ -111,7 +111,8 @@ class TestSpecialValue:
     def test_monomial_access(self):
         with pytest.raises(SpecialValuePole):
             POLE_VALUE.as_polynomial()
-        assert ZERO.value == GammaMonomial(0)
+        assert ZERO.value == GammaPolynomial()
+        assert ZERO.as_polynomial() is ZERO.value
         assert SpecialValue.finite(0) is ZERO
         assert ZERO.as_polynomial().is_zero
         assert ZERO.render() == "0"
