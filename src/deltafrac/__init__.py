@@ -45,6 +45,7 @@ from .identities import (
     leibniz_sweep,
     nabla_zero_check,
     power_rule_closed,
+    power_rule_sweep,
     power_rule_verify,
     prop_form1_check,
     saalschutz_lhs,

@@ -237,7 +237,7 @@ _CSV_HEADER = ["identity", "status", "params", "lhs", "rhs", "abs_float_gap", "e
 
 
 def _csv_echo(fields: list[str]) -> None:
-    """One CSV row on stdout, flushed as click.echo flushes; a field that holds a comma is quoted."""
+    """One CSV row on stdout, flushed; a field that holds a comma is quoted."""
     csv.writer(sys.stdout, lineterminator="\n").writerow(fields)
     sys.stdout.flush()
 
@@ -285,12 +285,13 @@ def cmd_verify(identity, config_path, fmt, **params):
                     header_due = False
                 counts[rep.status] += 1
                 failed = failed or rep.is_failure
-                if fmt == "json":
-                    click.echo(json.dumps(rep.to_json_dict()), file=sys.stdout)
-                elif fmt == "csv":
+                if fmt == "csv":
                     _csv_echo(_csv_row(rep))
                 else:
-                    click.echo(_text_line(rep), file=sys.stdout)
+                    # one write and one flush per report, so each line streams as it is checked
+                    line = json.dumps(rep.to_json_dict()) if fmt == "json" else _text_line(rep)
+                    sys.stdout.write(line + "\n")
+                    sys.stdout.flush()
     except (DeltafracError, ValueError) as exc:
         _fail(str(exc))
     if header_due:

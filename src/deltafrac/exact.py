@@ -20,7 +20,8 @@ compare unequal though they are equal.  Every polynomial sum here goes
 through weighted_sum, GammaPolynomial's + and - included.  Window sums and
 products run on the int columns in gridfn and fracops instead, and build
 their outputs with GammaPolynomial._adopt, which takes a term map of
-canonical signatures and nonzero reduced Fractions as it is.  as_polynomial
+canonical signatures and nonzero reduced Fractions as it is; so does
+GammaPolynomial's own product, the quotient by a term included.  as_polynomial
 is the one conversion of an int or Fraction to a polynomial; the zero
 polynomial is GammaPolynomial().  poch_int is the one single rising product
 x(x+1)...(x+k-1): gamma_of's shift, special.falling_int, the integer-order
@@ -287,7 +288,9 @@ class GammaPolynomial:
             for sig_b, coeff_b in other._terms.items():
                 signature = _merge_factors(sig_a, sig_b)
                 product[signature] = product.get(signature, 0) + coeff_a * coeff_b
-        return GammaPolynomial(product)
+        # merged signatures are canonical and stored Fractions multiply to
+        # reduced Fractions; only a sum of products can cancel to zero
+        return GammaPolynomial._adopt({s: c for s, c in product.items() if c != 0})
 
     __rmul__ = __mul__
 

@@ -6,10 +6,12 @@ and returns a VerificationReport.  Checks are exact: a report says
 ``exact`` only when the formal difference of the two sides is the zero
 Gamma polynomial.  A verifier raises DomainError for parameters outside
 its identity's statement and reports ``domain_excluded`` for the points
-the statement names.  The power-rule sweep skips swept orders off the rule
-and refuses a pinned one; the Saalschutz sweep drops excluded points
-unless pinned or ``force`` is set.  Every n-th forward difference a
-verifier uses is gridfn's one int difference, which delta_n wraps, so
+the statement names.  The power-rule sweep samples one falling power per
+(a, mu) and sweeps the orders nu over it, as the mr-ae and leibniz sweeps
+take every order over each drawn window; it skips swept orders off the
+rule and refuses a pinned one.  The Saalschutz sweep drops excluded
+points unless pinned or ``force`` is set.  Every n-th forward difference
+a verifier uses is gridfn's one int difference, which delta_n wraps, so
 each order is checked.  Every run of term ratios here (the binomial
 sums' rising and falling runs, the power rule's (mu+nu+1)_n / n!, the
 Leibniz weights C(-alpha, n), the Saalschutz product side and form1's
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import DenominatorPochhammerZero, DomainError, WindowTooShort
 from .exact import (
@@ -53,6 +55,7 @@ __all__ = [
     "binom_poch_check",
     "power_rule_order_violation",
     "power_rule_closed",
+    "power_rule_sweep",
     "power_rule_verify",
     "corollary_closed",
     "gamma_sum_check",
@@ -206,27 +209,42 @@ def corollary_closed(
     return GridFunction(falling_power.origin, [v * prefactor for v in falling_power.values])
 
 
-def power_rule_verify(
-    a: RationalLike, mu: RationalLike, nu: RationalLike, n_max: int
+def power_rule_sweep(
+    a: RationalLike, mu: RationalLike, nus: Iterable[RationalLike], n_max: int
 ) -> list[VerificationReport]:
-    """Operator evaluation against the closed form, for every offset <= n_max.
+    """Operator evaluation against the closed form at each order nu, for every offset <= n_max.
 
-    The left side runs the convolution over a sampled falling power; the
-    right side is the closed window on the grid a+mu+nu.  The two paths
-    share nothing past the weight recurrence, so exact agreement is meaningful.
+    The left side runs the convolution over the falling power (t-a) falling
+    mu, sampled once, at the first order, and shared by every order; the
+    right side is each order's closed window on the grid a+mu+nu, built
+    before the left side, so an order off the rule raises DomainError
+    before anything is sampled.  The two paths share nothing past the
+    weight recurrence, so exact agreement is meaningful.
     """
     a = as_rational(a)
     mu = as_rational(mu)
-    nu = as_rational(nu)
     if n_max < 0:
         raise DomainError("n_max must be a nonnegative integer")
-    closed = power_rule_closed(a, mu, nu, n_max + 1)
-    return _compare_windows(
-        "power-rule",
-        lambda n: {"a": a, "mu": mu, "nu": nu, "N": n},
-        frac_sum_diff(sample_falling_power(a, mu, n_max + 1), nu),
-        closed,
-    )
+    falling_power = None
+    reports = []
+    for nu in map(as_rational, nus):
+        closed = power_rule_closed(a, mu, nu, n_max + 1)
+        if falling_power is None:
+            falling_power = sample_falling_power(a, mu, n_max + 1)
+        reports += _compare_windows(
+            "power-rule",
+            lambda n: {"a": a, "mu": mu, "nu": nu, "N": n},
+            frac_sum_diff(falling_power, nu),
+            closed,
+        )
+    return reports
+
+
+def power_rule_verify(
+    a: RationalLike, mu: RationalLike, nu: RationalLike, n_max: int
+) -> list[VerificationReport]:
+    """power_rule_sweep at the one order nu: one report per offset <= n_max."""
+    return power_rule_sweep(a, mu, [nu], n_max)
 
 
 def gamma_sum_check(mu: RationalLike, nu: RationalLike, n: int) -> VerificationReport:

@@ -63,7 +63,7 @@ class VerificationReport:
     def to_json_dict(self) -> dict:
         doc: dict = {
             "identity": self.identity,
-            "params": {k: v for k, v in self.params_rendered()},
+            "params": {k: str(v) for k, v in self.params.items()},
             "status": self.status,
             "lhs": self.lhs,
             "rhs": self.rhs,

@@ -40,7 +40,7 @@ from .identities import (
     mr_ae_sweep,
     nabla_zero_check,
     power_rule_order_violation,
-    power_rule_verify,
+    power_rule_sweep,
     prop_form1_check,
     saalschutz_verify,
 )
@@ -163,10 +163,11 @@ def _check_power_rule(ov: Mapping) -> None:
 
 
 def _run_power_rule(ov: Mapping) -> Iterator[VerificationReport]:
-    for a, mu, nu in product(ov["a"], ov["mu"], ov["nu"]):
-        if power_rule_order_violation(mu, nu) is not None:
-            continue
-        yield from power_rule_verify(a, mu, nu, ov["n_max"])
+    # one falling power per (a, mu), swept over the orders on the rule;
+    # with none on it, nothing is sampled (a swept mu = -1 has no window)
+    for a, mu in product(ov["a"], ov["mu"]):
+        nus = [nu for nu in ov["nu"] if power_rule_order_violation(mu, nu) is None]
+        yield from power_rule_sweep(a, mu, nus, ov["n_max"])
 
 
 def _run_gamma_sum(ov: Mapping) -> Iterator[VerificationReport]:

@@ -3,7 +3,7 @@ import sys
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import deltafrac
 from deltafrac import exact
@@ -296,6 +296,28 @@ class TestGammaPolynomial:
     @given(gamma_polys, gamma_polys)
     def test_multiplication_commutes(self, p, q):
         assert p * q == q * p
+
+    @given(gamma_polys, gamma_polys, gamma_monomials.filter(lambda m: not m.is_zero))
+    @example(  # the two cross terms G(1/2) G(1/3) cancel
+        gamma_of(Q(1, 2)) + gamma_of(Q(1, 3)), gamma_of(Q(1, 2)) - gamma_of(Q(1, 3)), gamma_of(Q(1, 2))
+    )
+    def test_products_and_quotients_are_canonical(self, p, q, m):
+        # the product adopts its term map unchecked; built through the checking
+        # constructor from the same merged terms, it must be the same value
+        def checked_product(left, right):
+            terms = {}
+            for sig_a, coeff_a in left.terms().items():
+                for sig_b, coeff_b in right.terms().items():
+                    signature = exact._merge_factors(sig_a, sig_b)
+                    terms[signature] = terms.get(signature, 0) + coeff_a * coeff_b
+            return GammaPolynomial(terms)
+
+        inverse = GammaPolynomial({tuple((b, -e) for b, e in m.factors): 1 / m.coeff})
+        for value, reference in ((p * q, checked_product(p, q)), (p / m, checked_product(p, inverse))):
+            for signature, coeff in value.terms().items():
+                exact._check_signature(signature)
+                assert type(coeff) is Q and coeff != 0
+            assert value.terms() == reference.terms()
 
     @given(gamma_polys)
     def test_additive_inverse(self, p):

@@ -29,6 +29,7 @@ from deltafrac import (
     nabla_zero_check,
     poch_int,
     power_rule_closed,
+    power_rule_sweep,
     power_rule_verify,
     prop_form1_check,
     saalschutz_lhs,
@@ -171,6 +172,18 @@ class TestPowerRule:
             power_rule_verify(0, -2, Q(1, 2), 3)  # mu negative integer
         with pytest.raises(DomainError):
             power_rule_verify(0, Q(1, 2), -1, 3)  # nu nonpositive integer
+
+    @given(
+        a=rationals,
+        mu=rationals.filter(lambda q: not (q.denominator == 1 and q < 0)),
+        nus=st.lists(orders, min_size=1, max_size=4),
+        n_max=st.integers(min_value=0, max_value=6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_a_sweep_reports_as_its_orders_checked_one_by_one(self, a, mu, nus, n_max):
+        swept = [rep.to_json_dict() for rep in power_rule_sweep(a, mu, nus, n_max)]
+        one_by_one = [rep.to_json_dict() for nu in nus for rep in power_rule_verify(a, mu, nu, n_max)]
+        assert swept == one_by_one
 
     @pytest.mark.parametrize(
         "mu, nu, message",

@@ -155,6 +155,37 @@ class TestRegistry:
         statuses = [rep.status for rep in run_identity("power-rule") if rep.params["mu"] != 0]
         assert statuses == ["mismatch"] * 780
 
+    def test_the_power_rule_sweep_samples_each_falling_power_once(self, monkeypatch):
+        # 3 origins x 5 mu: each window is shared by the 5 orders nu
+        sampled = []
+        original = identities.sample_falling_power
+
+        def counted(a, mu, length):
+            sampled.append((a, mu))
+            return original(a, mu, length)
+
+        monkeypatch.setattr(identities, "sample_falling_power", counted)
+        assert len(list(run_identity("power-rule"))) == 975
+        assert len(sampled) == 15
+        assert len(set(sampled)) == 15
+
+    def test_a_falling_power_with_no_order_on_the_rule_is_not_sampled(self, monkeypatch):
+        sampled = []
+        original = identities.sample_falling_power
+
+        def counted(a, mu, length):
+            sampled.append(mu)
+            return original(a, mu, length)
+
+        monkeypatch.setattr(identities, "sample_falling_power", counted)
+        # mu = -1 is off the rule and has no falling power; nu = 0 is off the rule
+        overrides = {"a": Q(0), "mu": [Q(-1), Q(1, 2)], "n_max": 1}
+        assert list(run_identity("power-rule", {**overrides, "nu": [Q(0), Q(-1)]})) == []
+        assert sampled == []
+        reports = list(run_identity("power-rule", {**overrides, "nu": [Q(0), Q(1, 2)]}))
+        assert [(rep.params["mu"], rep.params["nu"]) for rep in reports] == [(Q(1, 2), Q(1, 2))] * 2
+        assert sampled == [Q(1, 2)]
+
     def test_seeded_sweeps_are_deterministic(self):
         one = [r.to_json_dict() for r in run_identity("leibniz", {"count": 3})]
         two = [r.to_json_dict() for r in run_identity("leibniz", {"count": 3})]
