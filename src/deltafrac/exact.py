@@ -9,27 +9,30 @@ where q is rational, each base b_i is a rational in the open interval
 (0, 1) and each exponent e_i is a nonzero integer.  Gamma at a positive
 integer argument is folded into q as a factorial, so purely rational
 quantities never carry Gamma factors.  One type, GammaPolynomial, holds
-every such value, and its constructor checks that each signature is
-canonical; a single term, such as gamma_of's result, is a polynomial of one
-term and reads as its coeff and factors.  Equality is tested by
-normalizing both sides and comparing term maps, with distinct bases
-treated as independent.  The test is sound (a zero difference proves
-equality) but not complete: reflection and Gauss multiplication relate
-Gamma at distinct bases, so Gamma(1/6)*Gamma(5/6) and 2*Gamma(1/2)**2
-compare unequal though they are equal.  Every polynomial sum here goes
-through weighted_sum, GammaPolynomial's + and - included.  Window sums and
-products run on the int columns in gridfn and fracops instead, and build
-their outputs with GammaPolynomial._adopt, which takes a term map of
-canonical signatures and nonzero reduced Fractions as it is; so does
-GammaPolynomial's own product, the quotient by a term included.  as_polynomial
-is the one conversion of an int or Fraction to a polynomial; the zero
-polynomial is GammaPolynomial().  poch_int is the one single rising product
-x(x+1)...(x+k-1): gamma_of's shift, special.falling_int, the integer-order
-Pochhammer symbol, the binomial checks' left sides and form1's left scale
-are all written with it.  Every run of terms stepped by int ratios, in the
-verifiers and the nabla kernel, is _ratio_run's unreduced prefix products
-or _ratio_sum's sum of them, reduced once.  Floats never decide equality:
-they only grade a formal failure and give eval's float.
+every such value.  Its constructor is the checked door for term maps from
+outside: it checks that each signature is canonical, and
+parse_gamma_polynomial passes each parsed term through it.  Every value the
+library computes is built with GammaPolynomial._adopt instead, which takes a
+term map of canonical signatures and nonzero reduced Fractions as it is.  A
+single term, such as gamma_of's result, is a polynomial of one term and
+reads as its coeff and factors.  Equality is tested by normalizing both
+sides and comparing term maps, with distinct bases treated as independent.
+The test is sound (a zero difference proves equality) but not complete:
+reflection and Gauss multiplication relate Gamma at distinct bases, so
+Gamma(1/6)*Gamma(5/6) and 2*Gamma(1/2)**2 compare unequal though they are
+equal.  Every polynomial sum here goes through weighted_sum,
+GammaPolynomial's + and - included, which adopts its folded map.  Window
+sums and products run on the int columns in gridfn and fracops instead and
+adopt their outputs; so does GammaPolynomial's own product, the quotient by
+a term included.  as_polynomial is the one conversion of an int or Fraction
+to a polynomial; the zero polynomial is GammaPolynomial().  poch_int is the
+one single rising product x(x+1)...(x+k-1): gamma_of's shift,
+special.falling_int, the integer-order Pochhammer symbol, the binomial
+checks' left sides and form1's left scale are all written with it.  Every
+run of terms stepped by int ratios, in the verifiers and the nabla kernel,
+is _ratio_run's unreduced prefix products or _ratio_sum's sum of them,
+reduced once.  Floats never decide equality: they only grade a formal
+failure and give eval's float.
 """
 from __future__ import annotations
 
@@ -205,8 +208,12 @@ def _ratio_sum(ratios: Iterable[tuple[int, int]]) -> Fraction:
 
 
 def as_polynomial(value) -> "GammaPolynomial":
-    """A polynomial as is; an int or Fraction as a new one; else TypeError."""
-    return value if isinstance(value, GammaPolynomial) else weighted_sum(((value, 1),))
+    """A polynomial as is; an int or Fraction as the constant polynomial; else TypeError."""
+    if isinstance(value, GammaPolynomial):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return GammaPolynomial._adopt({(): Fraction(value)} if value else {})
+    raise TypeError(f"cannot interpret {type(value).__name__} as a Gamma polynomial")
 
 
 class GammaPolynomial:
@@ -221,7 +228,7 @@ class GammaPolynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple, Fraction] | None = None):
-        """The polynomial of a term map; a kept term's signature must be canonical."""
+        """The checked constructor for term maps from outside; computed values skip it (_adopt)."""
         canonical: dict[tuple, Fraction] = {}
         if terms:
             for signature, coeff in terms.items():
@@ -358,20 +365,17 @@ GammaMonomial = GammaPolynomial
 def weighted_sum(pairs: Iterable[tuple[object, int | Fraction]]) -> GammaPolynomial:
     """Sum weight * value over (value, weight) pairs into one polynomial.
 
-    A value is an int, Fraction or GammaPolynomial and a weight an int or
-    Fraction; the polynomial is built once, at the end.
+    Each value goes through as_polynomial and a weight must be an int or
+    Fraction.  The values' signatures are canonical already, so the folded
+    map, zeros dropped, is adopted unchecked.
     """
     folded: dict[tuple, Fraction] = {}
     for value, weight in pairs:
-        if isinstance(value, GammaPolynomial):
-            items = value._terms.items()
-        elif isinstance(value, (int, Fraction)):
-            items = (((), value),)
-        else:
-            raise TypeError(f"cannot interpret {type(value).__name__} as a Gamma polynomial")
-        for signature, coeff in items:
+        if not isinstance(weight, (int, Fraction)):
+            raise TypeError(f"expected an exact rational weight, got {type(weight).__name__}")
+        for signature, coeff in as_polynomial(value)._terms.items():
             folded[signature] = folded.get(signature, 0) + coeff * weight
-    return GammaPolynomial(folded)
+    return GammaPolynomial._adopt({s: c for s, c in folded.items() if c != 0})
 
 
 def parse_gamma_polynomial(text: str) -> GammaPolynomial:

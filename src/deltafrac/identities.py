@@ -312,8 +312,10 @@ def alt_sum_lemma_check(
     alpha = as_rational(alpha)
     if k < 0:
         raise DomainError("k must be a nonnegative integer")
+    if t_index < 0:
+        raise DomainError(f"t_index must be a nonnegative integer (got {t_index})")
     params = {"alpha": alpha, "k": k, "t_index": t_index}
-    if t_index < 0 or t_index > len(g) - 1:
+    if t_index > len(g) - 1:
         raise WindowTooShort(
             f"window of length {len(g)} does not reach index {t_index}"
         )
@@ -327,7 +329,10 @@ def alt_sum_lemma_check(
         weight = (-1) ** n * math.comb(k, n)
         for signature, (xs, _) in _difference(columns, n).items():
             sums[signature] += weight * xs[t_index - n]
-    lhs = GammaPolynomial({signature: Fraction(sums[signature], den) for signature, (_, den) in columns.items()})
+    # as in gridfn._materialize: nonzero reduced Fractions on canonical signatures, adopted
+    lhs = GammaPolynomial._adopt(
+        {signature: Fraction(sums[signature], den) for signature, (_, den) in columns.items() if sums[signature]}
+    )
     rhs = g.values[t_index - k]
     return report_compare("alt-sum", params, lhs, rhs)
 

@@ -21,6 +21,7 @@ from .errors import SpecialValuePole
 from .exact import (
     GammaPolynomial,
     RationalLike,
+    as_polynomial,
     as_rational,
     gamma_of,
     is_integer,
@@ -48,10 +49,9 @@ class SpecialValue:
     value: GammaPolynomial | None = None
 
     @classmethod
-    def finite(cls, value: GammaPolynomial | RationalLike) -> "SpecialValue":
-        """A finite value from a polynomial or a rational; zero gives ZERO."""
-        if not isinstance(value, GammaPolynomial):
-            value = GammaPolynomial({(): value})
+    def finite(cls, value: GammaPolynomial | int | Fraction) -> "SpecialValue":
+        """A finite value from a polynomial, int or Fraction (through as_polynomial); zero gives ZERO."""
+        value = as_polynomial(value)
         if value.is_zero:
             return ZERO
         return cls("finite", value)

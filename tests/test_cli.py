@@ -460,6 +460,21 @@ class TestVerify:
         assert result.stdout == ""
         assert result.stderr == "error: mu+nu must be a negative integer (got 1)\n"
 
+    @pytest.mark.parametrize(
+        "t_index, reason",
+        [
+            ("-1", "t_index must be a nonnegative integer (got -1)"),
+            ("13", "window of length 13 does not reach index 13: alt-sum window is 13"),
+        ],
+    )
+    def test_pinned_t_index_off_the_window_exits_2(self, runner, t_index, reason):
+        # a negative index is a domain error; only an index past the window blames the window
+        argv = ["verify", "alt-sum", "--t-index", t_index, "--k", "0", "--count", "1"]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: {reason}\n"
+
     def test_pinned_k_past_the_window_exits_2(self, runner):
         argv = ["verify", "alt-sum", "--k", "8", "--window", "3", "--count", "1"]
         result = runner.invoke(main, argv)
@@ -765,6 +780,27 @@ _EVAL_VALUES = {
     "m": st.integers(-3, 8).map(str),
 }
 _WINDOW_FLAGS = ("a", "f", "len", "at")
+# Huge literals: integers of 4400-5000 digits, past int-to-str's default limit,
+# and rationals past a double.  They go only where no Gamma shift runs over
+# them, since gamma_of's shift is O(x): falling and poch at an integer order
+# 0-3, binom at n <= 3, hyp3f2's z at m <= 8 (as drawn) and const: windows of
+# length 1-6.
+_SIGNS = st.sampled_from(["", "-"])
+_HUGE_LITERALS = st.one_of(
+    st.builds("{}{}".format, _SIGNS, st.builds(str.__mul__, st.sampled_from("123456789"), st.integers(4400, 5000))),
+    st.builds("{}1{}/{}".format, _SIGNS, st.integers(309, 400).map("0".__mul__), st.integers(1, 6)),
+)
+_HUGE_ORDER = {"x": _HUGE_LITERALS, "y": st.integers(0, 3).map(str)}
+_HUGE_WINDOW = {"f": _HUGE_LITERALS.map("const:{}".format), "len": st.integers(1, 6).map(str)}
+_HUGE_VALUES = {
+    "falling": _HUGE_ORDER,
+    "poch": _HUGE_ORDER,
+    "binom": {"alpha": _HUGE_LITERALS, "n": st.integers(-3, 3).map(str)},
+    "hyp3f2": {"z": _HUGE_LITERALS},
+    "fracsum": _HUGE_WINDOW,
+    "mrdiff": _HUGE_WINDOW,
+    "aediff": _HUGE_WINDOW,
+}
 
 
 @st.composite
@@ -773,14 +809,18 @@ def _eval_table_argv(draw):
     flags = _flags_of(command)
     subject = draw(st.sampled_from(sorted(name for name, entry in _SUBJECTS.items() if command in entry[1])))
     needs = _SUBJECTS[subject][0]
+    # one draw in eight gives the subject's huge values
+    huge = _HUGE_VALUES.get(subject, {}) if draw(st.sampled_from([False] * 7 + [True])) else {}
     # every flag the subject needs, now and then but one, and any of the window's
     dropped = draw(st.sampled_from([None] * 3 + list(needs)))
-    keys = {key for key in needs if key != dropped} | draw(
+    keys = {key for key in (*needs, *huge) if key != dropped} | draw(
         st.sets(st.sampled_from([key for key in flags if key in _WINDOW_FLAGS]))
     )
     argv = [command, subject]
     for key in sorted(keys):
-        if draw(st.sampled_from([False] * 9 + [True])):
+        if key in huge:
+            value = huge[key]
+        elif draw(st.sampled_from([False] * 9 + [True])):
             value = st.sampled_from(["x", "0.5", "+3", ""])
         elif key in _EVAL_VALUES:
             value = _EVAL_VALUES[key]
@@ -795,13 +835,19 @@ def _eval_table_argv(draw):
 @example(["eval", "binom", "--alpha", "1/2", "--n", "+3", "--format", "text"])
 @example(["table", "fallpow", "--mu", "1/2", "--len", "0", "--format", "csv"])
 @example(["eval", "falling", "--x", "5", "--y", "2", "--f", "wave:1", "--format", "text"])
+@example(["eval", "falling", "--x", "-" + "7" * 4700 + "/3", "--y", "3", "--format", "json"])
+@example(["eval", "hyp3f2", "--a1", "1/2", "--a2", "1/3", "--m", "8", "--b1", "7/4", "--b2", "-5/3",
+          "--z", "1" + "0" * 320 + "/3", "--format", "json"])
 def test_eval_table_exit_code_contract(argv):
-    """Exit 0 or 2, never a traceback, and nothing on stdout when refused."""
+    """Exit 0 or 2, never a traceback, nothing on stdout when refused, and a finite or null float."""
     result = CliRunner().invoke(main, argv)
     assert result.exception is None or isinstance(result.exception, SystemExit), result.output
     assert result.exit_code in (0, 2)
     if result.exit_code == 2:
         assert result.stdout == ""
+    elif argv[0] == "eval" and argv[-1] == "json":
+        as_float = json.loads(result.stdout)["float"]
+        assert as_float is None or math.isfinite(as_float)
 
 
 def test_flag_spellings_are_pinned():

@@ -25,6 +25,7 @@ from deltafrac.exact import (
     is_positive_integer,
     weighted_sum,
 )
+from deltafrac.sweeps import default_suite, run_sweep
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 
@@ -284,6 +285,9 @@ class TestGammaPolynomial:
     def test_parse_rejects_a_base_outside_the_unit_interval(self):
         with pytest.raises(ValueError, match="base out of range"):
             parse_gamma_polynomial("1*G(3/2)^1")
+        # each term is checked before the fold, so invalid terms that cancel are refused too
+        with pytest.raises(ValueError, match="base out of range"):
+            parse_gamma_polynomial("1*G(3/2)^1 + -1*G(3/2)^1")
 
     @given(gamma_polys, gamma_polys)
     def test_addition_commutes(self, p, q):
@@ -382,6 +386,11 @@ class TestWeightedSum:
     def test_rejects_other_values(self):
         with pytest.raises(TypeError, match="cannot interpret float"):
             weighted_sum([(0.5, 1)])
+        with pytest.raises(TypeError, match="cannot interpret str"):
+            as_polynomial("1/2")
+        # the folded map is adopted unchecked, so a float weight must not reach a coefficient
+        with pytest.raises(TypeError, match="exact rational weight, got float"):
+            weighted_sum([(gamma_of(Q(1, 2)), 0.5)])
 
     @given(st.lists(st.tuples(summands, weights), max_size=6))
     def test_matches_a_term_map_fold(self, pairs):
@@ -390,4 +399,23 @@ class TestWeightedSum:
             for signature, coeff in _term_map(value).items():
                 expected[signature] = expected.get(signature, Q(0)) + coeff * weight
         expected = {s: c for s, c in expected.items() if c != 0}
-        assert weighted_sum(pairs).terms() == expected
+        total = weighted_sum(pairs).terms()
+        assert total == expected
+        # the sum is adopted unchecked: its terms must be canonical as they stand
+        for signature, coeff in total.items():
+            exact._check_signature(signature)
+            assert type(coeff) is Q and coeff != 0
+
+
+def test_a_default_suite_pass_checks_no_signature(monkeypatch):
+    """Every value the library computes is adopted; only term maps from outside are checked."""
+    calls = []
+    check = exact._check_signature
+    monkeypatch.setattr(exact, "_check_signature", lambda signature: calls.append(signature) or check(signature))
+    for config in default_suite():
+        for _ in run_sweep(config):
+            pass
+    assert calls == []
+    # the door itself still checks
+    GammaPolynomial({((Q(1, 2), 1),): 1})
+    assert calls == [((Q(1, 2), 1),)]

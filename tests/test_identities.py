@@ -282,6 +282,11 @@ class TestAltSum:
         with pytest.raises(WindowTooShort):
             alt_sum_lemma_check(g, Q(1, 2), 1, 5)
 
+    def test_negative_t_index_is_a_domain_error(self):
+        g = GridFunction(0, [1, 2])
+        with pytest.raises(DomainError, match=r"t_index must be a nonnegative integer \(got -1\)"):
+            alt_sum_lemma_check(g, Q(1, 2), 0, -1)
+
     @given(st.data(), rationals, rationals)
     @settings(max_examples=60, deadline=None)
     def test_left_side_matches_the_delta_n_windows(self, data, origin, alpha):
