@@ -13,7 +13,7 @@ from fractions import Fraction as Q
 from deltafrac import (
     GridFunction,
     leibniz_sweep,
-    power_rule_verify,
+    power_rule_sweep,
     run_identity,
     saalschutz_lhs,
     saalschutz_verify,
@@ -21,14 +21,14 @@ from deltafrac import (
 
 # power rule: the fractional sum of a falling power against its closed
 # form, dual routes compared termwise along the window
-reports = power_rule_verify(0, Q(1, 2), Q(1, 2), 8)
+reports = list(power_rule_sweep(0, Q(1, 2), [Q(1, 2)], 8))
 print("power rule, mu = nu = 1/2:", Counter(r.status for r in reports))
 print("  N = 2 value:", reports[2].lhs)
 
 # product rule at one point: both sides of the expansion, exactly
 f = GridFunction(0, [1] * 6)
 g = GridFunction(0, [Q(k) for k in range(6)])
-rep = leibniz_sweep(f, g, Q(1, 2))[3]
+rep = list(leibniz_sweep(f, g, [Q(1, 2)]))[3]
 print("product rule at t_index 3:", rep.status, "both sides", rep.lhs)
 
 # terminating series closed form: a ratio of four Pochhammer products

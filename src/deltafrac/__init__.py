@@ -46,7 +46,6 @@ from .identities import (
     nabla_zero_check,
     power_rule_closed,
     power_rule_sweep,
-    power_rule_verify,
     prop_form1_check,
     saalschutz_lhs,
     saalschutz_verify,

@@ -209,8 +209,8 @@ def nabla_poch_diff(
         (x - 1)(j + p) / ((x - 2 - alpha) j),
 
     so the sum is summand 1 times exact._ratio_sum of those ratios.
-    Summand 1's two Gamma monomials, that rational and 1/Gamma(-alpha)
-    make one monomial, which is returned as a polynomial.  A pole in
+    Summand 1's two single-term values, that rational and 1/Gamma(-alpha)
+    multiply to one single-term polynomial, which is returned.  A pole in
     summand 1 raises SpecialValuePole rather than being silently dropped;
     no later summand can hold one.
     """

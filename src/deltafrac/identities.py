@@ -6,10 +6,11 @@ and returns a VerificationReport.  Checks are exact: a report says
 ``exact`` only when the formal difference of the two sides is the zero
 Gamma polynomial.  A verifier raises DomainError for parameters outside
 its identity's statement and reports ``domain_excluded`` for the points
-the statement names.  The power-rule sweep samples one falling power per
-(a, mu) and sweeps the orders nu over it, as the mr-ae and leibniz sweeps
-take every order over each drawn window; it skips swept orders off the
-rule and refuses a pinned one.  The Saalschutz sweep drops excluded
+the statement names.  Each window sweep (power-rule, mr-ae, leibniz)
+takes its list of orders, builds what no order depends on once, and
+yields each order's reports as it checks them; the power-rule runner
+skips swept orders off the rule and refuses a pinned one.  The
+Saalschutz sweep drops excluded
 points unless pinned or ``force`` is set.  Every n-th forward difference
 a verifier uses is gridfn's one int difference, which delta_n wraps, so
 each order is checked.  Every run of term ratios here (the binomial
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import DenominatorPochhammerZero, DomainError, WindowTooShort
 from .exact import (
@@ -56,7 +57,6 @@ __all__ = [
     "power_rule_order_violation",
     "power_rule_closed",
     "power_rule_sweep",
-    "power_rule_verify",
     "corollary_closed",
     "gamma_sum_check",
     "nabla_zero_check",
@@ -172,7 +172,7 @@ def power_rule_closed(
     """Closed form of the order-nu sum of a falling power, as a window.
 
     The window lies on the output grid {a+mu+nu, a+mu+nu+1, ...}; its value
-    at offset n is Gamma(mu+1) * (mu+nu+1)_n / n!, a single Gamma monomial.
+    at offset n is Gamma(mu+1) * (mu+nu+1)_n / n!, a one-term Gamma polynomial.
     With mu+nu+1 = p/q, (mu+nu+1)_n / n! is the run of the ratios
     (p + n q) / (q (n + 1)), and each offset makes one Fraction.
     """
@@ -211,40 +211,32 @@ def corollary_closed(
 
 def power_rule_sweep(
     a: RationalLike, mu: RationalLike, nus: Iterable[RationalLike], n_max: int
-) -> list[VerificationReport]:
+) -> Iterator[VerificationReport]:
     """Operator evaluation against the closed form at each order nu, for every offset <= n_max.
 
     The left side runs the convolution over the falling power (t-a) falling
     mu, sampled once, at the first order, and shared by every order; the
     right side is each order's closed window on the grid a+mu+nu, built
     before the left side, so an order off the rule raises DomainError
-    before anything is sampled.  The two paths share nothing past the
-    weight recurrence, so exact agreement is meaningful.
+    after the earlier orders' reports, and with nothing sampled when it is
+    the first.  The two paths share nothing past the weight recurrence, so
+    exact agreement is meaningful.
     """
     a = as_rational(a)
     mu = as_rational(mu)
     if n_max < 0:
         raise DomainError("n_max must be a nonnegative integer")
     falling_power = None
-    reports = []
     for nu in map(as_rational, nus):
         closed = power_rule_closed(a, mu, nu, n_max + 1)
         if falling_power is None:
             falling_power = sample_falling_power(a, mu, n_max + 1)
-        reports += _compare_windows(
+        yield from _compare_windows(
             "power-rule",
             lambda n: {"a": a, "mu": mu, "nu": nu, "N": n},
             frac_sum_diff(falling_power, nu),
             closed,
         )
-    return reports
-
-
-def power_rule_verify(
-    a: RationalLike, mu: RationalLike, nu: RationalLike, n_max: int
-) -> list[VerificationReport]:
-    """power_rule_sweep at the one order nu: one report per offset <= n_max."""
-    return power_rule_sweep(a, mu, [nu], n_max)
 
 
 def gamma_sum_check(mu: RationalLike, nu: RationalLike, n: int) -> VerificationReport:
@@ -356,68 +348,67 @@ def _compare_windows(
     return reports
 
 
-def mr_ae_sweep(f: GridFunction, mu: RationalLike, window: int) -> list[VerificationReport]:
-    """ae_frac_diff(f, mu) against the order -mu sum, ceil(mu) points on; window labels reports."""
-    mu = as_rational(mu)
-    n = math.ceil(mu)
-    stepped = ae_frac_diff(f, mu)
-    direct = frac_sum_diff(f, -mu)
-    return _compare_windows(
-        "mr-ae",
-        lambda k: {"window": window, "mu": mu, "t": stepped.point(k)},
-        stepped,
-        GridFunction(direct.point(n), direct.values[n:]),
-    )
-
-
-def _leibniz_expansion(f: GridFunction, g: GridFunction, alpha: Fraction) -> GridFunction:
-    """The right side sum_n C(-alpha, n) (Delta^-(alpha+n) f)(t-n) (Delta^n g)(t-n).
-
-    It covers the points f and g share, on origin + alpha.  Order n pairs
-    the convolution's columns of f at order alpha+n, weighted by
-    C(-alpha, n), with g's n-th difference columns, both shifted n entries
-    on; gridfn's column product sums the pairs, materialized once.  Only
-    length - n entries of order n are kept, so f's columns are cut to them
-    before they are convolved.  With alpha = a/b, C(-alpha, n) is the run
-    of the ratios (-a - n b) / (b (n + 1)) and stays unreduced, as the
-    columns do.
-    """
-    length = min(len(f), len(g))
-    a, b = alpha.numerator, alpha.denominator
-    weights = _ratio_run((-a - n * b, b * (n + 1)) for n in range(length - 1))
-    pairs = []
-    for n, (weight_num, weight_den) in enumerate(weights):
-        kept = {signature: (xs[:length - n], den) for signature, (xs, den) in f._columns.items()}
-        transform = _convolve(kept, alpha + n, length - n)
-        pairs.append((
-            {
-                signature: ([0] * n + [weight_num * x for x in xs], den * weight_den)
-                for signature, (xs, den) in transform.items()
-            },
-            {signature: ([0] * n + ys, den) for signature, (ys, den) in _difference(g._columns, n).items()},
-        ))
-    return _materialize(f.origin + alpha, _product(pairs, length), length)
+def mr_ae_sweep(f: GridFunction, mus: Iterable[RationalLike], window: int) -> Iterator[VerificationReport]:
+    """ae_frac_diff(f, mu) against the order -mu sum, ceil(mu) points on, per mu; window labels reports."""
+    for mu in map(as_rational, mus):
+        n = math.ceil(mu)
+        stepped = ae_frac_diff(f, mu)
+        direct = frac_sum_diff(f, -mu)
+        yield from _compare_windows(
+            "mr-ae",
+            lambda k: {"window": window, "mu": mu, "t": stepped.point(k)},
+            stepped,
+            GridFunction(direct.point(n), direct.values[n:]),
+        )
 
 
 def leibniz_sweep(
-    f: GridFunction, g: GridFunction, alpha: RationalLike
-) -> list[VerificationReport]:
-    """Product-rule check at every point of the window f and g share.
+    f: GridFunction, g: GridFunction, alphas: Iterable[RationalLike]
+) -> Iterator[VerificationReport]:
+    """Product-rule check at each order alpha, at every point of the window f and g share.
 
-    The left side transforms the pointwise product f * g once, through
-    frac_sum_diff; the right side is _leibniz_expansion, on int columns
-    throughout.  Tables are shared across the sweep.
+    The left side is frac_sum_diff of f * g.  The right side, on origin +
+    alpha, is sum_n C(-alpha, n) (Delta^-(alpha+n) f)(t-n) (Delta^n g)(t-n)
+    on int columns: order n pairs f's columns, cut to the length - n entries
+    kept and convolved at order alpha+n, weighted by C(-alpha, n), with g's
+    n-th difference columns, both shifted n entries on; gridfn's column
+    product sums the pairs, materialized once.  With alpha = a/b, C(-alpha, n)
+    is the run of the ratios (-a - n b) / (b (n + 1)), unreduced as the
+    columns are.  f * g, f's cut columns and g's shifted difference columns
+    depend on no order, so they are built once, before any order is checked.
     """
-    alpha = as_rational(alpha)
-    if is_nonpositive_integer(alpha):
-        raise DomainError(f"alpha must not be a nonpositive integer (got {alpha})")
-    lhs = frac_sum_diff(f * g, alpha)
-    return _compare_windows(
-        "leibniz",
-        lambda t: {"alpha": alpha, "t_index": t},
-        lhs,
-        _leibniz_expansion(f, g, alpha),
-    )
+    product = f * g
+    length = len(product)
+    cuts = [
+        {signature: (xs[:length - n], den) for signature, (xs, den) in f._columns.items()}
+        for n in range(length)
+    ]
+    differences = [
+        {signature: ([0] * n + ys, den) for signature, (ys, den) in _difference(g._columns, n).items()}
+        for n in range(length)
+    ]
+    for alpha in map(as_rational, alphas):
+        if is_nonpositive_integer(alpha):
+            raise DomainError(f"alpha must not be a nonpositive integer (got {alpha})")
+        lhs = frac_sum_diff(product, alpha)
+        a, b = alpha.numerator, alpha.denominator
+        weights = _ratio_run((-a - n * b, b * (n + 1)) for n in range(length - 1))
+        pairs = []
+        for n, ((weight_num, weight_den), cut, difference) in enumerate(zip(weights, cuts, differences)):
+            transform = _convolve(cut, alpha + n, length - n)
+            pairs.append((
+                {
+                    signature: ([0] * n + [weight_num * x for x in xs], den * weight_den)
+                    for signature, (xs, den) in transform.items()
+                },
+                difference,
+            ))
+        yield from _compare_windows(
+            "leibniz",
+            lambda t: {"alpha": alpha, "t_index": t},
+            lhs,
+            _materialize(f.origin + alpha, _product(pairs, length), length),
+        )
 
 
 def prop_form1_check(

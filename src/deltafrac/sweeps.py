@@ -204,8 +204,7 @@ def _run_mr_ae(ov: Mapping) -> Iterator[VerificationReport]:
             length = rng.randint(low, max_window) if max_window > low else low
             origin = _random_rational(rng)
             f = GridFunction(origin, _random_values(rng, length))
-            for mu in ov["mu"]:
-                yield from mr_ae_sweep(f, mu, i)
+            yield from mr_ae_sweep(f, ov["mu"], i)
 
 
 def _run_leibniz(ov: Mapping) -> Iterator[VerificationReport]:
@@ -215,8 +214,7 @@ def _run_leibniz(ov: Mapping) -> Iterator[VerificationReport]:
             origin = _random_rational(rng)
             f = GridFunction(origin, _random_values(rng, ov["window"]))
             g = GridFunction(origin, _random_values(rng, ov["window"]))
-            for alpha in ov["alpha"]:
-                yield from leibniz_sweep(f, g, alpha)
+            yield from leibniz_sweep(f, g, ov["alpha"])
 
 
 def _run_form1(ov: Mapping) -> Iterator[VerificationReport]:

@@ -679,6 +679,33 @@ _KIND_VALUES = {
 }
 
 
+# Huge literals: integers of 4400-5000 digits, past int-to-str's default limit,
+# and rationals past a double.  They go only where no Gamma shift runs over
+# them, since gamma_of's shift is O(x).
+_SIGNS = st.sampled_from(["", "-"])
+_HUGE_LITERALS = st.one_of(
+    st.builds("{}{}".format, _SIGNS, st.builds(str.__mul__, st.sampled_from("123456789"), st.integers(4400, 5000))),
+    st.builds("{}1{}/{}".format, _SIGNS, st.integers(309, 400).map("0".__mul__), st.integers(1, 6)),
+)
+# For verify: identity -> (the flags that take a huge literal, the pins that
+# keep its sweep small beside one).  bridge's and index-law's t and form1's
+# beta and gamma are left out, since every one of them reaches gamma_of.
+# gamma-sum pins n, since a huge mu or nu can make -(mu+nu) a huge integer,
+# the first n of its unpinned sweep.
+_HUGE_VERIFY = {
+    "saalschutz": (("a", "c"), {"m": st.integers(0, 2)}),
+    "binom-falling": (("x", "y", "seed"), {"n": st.integers(0, 3)}),
+    "binom-poch": (("x", "y", "seed"), {"n": st.integers(0, 3)}),
+    "alt-sum": (("alpha", "seed"), {}),
+    "nabla-zero": (("a",), {}),
+    "power-rule": (("a",), {}),
+    "form1": (("alpha",), {"n": st.integers(0, 3)}),
+    "leibniz": (("alpha", "seed"), {}),
+    "mr-ae": (("mu", "seed"), {}),
+    "gamma-sum": (("mu", "nu"), {"n": st.integers(0, 3)}),
+}
+
+
 @st.composite
 def _verify_argv(draw):
     verify = main.commands["verify"]
@@ -688,27 +715,50 @@ def _verify_argv(draw):
     # every size is pinned small: the defaults would run full sweeps
     keys = draw(st.sets(st.sampled_from(allowed))) | {k for k in allowed if PARAMS[k] == SIZE}
     rationals = _LARGE_RATIONALS if identity in ("bridge", "index-law") else _SMALL_RATIONALS
+    # one draw in eight gives huge literals to some of the flags that take them
+    huge_flags, pins = _HUGE_VERIFY.get(identity, ((), {}))
+    huge, fmt = set(), "text"
+    if huge_flags and draw(st.sampled_from([False] * 7 + [True])):
+        huge = draw(st.sets(st.sampled_from(huge_flags), min_size=1))
+        keys |= huge | set(pins)
+        if identity.startswith("binom-"):
+            fmt = draw(st.sampled_from(["text", "json", "csv"]))
     argv = ["verify", identity]
     for key in sorted(keys):
         kind = PARAMS[key]
-        value = draw(rationals if kind == RATIONAL else _KIND_VALUES[kind])
+        if key in huge:
+            value = draw(_HUGE_LITERALS)
+        elif huge and key in pins:
+            value = draw(pins[key])
+        else:
+            value = draw(rationals if kind == RATIONAL else _KIND_VALUES[kind])
         argv += [flags[key]] if kind == FLAG else [flags[key], str(value)]
-    return argv
+    return argv if fmt == "text" else argv + ["--format", fmt]
 
 
-def _assert_exit_code_contract(result):
+def _assert_exit_code_contract(result, fmt="text"):
     """Exit 0, 1 or 2, never a traceback, and 1 only after a failure report."""
     assert result.exception is None or isinstance(result.exception, SystemExit), result.output
     assert result.exit_code in (0, 1, 2)
     if result.exit_code == 1:
         lines = result.stdout.splitlines()
-        assert any(line.startswith(("[mismatch]", "[float_only]")) for line in lines)
+        if fmt == "json":
+            failed = [json.loads(line)["status"] in ("mismatch", "float_only") for line in lines]
+        elif fmt == "csv":
+            failed = [row[1] in ("mismatch", "float_only") for row in csv.reader(lines[1:])]
+        else:
+            failed = [line.startswith(("[mismatch]", "[float_only]")) for line in lines]
+        assert any(failed)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_verify_argv())
+@example(["verify", "binom-poch", "--x", "7" * 4600, "--y", "-" + "3" * 4500 + "/2", "--n", "3", "--format", "csv"])
+@example(["verify", "saalschutz", "--a", "1" + "0" * 350 + "/3", "--c", "-" + "9" * 4800, "--m", "2"])
+@example(["verify", "gamma-sum", "--mu", "1/3", "--nu", "-1" + "0" * 330 + "/3", "--n", "2"])
 def test_exit_code_contract(argv):
-    _assert_exit_code_contract(CliRunner().invoke(main, argv))
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "text"
+    _assert_exit_code_contract(CliRunner().invoke(main, argv), fmt)
 
 
 # JSON-shaped config values.  Numbers stay small and a range object spans at
@@ -780,16 +830,9 @@ _EVAL_VALUES = {
     "m": st.integers(-3, 8).map(str),
 }
 _WINDOW_FLAGS = ("a", "f", "len", "at")
-# Huge literals: integers of 4400-5000 digits, past int-to-str's default limit,
-# and rationals past a double.  They go only where no Gamma shift runs over
-# them, since gamma_of's shift is O(x): falling and poch at an integer order
-# 0-3, binom at n <= 3, hyp3f2's z at m <= 8 (as drawn) and const: windows of
-# length 1-6.
-_SIGNS = st.sampled_from(["", "-"])
-_HUGE_LITERALS = st.one_of(
-    st.builds("{}{}".format, _SIGNS, st.builds(str.__mul__, st.sampled_from("123456789"), st.integers(4400, 5000))),
-    st.builds("{}1{}/{}".format, _SIGNS, st.integers(309, 400).map("0".__mul__), st.integers(1, 6)),
-)
+# Huge literals for eval and table go only where no Gamma shift runs over
+# them: falling and poch at an integer order 0-3, binom at n <= 3, hyp3f2's z
+# at m <= 8 (as drawn) and const: windows of length 1-6.
 _HUGE_ORDER = {"x": _HUGE_LITERALS, "y": st.integers(0, 3).map(str)}
 _HUGE_WINDOW = {"f": _HUGE_LITERALS.map("const:{}".format), "len": st.integers(1, 6).map(str)}
 _HUGE_VALUES = {

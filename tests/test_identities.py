@@ -27,10 +27,10 @@ from deltafrac import (
     hyp3f2_terminating,
     leibniz_sweep,
     nabla_zero_check,
+    parse_gamma_polynomial,
     poch_int,
     power_rule_closed,
     power_rule_sweep,
-    power_rule_verify,
     prop_form1_check,
     saalschutz_lhs,
     saalschutz_verify,
@@ -131,11 +131,11 @@ class TestPowerRule:
 
         for name in calls:
             monkeypatch.setattr(identities, name, counted(name))
-        assert len(power_rule_verify(0, Q(1, 2), Q(1, 2), 12)) == 13
+        assert len(list(power_rule_sweep(0, Q(1, 2), [Q(1, 2)], 12))) == 13
         assert calls == {"gamma_of": 1, "power_rule_order_violation": 1}
 
     def test_verify_sweep_all_exact(self):
-        reports = power_rule_verify(0, Q(1, 2), Q(1, 2), 8)
+        reports = list(power_rule_sweep(0, Q(1, 2), [Q(1, 2)], 8))
         assert len(reports) == 9
         assert all(r.status == "exact" for r in reports)
         assert reports[0].identity == "power-rule"
@@ -143,7 +143,7 @@ class TestPowerRule:
 
     def test_vanishing_when_total_order_is_negative_integer(self):
         # mu + nu = -1: the transform must vanish from N = 1 on
-        reports = power_rule_verify(Q(1, 4), Q(1, 2), Q(-3, 2), 5)
+        reports = list(power_rule_sweep(Q(1, 4), Q(1, 2), [Q(-3, 2)], 5))
         assert all(r.status == "exact" for r in reports)
         assert reports[1].lhs == "0" and reports[1].rhs == "0"
         assert reports[0].lhs != "0"
@@ -169,9 +169,9 @@ class TestPowerRule:
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError, match=r"mu must not be a negative integer \(got -2\)"):
-            power_rule_verify(0, -2, Q(1, 2), 3)  # mu negative integer
+            list(power_rule_sweep(0, -2, [Q(1, 2)], 3))  # mu negative integer
         with pytest.raises(DomainError):
-            power_rule_verify(0, Q(1, 2), -1, 3)  # nu nonpositive integer
+            list(power_rule_sweep(0, Q(1, 2), [-1], 3))  # nu nonpositive integer
 
     @given(
         a=rationals,
@@ -182,7 +182,7 @@ class TestPowerRule:
     @settings(max_examples=40, deadline=None)
     def test_a_sweep_reports_as_its_orders_checked_one_by_one(self, a, mu, nus, n_max):
         swept = [rep.to_json_dict() for rep in power_rule_sweep(a, mu, nus, n_max)]
-        one_by_one = [rep.to_json_dict() for nu in nus for rep in power_rule_verify(a, mu, nu, n_max)]
+        one_by_one = [rep.to_json_dict() for nu in nus for rep in power_rule_sweep(a, mu, [nu], n_max)]
         assert swept == one_by_one
 
     @pytest.mark.parametrize(
@@ -198,7 +198,7 @@ class TestPowerRule:
 
         monkeypatch.setattr(identities, "sample_falling_power", never)
         with pytest.raises(DomainError, match=message):
-            power_rule_verify(0, mu, nu, 2)
+            list(power_rule_sweep(0, mu, [nu], 2))
 
 
 class TestCompareWindows:
@@ -305,33 +305,33 @@ class TestLeibniz:
     def test_product_with_constant(self):
         f = GridFunction(0, [1] * 6)
         g = GridFunction(0, [Q(k) for k in range(6)])
-        rep = leibniz_sweep(f, g, Q(1, 2))[3]
+        rep = list(leibniz_sweep(f, g, [Q(1, 2)]))[3]
         assert rep.status == "exact"
         assert rep.lhs == "35/8"
 
     def test_sweep_is_exact_for_gamma_valued_windows(self):
         f = GridFunction(0, [gamma_of(Q(1, 2)), 1, Q(-2, 3), 2, Q(1, 5)])
         g = GridFunction(0, [Q(2), Q(-1), Q(1, 3), Q(4), Q(-5, 2)])
-        for rep in leibniz_sweep(f, g, Q(5, 2)):
+        for rep in leibniz_sweep(f, g, [Q(5, 2)]):
             assert rep.status == "exact"
 
     def test_orders_cover_the_window(self):
         f = GridFunction(0, [1] * 4)
         g = GridFunction(0, [1] * 4)
-        reports = leibniz_sweep(f, g, Q(1, 3))
+        reports = list(leibniz_sweep(f, g, [Q(1, 3)]))
         assert [r.params["t_index"] for r in reports] == [0, 1, 2, 3]
 
     def test_rejects_different_origins(self):
         f = GridFunction(0, [1] * 4)
         g = GridFunction(Q(1, 2), [1] * 4)
         with pytest.raises(DomainError, match="^cannot multiply grid functions with different origins$"):
-            leibniz_sweep(f, g, Q(1, 2))
+            list(leibniz_sweep(f, g, [Q(1, 2)]))
 
     @pytest.mark.parametrize("alpha", [0, -1, -2])
     def test_rejects_a_nonpositive_integer_order(self, alpha):
         f = GridFunction(0, [1] * 4)
         with pytest.raises(DomainError, match=rf"^alpha must not be a nonpositive integer \(got {alpha}\)$"):
-            leibniz_sweep(f, f, alpha)
+            list(leibniz_sweep(f, f, [alpha]))
 
 
 def _expansion_from_windows(f, g, alpha):
@@ -374,6 +374,14 @@ def test_the_window_product_is_the_product_of_values(data, origin):
     assert f * g == GridFunction(origin, [a * b for a, b in zip(f.values, g.values)])
 
 
+def _assert_right_sides_match_the_windows(f, g, alpha):
+    """Each report's right side is the expansion built from windows, by its rendering."""
+    reports = list(leibniz_sweep(f, g, [alpha]))
+    expansion = _expansion_from_windows(f, g, alpha)
+    assert [rep.rhs for rep in reports] == [value.render() for value in expansion.values]
+    return reports
+
+
 class TestLeibnizExpansion:
     def test_signature_pairs_that_merge_are_added(self):
         half = as_polynomial(gamma_of(Q(1, 2)))
@@ -381,22 +389,20 @@ class TestLeibnizExpansion:
         f = GridFunction(Q(1, 3), [half + 1, 2 * half - Q(1, 3), Q(5, 2), 4 - half, half, 3])
         g = GridFunction(Q(1, 3), [inverse - 2, 2 * inverse + 1, inverse, -3, 3 * inverse, 1])
         alpha = Q(3, 2)
-        expansion = identities._leibniz_expansion(f, g, alpha)
-        assert expansion == _expansion_from_windows(f, g, alpha)
+        reports = _assert_right_sides_match_the_windows(f, g, alpha)
         # (G(1/2), G(1/2)^-1) and ((), ()) both land on the rational signature
-        assert set().union(*[v.terms() for v in expansion.values]) == {
+        assert set().union(*[parse_gamma_polynomial(rep.rhs).terms() for rep in reports]) == {
             (), ((Q(1, 2), 1),), ((Q(1, 2), -1),)
         }
-        assert {rep.status for rep in leibniz_sweep(f, g, alpha)} == {"exact"}
+        assert {rep.status for rep in reports} == {"exact"}
 
     @given(st.data(), rationals, orders)
     @settings(max_examples=60, deadline=None)
     def test_matches_the_expansion_built_from_windows(self, data, origin, alpha):
         f = data.draw(_gamma_windows(origin))
         g = data.draw(_gamma_windows(origin))
-        expansion = identities._leibniz_expansion(f, g, alpha)
-        assert expansion == _expansion_from_windows(f, g, alpha)
-        assert {rep.status for rep in leibniz_sweep(f, g, alpha)} == {"exact"}
+        reports = _assert_right_sides_match_the_windows(f, g, alpha)
+        assert {rep.status for rep in reports} == {"exact"}
 
     @given(st.data(), rationals, orders, st.sampled_from([(30, 40), (57, 63)]))
     @settings(max_examples=10, deadline=None)
@@ -406,7 +412,28 @@ class TestLeibnizExpansion:
         lengths = st.integers(min_value=bounds[0], max_value=bounds[1])
         f = data.draw(_gamma_windows(origin, lengths))
         g = data.draw(_gamma_windows(origin, lengths))
-        assert identities._leibniz_expansion(f, g, alpha) == _expansion_from_windows(f, g, alpha)
+        _assert_right_sides_match_the_windows(f, g, alpha)
+
+    def test_order_free_work_is_done_once_per_window(self, monkeypatch):
+        # f * g and g's difference columns depend on no order: three orders
+        # over one window take L differences and one product, not 3 L and 3
+        calls = {"_difference": 0, "__mul__": 0}
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        monkeypatch.setattr(identities, "_difference", counted("_difference", identities._difference))
+        monkeypatch.setattr(GridFunction, "__mul__", counted("__mul__", GridFunction.__mul__))
+        length = 7
+        f = GridFunction(Q(1, 3), [Q(k % 4 - 1, 1 + k % 3) for k in range(length)])
+        g = GridFunction(Q(1, 3), [Q(k**2 - 5, 2) + (k % 2) * as_polynomial(gamma_of(Q(1, 2))) for k in range(length)])
+        reports = list(leibniz_sweep(f, g, [Q(1, 2), Q(-1, 3), Q(5, 2)]))
+        assert [rep.params["alpha"] for rep in reports] == [Q(1, 2)] * length + [Q(-1, 3)] * length + [Q(5, 2)] * length
+        assert {rep.status for rep in reports} == {"exact"}
+        assert calls == {"_difference": length, "__mul__": 1}
 
 
 def test_a_fault_at_difference_order_3_is_a_mismatch(monkeypatch):
@@ -427,7 +454,7 @@ def test_a_fault_at_difference_order_3_is_a_mismatch(monkeypatch):
     monkeypatch.setattr(identities, "_difference", faulty)
     g = GridFunction(0, [Q(k**4) for k in range(7)])
     alt_sum = alt_sum_lemma_check(g, Q(1, 2), 4, 5)
-    leibniz = leibniz_sweep(GridFunction(0, [1] * 7), g, Q(1, 2))
+    leibniz = leibniz_sweep(GridFunction(0, [1] * 7), g, [Q(1, 2)])
     assert alt_sum.status == "mismatch"
     assert "mismatch" in [rep.status for rep in leibniz]
 
@@ -447,8 +474,8 @@ def test_a_fault_in_the_packed_kernel_is_a_mismatch(monkeypatch):
     g = GridFunction(0, [Q(k**2 - 7, 3) + (k % 2) * as_polynomial(gamma_of(Q(1, 2))) for k in range(40)])
 
     def statuses():
-        power_rule = power_rule_verify(Q(1, 3), Q(1, 2), Q(-1, 3), 63)
-        return {rep.status for rep in power_rule}, {rep.status for rep in leibniz_sweep(f, g, Q(1, 2))}
+        power_rule = power_rule_sweep(Q(1, 3), Q(1, 2), [Q(-1, 3)], 63)
+        return {rep.status for rep in power_rule}, {rep.status for rep in leibniz_sweep(f, g, [Q(1, 2)])}
 
     assert statuses() == ({"exact"}, {"exact"})
     monkeypatch.setattr(fracops, "_packed_dots", faulty)
@@ -503,7 +530,7 @@ class TestMrAe:
 
     @pytest.mark.parametrize("mu", [Q(1, 3), Q(1, 2), Q(3, 2), Q(7, 3)])
     def test_exact_at_every_output_point(self, mu):
-        reports = mr_ae_sweep(self.f, mu, 7)
+        reports = list(mr_ae_sweep(self.f, [mu], 7))
         assert len(reports) == len(self.f) - math.ceil(mu)
         assert {r.status for r in reports} == {"exact"}
         assert reports[0].params == {"window": 7, "mu": mu, "t": self.f.origin + math.ceil(mu) - mu}
@@ -516,8 +543,40 @@ class TestMrAe:
             return GridFunction(out.origin, out.values[:-1] + (out.values[-1] + 1,))
 
         monkeypatch.setattr(identities, "frac_sum_diff", perturbed)
-        statuses = [r.status for r in mr_ae_sweep(self.f, Q(1, 2), 0)]
+        statuses = [r.status for r in mr_ae_sweep(self.f, [Q(1, 2)], 0)]
         assert statuses == ["exact"] * 4 + ["mismatch"]
+
+
+@pytest.mark.parametrize(
+    "sweep, orders, message",
+    [
+        (
+            lambda orders: leibniz_sweep(TestMrAe.f, TestMrAe.f, orders),
+            [Q(1, 2), 0],
+            r"^alpha must not be a nonpositive integer \(got 0\)$",
+        ),
+        (
+            lambda orders: mr_ae_sweep(TestMrAe.f, orders, 0),
+            [Q(1, 2), 1],
+            r"^mu must be a positive non-integer \(got 1\)$",
+        ),
+        (
+            lambda orders: power_rule_sweep(0, Q(1, 2), orders, 5),
+            [Q(1, 2), -1],
+            r"^nu must not be a nonpositive integer \(got -1\)$",
+        ),
+    ],
+    ids=["leibniz", "mr-ae", "power-rule"],
+)
+def test_each_order_streams_before_the_next_is_checked(sweep, orders, message):
+    # a good order, then one off the rule: the good order's reports come out
+    # first, and the bad order raises only when its turn comes
+    expected = [rep.to_json_dict() for rep in sweep(orders[:1])]
+    assert expected and {doc["status"] for doc in expected} == {"exact"}
+    reports = sweep(orders)
+    assert [next(reports).to_json_dict() for _ in expected] == expected
+    with pytest.raises(DomainError, match=message):
+        next(reports)
 
 
 class TestForm1:
