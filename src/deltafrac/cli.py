@@ -9,13 +9,14 @@ Three commands:
 eval and table flags use verify's kind table and parser; --len is 8 or a table's length.
 
 Exit codes are uniform: 0 success, 1 any mismatch or float_only report,
-2 usage, config, or domain errors.  Identical invocations produce
-byte-identical output.
+2 usage, config, or domain errors, or a verify run whose stdout closed.
+Identical invocations produce byte-identical output.
 """
 from __future__ import annotations
 
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import partial
@@ -236,10 +237,21 @@ def _csv_row(rep: VerificationReport) -> list[str]:
 _CSV_HEADER = ["identity", "status", "params", "lhs", "rhs", "abs_float_gap", "excluded_by"]
 
 
-def _csv_echo(fields: list[str]) -> None:
-    """One CSV row on stdout, flushed; a field that holds a comma is quoted."""
-    csv.writer(sys.stdout, lineterminator="\n").writerow(fields)
-    sys.stdout.flush()
+def _stdout_closed() -> None:
+    """Exit 2 on a closed stdout, and send stdout's unwritten rest to devnull.
+
+    Otherwise the interpreter's flush at exit meets the closed pipe again and
+    prints ``Exception ignored ... BrokenPipeError``.
+    """
+    try:
+        fileno = sys.stdout.fileno()
+    except OSError:
+        pass  # a stdout with no file descriptor meets no pipe at exit
+    else:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fileno)
+        os.close(devnull)
+    _fail("stdout was closed before every report was written")
 
 
 @main.command("verify")
@@ -275,27 +287,33 @@ def cmd_verify(identity, config_path, fmt, **params):
 
     counts = {status: 0 for status in _STATUS_ORDER}
     failed = False
+    out = sys.stdout
+    # one csv writer for the header and every row; a field that holds a comma is quoted
+    rows = csv.writer(out, lineterminator="\n")
     # a run refused before its first report prints nothing to stdout, as text and json do
     header_due = fmt == "csv"
     try:
         for config in configs:
             for rep in run_sweep(config):
                 if header_due:
-                    _csv_echo(_CSV_HEADER)
+                    rows.writerow(_CSV_HEADER)
+                    out.flush()
                     header_due = False
                 counts[rep.status] += 1
                 failed = failed or rep.is_failure
+                # one write and one flush per report, so each line streams as it is checked
                 if fmt == "csv":
-                    _csv_echo(_csv_row(rep))
+                    rows.writerow(_csv_row(rep))
                 else:
-                    # one write and one flush per report, so each line streams as it is checked
-                    line = json.dumps(rep.to_json_dict()) if fmt == "json" else _text_line(rep)
-                    sys.stdout.write(line + "\n")
-                    sys.stdout.flush()
+                    out.write((rep.json_line() if fmt == "json" else _text_line(rep)) + "\n")
+                out.flush()
+        if header_due:
+            rows.writerow(_CSV_HEADER)
+            out.flush()
     except (DeltafracError, ValueError) as exc:
         _fail(str(exc))
-    if header_due:
-        _csv_echo(_CSV_HEADER)
+    except BrokenPipeError:
+        _stdout_closed()
     total = sum(counts.values())
     summary = ", ".join(f"{counts[status]} {status}" for status in _STATUS_ORDER)
     click.echo(f"checked {total} parameter points: {summary}", file=sys.stderr)

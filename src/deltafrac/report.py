@@ -3,11 +3,14 @@
 A report compares two exactly-computed values.  Status ``exact`` means the
 two term maps are equal, so both sides are one value and its float gap is
 0.0.  Floats only grade a formal failure, as a near-miss or a mismatch.
+
+A report's JSON line, ``json_line()``, is written here and nowhere else.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Mapping
 
 from .exact import as_polynomial
@@ -72,6 +75,24 @@ class VerificationReport:
         if self.excluded_by is not None:
             doc["excluded_by"] = self.excluded_by
         return doc
+
+    def json_line(self) -> str:
+        """``json.dumps(self.to_json_dict())``, built in one pass with no dict."""
+        params = ", ".join(f"{_quote(k)}: {_quote(str(v))}" for k, v in self.params.items())
+        gap = self.abs_float_gap
+        if gap is None:
+            gap_text = "null"
+        elif math.isfinite(gap):
+            gap_text = repr(gap)
+        else:
+            # json's spelling of the non-finite floats
+            gap_text = "NaN" if gap != gap else ("Infinity" if gap > 0 else "-Infinity")
+        excluded = "" if self.excluded_by is None else f', "excluded_by": {_quote(self.excluded_by)}'
+        return (
+            f'{{"identity": {_quote(self.identity)}, "params": {{{params}}}, '
+            f'"status": {_quote(self.status)}, "lhs": {_quote(self.lhs)}, '
+            f'"rhs": {_quote(self.rhs)}, "abs_float_gap": {gap_text}{excluded}}}'
+        )
 
 
 def report_compare(identity: str, params: Mapping[str, object], lhs, rhs) -> VerificationReport:

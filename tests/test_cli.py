@@ -7,6 +7,7 @@ import io
 import json
 import math
 import pkgutil
+import subprocess
 import sys
 import weakref
 from collections import Counter
@@ -414,6 +415,63 @@ class TestVerify:
         del out
         gc.collect()
         assert released() is None
+
+    @pytest.mark.parametrize("fmt, writes", [("json", 9), ("text", 9), ("csv", 10)])
+    def test_one_write_and_one_flush_per_report(self, runner, fmt, writes):
+        # each line streams as it is checked; csv's header is one more line
+        calls = []
+
+        class CountingStdout:
+            def write(self, data):
+                calls.append(("write", data))
+                return len(data)
+
+            def flush(self):
+                calls.append(("flush", None))
+
+        argv = ["verify", "power-rule", "--a", "0", "--mu", "1/2", "--nu", "1/2", "--n-max", "8", "--format", fmt]
+        saved = sys.stdout, sys.stderr
+        sys.stdout, sys.stderr = CountingStdout(), io.StringIO()
+        try:
+            main(argv, standalone_mode=False)
+        except SystemExit as exc:
+            assert exc.code == 0
+        finally:
+            sys.stdout, sys.stderr = saved
+        assert [kind for kind, _ in calls] == ["write", "flush"] * writes
+        lines = [data for kind, data in calls if kind == "write"]
+        assert all(line.count("\n") == 1 and line.endswith("\n") for line in lines)
+        assert "".join(lines) == runner.invoke(main, argv).stdout
+
+    def test_closed_stdout_exits_2_without_a_traceback(self):
+        # the reader takes one line of the suite's json stream and closes the pipe
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "deltafrac.cli", "verify", "all", "--format", "json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=120)
+        assert json.loads(first)["identity"] == "bridge"
+        assert proc.returncode == 2
+        assert stderr.decode() == "error: stdout was closed before every report was written\n"
+
+    def test_closed_stdout_without_a_file_descriptor_exits_2(self):
+        class ClosedPipe(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        saved = sys.stdout, sys.stderr
+        sys.stdout, sys.stderr = ClosedPipe(), io.StringIO()
+        try:
+            with pytest.raises(SystemExit) as exited:
+                main(["verify", "bridge", "--format", "json"], standalone_mode=False)
+            stderr = sys.stderr.getvalue()
+        finally:
+            sys.stdout, sys.stderr = saved
+        assert exited.value.code == 2
+        assert stderr == "error: stdout was closed before every report was written\n"
 
     def test_float_overflow_leaves_exact_verdict(self, runner):
         result = runner.invoke(main, ["verify", "bridge", "--t", "400", "--alpha", "200", "--format", "json"])

@@ -1,5 +1,9 @@
 """Report classification: exact, float_only, mismatch and serialization."""
+import json
+import math
 from fractions import Fraction as Q
+
+from hypothesis import given, strategies as st
 
 from deltafrac import (
     EXACT,
@@ -7,11 +11,13 @@ from deltafrac import (
     FLOAT_RTOL,
     MISMATCH,
     as_polynomial,
+    default_suite,
     falling_poch_bridge_check,
     gamma_of,
     report_compare,
+    run_sweep,
 )
-from deltafrac.report import report_excluded
+from deltafrac.report import DOMAIN_EXCLUDED, POLE, VerificationReport, report_excluded
 
 
 def test_exact_means_formal_zero():
@@ -105,3 +111,29 @@ def test_float_cross_check_on_exact_reports():
     assert rep.status == EXACT
     assert rep.lhs == rep.rhs
     assert rep.abs_float_gap == 0.0
+
+
+# Any text, weighted toward what json escapes: quotes, backslashes, control
+# characters, and non-ASCII and non-BMP characters.
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600'), st.characters()))
+
+
+@given(
+    identity=_TEXT,
+    params=st.dictionaries(_TEXT, st.one_of(st.integers(), st.fractions(), _TEXT), max_size=4),
+    status=st.sampled_from([EXACT, FLOAT_ONLY, MISMATCH, DOMAIN_EXCLUDED, POLE]),
+    lhs=_TEXT,
+    rhs=_TEXT,
+    gap=st.one_of(st.none(), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]), st.floats()),
+    excluded_by=st.one_of(st.none(), _TEXT),
+)
+def test_json_line_is_json_dumps_of_the_dict(identity, params, status, lhs, rhs, gap, excluded_by):
+    rep = VerificationReport(identity, params, status, lhs, rhs, gap, excluded_by)
+    assert rep.json_line() == json.dumps(rep.to_json_dict())
+
+
+def test_json_line_of_every_default_suite_report():
+    reports = [rep for config in default_suite() for rep in run_sweep(config)]
+    assert len(reports) == 5697
+    for rep in reports:
+        assert rep.json_line() == json.dumps(rep.to_json_dict())
