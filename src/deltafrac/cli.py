@@ -9,17 +9,17 @@ Three commands:
 eval and table flags use verify's kind table and parser; --len is 8 or a table's length.
 
 Exit codes are uniform: 0 success, 1 any mismatch or float_only report,
-2 usage, config, or domain errors, or a verify run whose stdout closed.
+2 usage, config, or domain errors, or any command whose stdout closed early.
 Identical invocations produce byte-identical output.
 """
 from __future__ import annotations
 
-import csv
 import json
 import os
 import sys
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 
 import click
 
@@ -34,6 +34,7 @@ from .fracops import (
 from .gridfn import GridFunction, sample_falling_power
 from .identities import hyp3f2_terminating
 from .report import (
+    CSV_HEADER,
     DOMAIN_EXCLUDED,
     EXACT,
     FLOAT_ONLY,
@@ -67,7 +68,7 @@ _KINDS = {
 }
 
 
-# Every echo names its stream: click's default-stream cache keeps each stdout it sees alive.
+# Echo only to stderr, by name: click's default-stream cache keeps each stream it sees alive.
 def _fail(message: str) -> None:
     click.echo(f"error: {message}", file=sys.stderr)
     sys.exit(2)
@@ -180,6 +181,34 @@ def _evaluate(command: str, subject: str, raw) -> tuple[dict, object]:
         _fail(str(exc))
 
 
+def _stdout_closed() -> None:
+    """Exit 2 on a closed stdout, and send stdout's unwritten rest to devnull.
+
+    Otherwise the interpreter's flush at exit meets the closed pipe again and
+    prints ``Exception ignored ... BrokenPipeError``.
+    """
+    try:
+        fileno = sys.stdout.fileno()
+    except OSError:
+        pass  # a stdout with no file descriptor meets no pipe at exit
+    else:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fileno)
+        os.close(devnull)
+    _fail("stdout was closed before every line was written")
+
+
+def _write_lines(lines) -> None:
+    """Write and flush each line as it comes: one write and one flush per line."""
+    out = sys.stdout
+    try:
+        for line in lines:
+            out.write(line + "\n")
+            out.flush()
+    except BrokenPipeError:
+        _stdout_closed()
+
+
 @click.group()
 @click.pass_context
 def main(ctx: click.Context) -> None:
@@ -204,54 +233,8 @@ def cmd_eval(subject, fmt, **raw):
             _fail(f"--at {at} is outside the output window (length {len(value)})")
         value = value.values[at]
     rendered, as_float = _render_value(value)
-    if fmt == "json":
-        doc = {"subject": subject, "value": rendered, "float": as_float}
-        click.echo(json.dumps(doc), file=sys.stdout)
-    else:
-        click.echo(rendered, file=sys.stdout)
-
-
-def _text_line(rep: VerificationReport) -> str:
-    parts = [f"[{rep.status}]", rep.identity]
-    parts += [f"{k}={v}" for k, v in rep.params_rendered()]
-    if rep.status == DOMAIN_EXCLUDED:
-        if rep.lhs:
-            parts.append(f"boundary={rep.lhs}")
-        parts.append(f"excluded_by={rep.excluded_by}")
-    else:
-        if rep.lhs:
-            parts.append(f"lhs={rep.lhs}")
-        if rep.rhs:
-            parts.append(f"rhs={rep.rhs}")
-        if rep.is_failure and rep.abs_float_gap is not None:
-            parts.append(f"gap={rep.abs_float_gap!r}")
-    return " ".join(parts)
-
-
-def _csv_row(rep: VerificationReport) -> list[str]:
-    params = ";".join(f"{k}={v}" for k, v in rep.params_rendered())
-    gap = "" if rep.abs_float_gap is None else repr(rep.abs_float_gap)
-    return [rep.identity, rep.status, params, rep.lhs, rep.rhs, gap, rep.excluded_by or ""]
-
-
-_CSV_HEADER = ["identity", "status", "params", "lhs", "rhs", "abs_float_gap", "excluded_by"]
-
-
-def _stdout_closed() -> None:
-    """Exit 2 on a closed stdout, and send stdout's unwritten rest to devnull.
-
-    Otherwise the interpreter's flush at exit meets the closed pipe again and
-    prints ``Exception ignored ... BrokenPipeError``.
-    """
-    try:
-        fileno = sys.stdout.fileno()
-    except OSError:
-        pass  # a stdout with no file descriptor meets no pipe at exit
-    else:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, fileno)
-        os.close(devnull)
-    _fail("stdout was closed before every report was written")
+    doc = {"subject": subject, "value": rendered, "float": as_float}
+    _write_lines([json.dumps(doc) if fmt == "json" else rendered])
 
 
 @main.command("verify")
@@ -286,38 +269,26 @@ def cmd_verify(identity, config_path, fmt, **params):
             _fail(str(exc))
 
     counts = {status: 0 for status in _STATUS_ORDER}
-    failed = False
-    out = sys.stdout
-    # one csv writer for the header and every row; a field that holds a comma is quoted
-    rows = csv.writer(out, lineterminator="\n")
-    # a run refused before its first report prints nothing to stdout, as text and json do
-    header_due = fmt == "csv"
+    line_of = getattr(VerificationReport, f"{fmt}_line")
+
+    def lines():
+        reports = chain.from_iterable(map(run_sweep, configs))
+        # a run refused before its first report prints nothing, csv's header included
+        first = next(reports, None)
+        if fmt == "csv":
+            yield CSV_HEADER
+        for rep in () if first is None else chain((first,), reports):
+            counts[rep.status] += 1
+            yield line_of(rep)
+
     try:
-        for config in configs:
-            for rep in run_sweep(config):
-                if header_due:
-                    rows.writerow(_CSV_HEADER)
-                    out.flush()
-                    header_due = False
-                counts[rep.status] += 1
-                failed = failed or rep.is_failure
-                # one write and one flush per report, so each line streams as it is checked
-                if fmt == "csv":
-                    rows.writerow(_csv_row(rep))
-                else:
-                    out.write((rep.json_line() if fmt == "json" else _text_line(rep)) + "\n")
-                out.flush()
-        if header_due:
-            rows.writerow(_CSV_HEADER)
-            out.flush()
+        _write_lines(lines())
     except (DeltafracError, ValueError) as exc:
         _fail(str(exc))
-    except BrokenPipeError:
-        _stdout_closed()
     total = sum(counts.values())
     summary = ", ".join(f"{counts[status]} {status}" for status in _STATUS_ORDER)
     click.echo(f"checked {total} parameter points: {summary}", file=sys.stderr)
-    sys.exit(1 if failed else 0)
+    sys.exit(1 if counts[MISMATCH] or counts[FLOAT_ONLY] else 0)
 
 
 @main.command("table")
@@ -328,11 +299,10 @@ def cmd_table(subject, fmt, **raw):
     """Print a whole output window, one row per grid point."""
     _, gf = _evaluate("table", subject, raw)
     if fmt == "json":
-        click.echo(json.dumps(gf.to_json_dict()), file=sys.stdout)
+        _write_lines([json.dumps(gf.to_json_dict())])
     else:
-        click.echo("point,value", file=sys.stdout)
-        for i in range(len(gf)):
-            click.echo(f"{gf.point(i)},{gf.values[i].render()}", file=sys.stdout)
+        rows = (f"{gf.point(i)},{gf.values[i].render()}" for i in range(len(gf)))
+        _write_lines(chain(("point,value",), rows))
 
 
 if __name__ == "__main__":

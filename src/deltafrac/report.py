@@ -4,13 +4,16 @@ A report compares two exactly-computed values.  Status ``exact`` means the
 two term maps are equal, so both sides are one value and its float gap is
 0.0.  Floats only grade a formal failure, as a near-miss or a mismatch.
 
-A report's JSON line, ``json_line()``, is written here and nowhere else.
+Every line format of a report is made here and nowhere else: ``text_line()``,
+``csv_line()`` under ``CSV_HEADER``, and ``json_line()``.
 """
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
+from types import SimpleNamespace
 from typing import Mapping
 
 from .exact import as_polynomial
@@ -22,6 +25,7 @@ __all__ = [
     "DOMAIN_EXCLUDED",
     "POLE",
     "FLOAT_RTOL",
+    "CSV_HEADER",
     "VerificationReport",
     "report_compare",
     "report_excluded",
@@ -36,6 +40,11 @@ POLE = "pole"
 # Relative tolerance separating float_only from mismatch when a comparison
 # fails formally.  An exact report is never graded by it: its gap is 0.0.
 FLOAT_RTOL = 1e-9
+
+CSV_HEADER = "identity,status,params,lhs,rhs,abs_float_gap,excluded_by"
+
+# writerow returns what its file's write returns: each row as its line, quoted as csv quotes
+_CSV_ROWS = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,9 +69,6 @@ class VerificationReport:
     def is_failure(self) -> bool:
         return self.status in (MISMATCH, FLOAT_ONLY)
 
-    def params_rendered(self) -> list[tuple[str, str]]:
-        return [(k, str(v)) for k, v in self.params.items()]
-
     def to_json_dict(self) -> dict:
         doc: dict = {
             "identity": self.identity,
@@ -75,6 +81,29 @@ class VerificationReport:
         if self.excluded_by is not None:
             doc["excluded_by"] = self.excluded_by
         return doc
+
+    def text_line(self) -> str:
+        parts = [f"[{self.status}]", self.identity]
+        parts += [f"{k}={v}" for k, v in self.params.items()]
+        if self.status == DOMAIN_EXCLUDED:
+            if self.lhs:
+                parts.append(f"boundary={self.lhs}")
+            parts.append(f"excluded_by={self.excluded_by}")
+        else:
+            if self.lhs:
+                parts.append(f"lhs={self.lhs}")
+            if self.rhs:
+                parts.append(f"rhs={self.rhs}")
+            if self.is_failure and self.abs_float_gap is not None:
+                parts.append(f"gap={self.abs_float_gap!r}")
+        return " ".join(parts)
+
+    def csv_line(self) -> str:
+        """One row under ``CSV_HEADER``; the parameters are one ``key=value;...`` field."""
+        params = ";".join(f"{k}={v}" for k, v in self.params.items())
+        gap = "" if self.abs_float_gap is None else repr(self.abs_float_gap)
+        row = [self.identity, self.status, params, self.lhs, self.rhs, gap, self.excluded_by or ""]
+        return _CSV_ROWS.writerow(row)[:-1]
 
     def json_line(self) -> str:
         """``json.dumps(self.to_json_dict())``, built in one pass with no dict."""

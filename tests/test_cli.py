@@ -31,6 +31,13 @@ from deltafrac.cli import _KINDS, _SUBJECTS, _flags_of, _subjects_of, main
 from deltafrac.sweeps import FLAG, INT, PARAMS, RATIONAL, REGISTRY, SIZE, IdentityEntry
 
 
+# what every command prints on stderr when its stdout closes early
+_CLOSED_STDOUT = "error: stdout was closed before every line was written\n"
+_POWER_RULE_ARGV = ["verify", "power-rule", "--a", "0", "--mu", "1/2", "--nu", "1/2", "--n-max", "8"]
+_EVAL_ARGV = ["eval", "falling", "--x", "5", "--y", "2"]
+_TABLE_ARGV = ["table", "fracsum", "--nu", "1/2", "--f", "kpow:3", "--len", "4"]
+
+
 @pytest.fixture()
 def runner():
     return CliRunner()
@@ -416,9 +423,20 @@ class TestVerify:
         gc.collect()
         assert released() is None
 
-    @pytest.mark.parametrize("fmt, writes", [("json", 9), ("text", 9), ("csv", 10)])
-    def test_one_write_and_one_flush_per_report(self, runner, fmt, writes):
-        # each line streams as it is checked; csv's header is one more line
+    @pytest.mark.parametrize(
+        "argv, fmt, writes",
+        [
+            pytest.param(_POWER_RULE_ARGV, "json", 9, id="json-9"),
+            pytest.param(_POWER_RULE_ARGV, "text", 9, id="text-9"),
+            pytest.param(_POWER_RULE_ARGV, "csv", 10, id="csv-10"),
+            pytest.param(_EVAL_ARGV, "text", 1, id="eval-text-1"),
+            pytest.param(_EVAL_ARGV, "json", 1, id="eval-json-1"),
+            pytest.param(_TABLE_ARGV, "csv", 5, id="table-csv-5"),
+            pytest.param(_TABLE_ARGV, "json", 1, id="table-json-1"),
+        ],
+    )
+    def test_one_write_and_one_flush_per_report(self, runner, argv, fmt, writes):
+        # each line streams as it is written; a csv header is one more line
         calls = []
 
         class CountingStdout:
@@ -429,7 +447,7 @@ class TestVerify:
             def flush(self):
                 calls.append(("flush", None))
 
-        argv = ["verify", "power-rule", "--a", "0", "--mu", "1/2", "--nu", "1/2", "--n-max", "8", "--format", fmt]
+        argv = [*argv, "--format", fmt]
         saved = sys.stdout, sys.stderr
         sys.stdout, sys.stderr = CountingStdout(), io.StringIO()
         try:
@@ -455,9 +473,32 @@ class TestVerify:
         _, stderr = proc.communicate(timeout=120)
         assert json.loads(first)["identity"] == "bridge"
         assert proc.returncode == 2
-        assert stderr.decode() == "error: stdout was closed before every report was written\n"
+        assert stderr.decode() == _CLOSED_STDOUT
 
-    def test_closed_stdout_without_a_file_descriptor_exits_2(self):
+    def test_closed_table_stdout_exits_2_without_a_traceback(self):
+        # 3000 rows of about 5 MB, far past a pipe's buffer: the reader takes the header
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "deltafrac.cli", "table", "fracsum", "--nu", "1/2", "--f", "kpow:3",
+             "--len", "3000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=120)
+        assert first == b"point,value\n"
+        assert proc.returncode == 2
+        assert stderr.decode() == _CLOSED_STDOUT
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(_EVAL_ARGV, id="eval"),
+            pytest.param(_TABLE_ARGV, id="table"),
+            pytest.param(["verify", "bridge", "--format", "json"], id="verify"),
+        ],
+    )
+    def test_closed_stdout_without_a_file_descriptor_exits_2(self, argv):
         class ClosedPipe(io.StringIO):
             def flush(self):
                 raise BrokenPipeError(32, "Broken pipe")
@@ -466,12 +507,12 @@ class TestVerify:
         sys.stdout, sys.stderr = ClosedPipe(), io.StringIO()
         try:
             with pytest.raises(SystemExit) as exited:
-                main(["verify", "bridge", "--format", "json"], standalone_mode=False)
+                main(argv, standalone_mode=False)
             stderr = sys.stderr.getvalue()
         finally:
             sys.stdout, sys.stderr = saved
         assert exited.value.code == 2
-        assert stderr == "error: stdout was closed before every report was written\n"
+        assert stderr == _CLOSED_STDOUT
 
     def test_float_overflow_leaves_exact_verdict(self, runner):
         result = runner.invoke(main, ["verify", "bridge", "--t", "400", "--alpha", "200", "--format", "json"])

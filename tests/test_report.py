@@ -1,4 +1,6 @@
 """Report classification: exact, float_only, mismatch and serialization."""
+import csv
+import io
 import json
 import math
 from fractions import Fraction as Q
@@ -17,7 +19,7 @@ from deltafrac import (
     report_compare,
     run_sweep,
 )
-from deltafrac.report import DOMAIN_EXCLUDED, POLE, VerificationReport, report_excluded
+from deltafrac.report import CSV_HEADER, DOMAIN_EXCLUDED, POLE, VerificationReport, report_excluded
 
 
 def test_exact_means_formal_zero():
@@ -137,3 +139,37 @@ def test_json_line_of_every_default_suite_report():
     assert len(reports) == 5697
     for rep in reports:
         assert rep.json_line() == json.dumps(rep.to_json_dict())
+
+
+# Any text, weighted toward what csv quotes or could lose: commas, quotes, line breaks,
+# blanks and non-ASCII characters.
+_CSV_TEXT = st.text(st.one_of(st.sampled_from(',"\r\n \t;=\u00e9\U0001f600'), st.characters()))
+
+
+@given(
+    identity=_CSV_TEXT,
+    params=st.dictionaries(_CSV_TEXT, st.one_of(st.integers(), st.fractions(), _CSV_TEXT), max_size=4),
+    status=st.sampled_from([EXACT, FLOAT_ONLY, MISMATCH, DOMAIN_EXCLUDED, POLE]),
+    lhs=_CSV_TEXT,
+    rhs=_CSV_TEXT,
+    gap=st.one_of(st.none(), st.sampled_from([0.0, -0.0, math.nan, math.inf]), st.floats()),
+    excluded_by=st.one_of(st.none(), _CSV_TEXT),
+)
+def test_csv_line_is_the_csv_writers_row(identity, params, status, lhs, rhs, gap, excluded_by):
+    rep = VerificationReport(identity, params, status, lhs, rhs, gap, excluded_by)
+    fields = [
+        identity,
+        status,
+        ";".join(f"{k}={v}" for k, v in params.items()),
+        lhs,
+        rhs,
+        "" if gap is None else repr(gap),
+        excluded_by or "",
+    ]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(fields)
+    assert rep.csv_line() == out.getvalue()[:-1]
+
+
+def test_csv_header():
+    assert CSV_HEADER == "identity,status,params,lhs,rhs,abs_float_gap,excluded_by"
