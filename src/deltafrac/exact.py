@@ -31,8 +31,10 @@ special.falling_int, the integer-order Pochhammer symbol, the binomial
 checks' left sides and form1's left scale are all written with it.  Every
 run of terms stepped by int ratios, in the verifiers and the nabla kernel,
 is _ratio_run's unreduced prefix products or _ratio_sum's sum of them,
-reduced once.  Floats never decide equality: they only grade a formal
-failure and give eval's float.
+reduced once.  A sum whose terms share their Gamma factors (form1's right
+side, the nabla sum) takes one Gamma value and scales it by such a run,
+so it makes no gamma_of shift per term.  Floats never decide equality:
+they only grade a formal failure and give eval's float.
 """
 from __future__ import annotations
 

@@ -19,9 +19,10 @@ outputs, the same ints the plain dot products make.  Two classical
 difference constructions are layered on top and agree on their common
 domain; the stepped one takes its integer difference on the
 convolution's unreduced columns, so it too materializes once.  A
-nabla-kernel evaluation completes the set: its first summand comes from
-pochhammer, the rest from exact._ratio_sum of the ratios between
-summands; only the first can hold a Gamma pole, so only it is checked.
+nabla-kernel evaluation completes the set: its kernel over Gamma(-alpha)
+is rational, one exact._ratio_run, the sum of the summands' ratios to the
+first is exact._ratio_sum, and its one Gamma value, (1)_p, comes from
+pochhammer; only (1)_p can hold a pole, so only it is checked.
 """
 from __future__ import annotations
 
@@ -34,9 +35,9 @@ from .errors import DomainError, SpecialValuePole, WindowTooShort
 from .exact import (
     GammaPolynomial,
     RationalLike,
+    _ratio_run,
     _ratio_sum,
     as_rational,
-    gamma_of,
     is_nonpositive_integer,
 )
 from .gridfn import GridFunction, _difference, _materialize
@@ -203,16 +204,21 @@ def nabla_poch_diff(
         (1/Gamma(-alpha)) * sum_{j=1..t_index} (t_index-j+1)_{-alpha-1} (j)_p
 
     The shift a cancels from the summand, so only t_index enters the value.
-    Summand j = 1 is taken from pochhammer; with x = t_index - j + 1, each
-    later summand is the one before times the rational ratio
+    Summand 1's kernel over Gamma(-alpha) is rational,
+
+        (t_index)_{-alpha-1} / Gamma(-alpha) = (-alpha)_{t_index-1} / (t_index-1)!,
+
+    and with alpha = an/ad it is the last product of exact._ratio_run of
+    the ratios (i ad - an) / (ad (i + 1)), i < t_index - 1.  With
+    x = t_index - j + 1, each later summand is the one before times the
+    rational ratio
 
         (x - 1)(j + p) / ((x - 2 - alpha) j),
 
-    so the sum is summand 1 times exact._ratio_sum of those ratios.
-    Summand 1's two single-term values, that rational and 1/Gamma(-alpha)
-    multiply to one single-term polynomial, which is returned.  A pole in
-    summand 1 raises SpecialValuePole rather than being silently dropped;
-    no later summand can hold one.
+    so the sum is summand 1 times exact._ratio_sum of those ratios.  The
+    value is (1)_p, from pochhammer, times those two rationals: one
+    single-term polynomial.  (1)_p is the only factor that can hold a pole;
+    a pole raises SpecialValuePole rather than being silently dropped.
     """
     as_rational(a)
     p = as_rational(p)
@@ -221,18 +227,19 @@ def nabla_poch_diff(
         raise DomainError(f"alpha must not be an integer (got {alpha})")
     if t_index < 1:
         raise DomainError(f"t_index must be at least 1 (got {t_index})")
-    kernel = pochhammer(t_index, -alpha - 1)
     sample = pochhammer(1, p)
-    if kernel.is_pole or sample.is_pole:
+    if sample.is_pole:
         raise SpecialValuePole("summand at j=1 has an unresolved Gamma pole")
-    # Only summand 1 can hold a pole.  alpha is not an integer, so the kernel
-    # (x)_{-alpha-1} at a positive integer x never has one; (j)_p has one only
-    # when j + p is 0, -1, -2, ..., and if j = 1 misses that set so does
-    # every larger j.  So every ratio below is finite and nonzero.
+    # Only (1)_p can hold a pole.  alpha is not an integer, so no kernel ratio
+    # and no x - 2 - alpha is 0; (j)_p has a pole only when j + p is 0, -1,
+    # -2, ..., and if j = 1 misses that set so does every larger j.  So every
+    # ratio below is finite and nonzero.
     pn, pd = p.numerator, p.denominator
     an, ad = alpha.numerator, alpha.denominator
+    for kernel_num, kernel_den in _ratio_run((i * ad - an, ad * (i + 1)) for i in range(t_index - 1)):
+        pass
     total = _ratio_sum(
         ((x - 1) * (j * pd + pn) * ad, ((x - 2) * ad - an) * j * pd)
         for j, x in zip(range(1, t_index), range(t_index, 1, -1))
     )
-    return kernel.value * sample.value * total / gamma_of(-alpha)
+    return sample.value * (Fraction(kernel_num, kernel_den) * total)

@@ -15,13 +15,16 @@ points unless pinned or ``force`` is set.  Every n-th forward difference
 a verifier uses is gridfn's one int difference, which delta_n wraps, so
 each order is checked.  Every run of term ratios here (the binomial
 sums' rising and falling runs, the power rule's (mu+nu+1)_n / n!, the
-Leibniz weights C(-alpha, n), the Saalschutz product side and form1's
-right-side coefficients) is exact._ratio_run on ints, and the terminating
-3F2 is exact._ratio_sum.  That stepper stays on one side of each identity:
-the binomial checks' left sides are single products from poch_int and
+Leibniz weights C(-alpha, n), the Saalschutz product side, and form1's
+right-side coefficients and its summands' Gamma values over the first's)
+is exact._ratio_run on ints, and the terminating 3F2 is
+exact._ratio_sum.  That stepper stays on one side of each identity: the
+binomial checks' left sides are single products from poch_int and
 falling_int, the power-rule and Leibniz left sides frac_sum_diff windows,
 form1's left scale poch_int's, and the Saalschutz series _ratio_sum's.
 The Leibniz right side and the alt-sum left side are sums of int columns.
+No verifier sums Gamma polynomials term by term: form1's right side is
+one Gamma value, from falling, times a rational sum.
 """
 from __future__ import annotations
 
@@ -42,7 +45,6 @@ from .exact import (
     is_nonpositive_integer,
     is_positive_integer,
     poch_int,
-    weighted_sum,
 )
 from .fracops import _convolve, ae_frac_diff, frac_sum_diff, nabla_poch_diff
 from .gridfn import GridFunction, _difference, _materialize, _product, sample_falling_power
@@ -423,13 +425,19 @@ def prop_form1_check(
                   * falling(gamma,j) * falling(beta+gamma+n-j, gamma-j)
 
     requiring alpha not a nonpositive integer and beta, beta+gamma not
-    negative integers.  No summand holds a pole: falling(x, y) has one only
-    at a negative integer x, and x = beta+gamma+n-j is either not an
-    integer or, with beta+gamma >= 0, at least n-j >= 0.  The left scale
-    is poch_int's; on the right, with alpha+beta = p/q and gamma = g/h,
-    (alpha+beta+j+1)_{n-j}/(n-j)! is entry n-j of the run of the ratios
-    (p + (n-i) q) / (q (i+1)) and falling(gamma, j) entry j of the run of
-    the ratios (g - i h) / h.
+    negative integers.  No summand's Gamma part is a pole or zero:
+    falling(beta+gamma+n-j, gamma-j) is Gamma(beta+gamma+n-j+1) /
+    Gamma(beta+n+1), and beta+gamma+n-j and beta+n are each either not an
+    integer or at least 0.  So summand j's Gamma part is summand 0's,
+    falling(beta+gamma+n, gamma), taken once, times the rational
+    1/((beta+gamma+n)(beta+gamma+n-1)...(beta+gamma+n-j+1)), and the
+    right side is that one value times the sum of the summands' rationals.
+    The left scale is poch_int's.  On the right, with alpha+beta = p/q,
+    gamma = g/h and beta+gamma = r/s, (alpha+beta+j+1)_{n-j}/(n-j)! is
+    entry n-j of the run of the ratios (p + (n-i) q) / (q (i+1)),
+    falling(gamma, j) is entry j of the run of the ratios (g - i h) / h,
+    and the Gamma part's rational is entry j of the run of the ratios
+    s / (r + (n-i) s); C(-alpha, j) is gen_binomial's.
     """
     alpha = as_rational(alpha)
     beta = as_rational(beta)
@@ -448,18 +456,20 @@ def prop_form1_check(
     prefactor = gamma_of(beta + gamma + 1) / gamma_of(beta + 1)
     scale = poch_int(alpha + beta + gamma + 1, n) / math.factorial(n)
     lhs = prefactor * scale
+    first = falling(beta + gamma + n, gamma).as_polynomial()
     p, q = (alpha + beta).as_integer_ratio()
     g, h = gamma.as_integer_ratio()
+    r, s = (beta + gamma).as_integer_ratio()
     rises = list(_ratio_run((p + (n - i) * q, q * (i + 1)) for i in range(n)))
     falls = _ratio_run((g - i * h, h) for i in range(n))
-    summands = []
-    for j, (fall_num, fall_den) in enumerate(falls):
+    tails = _ratio_run((s, r + (n - i) * s) for i in range(n))
+    total = Fraction(0)
+    for j, ((fall_num, fall_den), (tail_num, tail_den)) in enumerate(zip(falls, tails)):
         rise_num, rise_den = rises[n - j]
-        coeff = gen_binomial(-alpha, j) * Fraction(rise_num * fall_num, rise_den * fall_den)
-        if coeff == 0:
-            continue
-        summands.append((falling(beta + gamma + n - j, gamma - j).as_polynomial(), coeff))
-    return report_compare("form1", params, lhs, weighted_sum(summands))
+        total += gen_binomial(-alpha, j) * Fraction(
+            rise_num * fall_num * tail_num, rise_den * fall_den * tail_den
+        )
+    return report_compare("form1", params, lhs, first * total)
 
 
 def hyp3f2_terminating(

@@ -757,6 +757,43 @@ def test_verify_all_csv_digest(runner):
     assert digest == "587b18b62a341b7f48ecb0e079cb4bd8113a6dfe6d7f4e54c6ef0ea072e9832e"
 
 
+@pytest.mark.parametrize(
+    "argv, lines, digest",
+    [
+        (
+            ["verify", "form1", "--n-max", "24"],
+            300,
+            "70aa1f63b4de73723e1263ec14935877d6ee33c2a32f2731529a5601f92927cd",
+        ),
+        (
+            ["verify", "nabla-zero", "--t-extra", "120"],
+            2178,
+            "cd2f3edeeed57535ff0700977c5316cd38e87f077a7860b862d1c2554be35b28",
+        ),
+        (
+            # the domain_excluded boundaries here are nonzero nabla values
+            ["verify", "nabla-zero", "--t-index", "2"],
+            18,
+            "0d8560128aa28eed88501d25ce38b19ab7d69cb4208cb366b612dfe40edb04bc",
+        ),
+        (
+            ["eval", "nabla", "--a", "0", "--p", "1/3", "--alpha", "5/7", "--t-index", "200"],
+            1,
+            "a58f261166837a7ba9b9a0bfcbe20345f73ffbef8660f9014d5dcdec088de5c6",
+        ),
+    ],
+    ids=["form1-n-max-24", "nabla-zero-t-extra-120", "nabla-zero-t-index-2", "eval-nabla-t-index-200"],
+)
+def test_long_stream_json_is_pinned(runner, argv, lines, digest):
+    # form1 to N = 24 and the nabla kernel to t_index 200, past the default grid; the
+    # digests predate the single Gamma value per sum, and hold the output to the
+    # per-summand Gamma ratios'
+    result = runner.invoke(main, [*argv, "--format", "json"])
+    assert result.exit_code == 0
+    assert len(result.stdout.splitlines()) == lines
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
 def test_csv_quotes_a_field_that_holds_a_comma(runner):
     argv = ["verify", "saalschutz", "--force", "--a", "1", "--b", "1", "--c", "-1", "--m", "3", "--format", "csv"]
     result = runner.invoke(main, argv)

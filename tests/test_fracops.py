@@ -21,7 +21,7 @@ from deltafrac import (
     poch_int,
     pochhammer,
 )
-from deltafrac import ae_frac_diff, delta_n, gen_binomial
+from deltafrac import ae_frac_diff, delta_n, fracops, gen_binomial
 from deltafrac.exact import weighted_sum
 from deltafrac.fracops import _PACKED_FROM, _convolve, _packed_dots, _plain_dots, _weight_numerators
 
@@ -458,9 +458,14 @@ class TestNablaPochDiff:
             with pytest.raises(SpecialValuePole, match="summand at j=1 has"):
                 nabla_poch_diff(0, p, Q(1, 2), 4)
 
-    @given(nabla_p_alpha(), st.integers(1, 20))
+    # t_index to 40, where the kernel's run of (i - alpha) / (i + 1) is 39 ratios long;
+    # non_integer_orders draws alpha of either sign
+    @given(nabla_p_alpha(), st.integers(1, 40))
     @example((Q(0), Q(5, 3)), 7)
     @example((Q(2), Q(5, 3)), 7)
+    @example((Q(1, 2), Q(-7, 2)), 40)
+    @example((Q(-3), Q(-5, 6)), 40)
+    @settings(deadline=None)
     def test_matches_termwise_sum(self, p_alpha, t_index):
         p, alpha = p_alpha
         try:
@@ -471,6 +476,18 @@ class TestNablaPochDiff:
             assert str(raised.value) == str(pole)
         else:
             assert nabla_poch_diff(Q(1, 4), p, alpha, t_index).terms() == expected.terms()
+
+    def test_one_pochhammer_and_no_gamma_of(self, monkeypatch):
+        calls = []
+
+        def counted(x, y):
+            calls.append((x, y))
+            return pochhammer(x, y)
+
+        monkeypatch.setattr(fracops, "pochhammer", counted)
+        assert nabla_poch_diff(0, Q(1, 3), Q(7, 3), 40).is_zero
+        assert calls == [(1, Q(1, 3))]
+        assert not hasattr(fracops, "gamma_of")
 
     @pytest.mark.parametrize(
         "p, alpha",

@@ -38,7 +38,8 @@ from deltafrac import (
 from deltafrac import fracops, gridfn, identities
 from deltafrac.exact import weighted_sum
 from deltafrac.identities import mr_ae_sweep, power_rule_order_violation, saalschutz_hypothesis_violation
-from deltafrac.special import falling_int
+from deltafrac.report import report_compare
+from deltafrac.special import falling, falling_int
 from deltafrac.sweeps import default_suite, run_sweep
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
@@ -579,6 +580,23 @@ def test_each_order_streams_before_the_next_is_checked(sweep, orders, message):
         next(reports)
 
 
+def per_summand_form1(alpha, beta, gamma, n):
+    """form1's report with every summand's Gamma part from falling, summed by weighted_sum."""
+    lhs = gamma_of(beta + gamma + 1) / gamma_of(beta + 1) * (
+        poch_int(alpha + beta + gamma + 1, n) / math.factorial(n)
+    )
+    summands = [
+        (
+            falling(beta + gamma + n - j, gamma - j).as_polynomial(),
+            gen_binomial(-alpha, j) * poch_int(alpha + beta + j + 1, n - j)
+            / math.factorial(n - j) * falling_int(gamma, j),
+        )
+        for j in range(n + 1)
+    ]
+    params = {"alpha": alpha, "beta": beta, "gamma": gamma, "N": n}
+    return report_compare("form1", params, lhs, weighted_sum(summands))
+
+
 class TestForm1:
     def test_integer_gamma_point(self):
         rep = prop_form1_check(Q(3, 2), Q(1, 2), 2, 4)
@@ -619,6 +637,33 @@ class TestForm1:
         assume(not (beta.denominator == 1 and beta < 0))
         assume(not ((beta + gamma).denominator == 1 and beta + gamma < 0))
         assert prop_form1_check(alpha, beta, gamma, n).status == "exact"
+
+    # beta + gamma = 0 with a non-integer and an integer gamma, where the run of the
+    # Gamma part's ratios s / (r + (n-i) s) starts from r = 0; then an integer gamma below n
+    @example(Q(7, 3), Q(1, 2), Q(-1, 2), 12)
+    @example(Q(1, 2), Q(3), Q(-3), 12)
+    @example(Q(5, 2), Q(1, 3), Q(4), 12)
+    @given(orders, run_starts, st.one_of(run_starts, st.none()), st.integers(min_value=0, max_value=12))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_per_summand_path(self, alpha, beta, gamma, n):
+        # gamma None draws beta + gamma = 0
+        gamma = -beta if gamma is None else gamma
+        assume(not (beta.denominator == 1 and beta < 0))
+        assume(not ((beta + gamma).denominator == 1 and beta + gamma < 0))
+        reference = per_summand_form1(alpha, beta, gamma, n)
+        assert prop_form1_check(alpha, beta, gamma, n).json_line() == reference.json_line()
+
+    def test_one_falling_per_report_and_no_weighted_sum(self, monkeypatch):
+        calls = []
+
+        def counted(x, y):
+            calls.append((x, y))
+            return falling(x, y)
+
+        monkeypatch.setattr(identities, "falling", counted)
+        assert prop_form1_check(Q(3, 2), Q(1, 4), Q(5, 2), 8).status == "exact"
+        assert calls == [(Q(1, 4) + Q(5, 2) + 8, Q(5, 2))]
+        assert "weighted_sum" not in _imported_names("identities")
 
 
 class TestHyp3F2:
