@@ -22,7 +22,8 @@ exact._ratio_sum.  That stepper stays on one side of each identity: the
 binomial checks' left sides are single products from poch_int and
 falling_int, the power-rule and Leibniz left sides frac_sum_diff windows,
 form1's left scale poch_int's, and the Saalschutz series _ratio_sum's.
-The Leibniz right side and the alt-sum left side are sums of int columns.
+The Leibniz right side and the alt-sum left side are sums of int columns,
+made values by gridfn._materialize, as every operator's output is.
 No verifier sums Gamma polynomials term by term: form1's right side is
 one Gamma value, from falling, times a rational sum.
 """
@@ -34,7 +35,6 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import DenominatorPochhammerZero, DomainError, WindowTooShort
 from .exact import (
-    GammaPolynomial,
     RationalLike,
     _ratio_run,
     _ratio_sum,
@@ -162,7 +162,7 @@ def power_rule_order_violation(
     return None
 
 
-def _check_power_rule_orders(mu: Fraction, nu: Fraction) -> None:
+def _check_power_rule_orders(mu: Fraction | None = None, nu: Fraction | None = None) -> None:
     violation = power_rule_order_violation(mu, nu)
     if violation is not None:
         raise DomainError(violation)
@@ -323,10 +323,9 @@ def alt_sum_lemma_check(
         weight = (-1) ** n * math.comb(k, n)
         for signature, (xs, _) in _difference(columns, n).items():
             sums[signature] += weight * xs[t_index - n]
-    # as in gridfn._materialize: nonzero reduced Fractions on canonical signatures, adopted
-    lhs = GammaPolynomial._adopt(
-        {signature: Fraction(sums[signature], den) for signature, (_, den) in columns.items() if sums[signature]}
-    )
+    lhs = _materialize(
+        g.origin, {signature: ([sums[signature]], den) for signature, (_, den) in columns.items()}, 1
+    ).values[0]
     rhs = g.values[t_index - k]
     return report_compare("alt-sum", params, lhs, rhs)
 
@@ -435,9 +434,8 @@ def prop_form1_check(
     The left scale is poch_int's.  On the right, with alpha+beta = p/q,
     gamma = g/h and beta+gamma = r/s, (alpha+beta+j+1)_{n-j}/(n-j)! is
     entry n-j of the run of the ratios (p + (n-i) q) / (q (i+1)),
-    falling(gamma, j) is entry j of the run of the ratios (g - i h) / h,
-    and the Gamma part's rational is entry j of the run of the ratios
-    s / (r + (n-i) s); C(-alpha, j) is gen_binomial's.
+    falling(gamma, j) times the Gamma part's rational is entry j of the run
+    of (g - i h) s / (h (r + (n-i) s)), and C(-alpha, j) is gen_binomial's.
     """
     alpha = as_rational(alpha)
     beta = as_rational(beta)
@@ -461,14 +459,10 @@ def prop_form1_check(
     g, h = gamma.as_integer_ratio()
     r, s = (beta + gamma).as_integer_ratio()
     rises = list(_ratio_run((p + (n - i) * q, q * (i + 1)) for i in range(n)))
-    falls = _ratio_run((g - i * h, h) for i in range(n))
-    tails = _ratio_run((s, r + (n - i) * s) for i in range(n))
+    forwards = _ratio_run(((g - i * h) * s, h * (r + (n - i) * s)) for i in range(n))
     total = Fraction(0)
-    for j, ((fall_num, fall_den), (tail_num, tail_den)) in enumerate(zip(falls, tails)):
-        rise_num, rise_den = rises[n - j]
-        total += gen_binomial(-alpha, j) * Fraction(
-            rise_num * fall_num * tail_num, rise_den * fall_den * tail_den
-        )
+    for j, ((rise_num, rise_den), (num, den)) in enumerate(zip(reversed(rises), forwards)):
+        total += gen_binomial(-alpha, j) * Fraction(rise_num * num, rise_den * den)
     return report_compare("form1", params, lhs, first * total)
 
 

@@ -10,7 +10,8 @@ config entry key and a run_identity override: one value pins it, a list
 sweeps it, and in a config a range object expands to a list.  Pinning
 every parameter of a grid identity collapses the sweep to one point.
 One resolver checks names, kinds, shapes, size signs and each entry's
-registered clashes before anything runs.  An identity's own
+registered clashes before anything runs.  A pinned index (n, m, t_index)
+is its one value, an unset one a range of its size key.  An identity's own
 preconditions fire only when its runner reaches them, after the
 reports of the config entries before it.
 """
@@ -26,10 +27,11 @@ from functools import partial
 from itertools import product
 from typing import Callable, Iterator, Mapping
 
-from .errors import DomainError, WindowTooShort
+from .errors import WindowTooShort
 from .exact import parse_rational
 from .gridfn import GridFunction
 from .identities import (
+    _check_power_rule_orders,
     alt_sum_lemma_check,
     binom_falling_check,
     binom_poch_check,
@@ -104,6 +106,11 @@ def _window_from(name: str, key: str, size: int) -> Iterator[None]:
         raise WindowTooShort(f"{exc}: {name} {key} is {size}") from exc
 
 
+def _index(ov: Mapping, key: str, start: int, size_key: str) -> list[int] | range:
+    """A pinned int key as its one value; unset, start through start + ov[size_key]."""
+    return [ov[key]] if ov[key] is not None else range(start, start + ov[size_key] + 1)
+
+
 def _run_bridge(ov: Mapping) -> Iterator[VerificationReport]:
     for t, alpha in product(ov["t"], ov["alpha"]):
         yield falling_poch_bridge_check(t, alpha)
@@ -156,10 +163,7 @@ def _run_alt_sum(ov: Mapping) -> Iterator[VerificationReport]:
 
 def _check_power_rule(ov: Mapping) -> None:
     # a pinned order off the rule is refused; a swept grid skips such points
-    pinned = {key: ov[key][0] for key in ("mu", "nu") if len(ov[key]) == 1}
-    violation = power_rule_order_violation(**pinned)
-    if violation is not None:
-        raise DomainError(violation)
+    _check_power_rule_orders(**{key: ov[key][0] for key in ("mu", "nu") if len(ov[key]) == 1})
 
 
 def _run_power_rule(ov: Mapping) -> Iterator[VerificationReport]:
@@ -175,9 +179,7 @@ def _run_gamma_sum(ov: Mapping) -> Iterator[VerificationReport]:
         nu_values = ov["nu"] if ov["nu"] is not None else [-m - mu for m in ov["m"]]
         for nu in nu_values:
             # off the claim, gamma_sum_check raises on the first n
-            m = int(-(mu + nu))
-            ns = [ov["n"]] if ov["n"] is not None else range(m, m + ov["n_extra"] + 1)
-            for n in ns:
+            for n in _index(ov, "n", int(-(mu + nu)), "n_extra"):
                 yield gamma_sum_check(mu, nu, n)
 
 
@@ -186,12 +188,7 @@ def _run_nabla_zero(ov: Mapping) -> Iterator[VerificationReport]:
         alpha_values = ov["alpha"] if ov["alpha"] is not None else [p + m for m in ov["m"]]
         for alpha in alpha_values:
             # off the claim, nabla_zero_check raises on the first t_index
-            m = int(alpha - p)
-            if ov["t_index"] is not None:
-                ts = [ov["t_index"]]
-            else:
-                ts = range(1 + m, 1 + m + ov["t_extra"] + 1)
-            for t_index in ts:
+            for t_index in _index(ov, "t_index", 1 + int(alpha - p), "t_extra"):
                 yield nabla_zero_check(a, p, alpha, t_index)
 
 
@@ -218,18 +215,16 @@ def _run_leibniz(ov: Mapping) -> Iterator[VerificationReport]:
 
 
 def _run_form1(ov: Mapping) -> Iterator[VerificationReport]:
-    ns = [ov["n"]] if ov["n"] is not None else range(ov["n_max"] + 1)
-    for alpha, beta, gamma in product(ov["alpha"], ov["beta"], ov["gamma"]):
-        for n in ns:
-            yield prop_form1_check(alpha, beta, gamma, n)
+    ns = _index(ov, "n", 0, "n_max")
+    for alpha, beta, gamma, n in product(ov["alpha"], ov["beta"], ov["gamma"], ns):
+        yield prop_form1_check(alpha, beta, gamma, n)
 
 
 def _run_saalschutz(ov: Mapping) -> Iterator[VerificationReport]:
     force = ov["force"]
-    ms = [ov["m"]] if ov["m"] is not None else range(ov["m_max"] + 1)
     # a single fully-pinned point reports its exclusion instead of vanishing
     point_mode = ov["m"] is not None and all(len(ov[key]) == 1 for key in "abc")
-    for a, b, c, m in product(ov["a"], ov["b"], ov["c"], ms):
+    for a, b, c, m in product(ov["a"], ov["b"], ov["c"], _index(ov, "m", 0, "m_max")):
         report = saalschutz_verify(a, b, c, m, force=force)
         # swept points outside the hypotheses are filtered silently
         if report.status != DOMAIN_EXCLUDED or force or point_mode:

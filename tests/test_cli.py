@@ -106,6 +106,16 @@ class TestEval:
         assert result.exit_code == 2
         assert "nu must not be a nonpositive integer" in result.output
 
+    def test_hyp3f2_negative_m_exits_2(self, runner):
+        result = runner.invoke(
+            main,
+            ["eval", "hyp3f2", "--a1", "1/2", "--a2", "1/3", "--m", "-1",
+             "--b1", "7/4", "--b2", "1/5", "--z", "1"],
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: m must be a nonnegative integer\n"
+
     def test_missing_flag_exits_2(self, runner):
         result = runner.invoke(main, ["eval", "falling", "--x", "5"])
         assert result.exit_code == 2
@@ -385,6 +395,8 @@ class TestVerify:
             (["saalschutz", "--a", "1/2", "--b", "1/2", "--c", "2", "--m", "-1"],
              "m must be a nonnegative integer"),
             (["saalschutz", "--m", "-1", "--force"], "m must be a nonnegative integer"),
+            (["gamma-sum", "--n", "-1"], "n must be a nonnegative integer"),
+            (["alt-sum", "--k", "-1"], "k must be a nonnegative integer"),
         ],
     )
     def test_domain_error_exits_2(self, runner, argv, message):
@@ -626,6 +638,8 @@ class TestVerify:
             ({"identity": "alt-sum", "alpha": {"num_min": 0, "num_max": 1, "den_max": 1}},
              "alpha takes a single value (got 2)"),
             ({"identity": "leibniz", "seed": [1, 2]}, "seed takes a single value"),
+            (1, "each sweep entry must be a JSON object"),
+            ({"identity": "saalschutz", "force": "yes"}, "force must be true or false"),
         ],
     )
     def test_bad_later_config_entry_prints_no_report(self, runner, tmp_path, bad_entry, message):
@@ -781,13 +795,32 @@ def test_verify_all_csv_digest(runner):
             1,
             "a58f261166837a7ba9b9a0bfcbe20345f73ffbef8660f9014d5dcdec088de5c6",
         ),
+        (
+            ["verify", "form1", "--n", "5"],
+            12,
+            "1b14f91a677e6b172f06eacda111a4259af586eab92d5f7384b67a163dd88d5a",
+        ),
+        (
+            ["verify", "gamma-sum", "--n", "4"],
+            6,
+            "bbd8789584ce396f277cd302c95647ce97b1aa8068fcdd0691ebe50184b96406",
+        ),
+        (
+            ["verify", "saalschutz", "--m", "3"],
+            72,
+            "90c5184ece8fc92b80e39127e5136bb26f4e0e7dc98db6375d79a5f2a5a35fcb",
+        ),
     ],
-    ids=["form1-n-max-24", "nabla-zero-t-extra-120", "nabla-zero-t-index-2", "eval-nabla-t-index-200"],
+    ids=[
+        "form1-n-max-24", "nabla-zero-t-extra-120", "nabla-zero-t-index-2", "eval-nabla-t-index-200",
+        "form1-n-5", "gamma-sum-n-4", "saalschutz-m-3",
+    ],
 )
 def test_long_stream_json_is_pinned(runner, argv, lines, digest):
     # form1 to N = 24 and the nabla kernel to t_index 200, past the default grid; the
     # digests predate the single Gamma value per sum, and hold the output to the
-    # per-summand Gamma ratios'
+    # per-summand Gamma ratios'.  A pinned n, m or t_index runs the one value over the
+    # default grid of the other parameters; its digests predate the one index rule
     result = runner.invoke(main, [*argv, "--format", "json"])
     assert result.exit_code == 0
     assert len(result.stdout.splitlines()) == lines

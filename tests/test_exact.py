@@ -199,6 +199,8 @@ class TestGammaMonomial:
             gamma_of(Q(1, 2)) / (gamma_of(Q(1, 2)) + 1)
         with pytest.raises(TypeError):
             gamma_of(Q(1, 2)) / 0.5
+        with pytest.raises(TypeError):
+            gamma_of(Q(1, 2)) / "x"
 
     def test_the_old_name_is_the_polynomial(self):
         # the benchmark's tracer looks the name up and wraps these operators
@@ -288,6 +290,10 @@ class TestGammaPolynomial:
         # each term is checked before the fold, so invalid terms that cancel are refused too
         with pytest.raises(ValueError, match="base out of range"):
             parse_gamma_polynomial("1*G(3/2)^1 + -1*G(3/2)^1")
+
+    def test_parse_rejects_a_factor_without_an_exponent(self):
+        with pytest.raises(ValueError, match="bad Gamma factor: 'G\\(1/2\\)'"):
+            parse_gamma_polynomial("1*G(1/2)")
 
     @given(gamma_polys, gamma_polys)
     def test_addition_commutes(self, p, q):

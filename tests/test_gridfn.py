@@ -66,6 +66,11 @@ def test_mismatched_origins_rejected():
         _ = f * g
 
 
+def test_a_window_multiplies_only_a_window():
+    with pytest.raises(TypeError):
+        _ = GridFunction(0, [1, 2]) * 2
+
+
 def test_equality_and_serialization():
     f = GridFunction(Q(1, 2), [1, Q(3, 2)])
     doc = f.to_json_dict()
@@ -115,6 +120,10 @@ class TestDeltaN:
         f = GridFunction(0, [1, 2])
         with pytest.raises(WindowTooShort):
             delta_n(f, 2)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(DomainError, match="difference order must be a nonnegative integer"):
+            delta_n(GridFunction(0, [1, 2]), -1)
 
     @given(_GAMMA_WINDOWS, st.fractions(max_denominator=6))
     def test_every_order_matches_the_binomial_weighted_sum(self, values, origin):

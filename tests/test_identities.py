@@ -173,6 +173,8 @@ class TestPowerRule:
             list(power_rule_sweep(0, -2, [Q(1, 2)], 3))  # mu negative integer
         with pytest.raises(DomainError):
             list(power_rule_sweep(0, Q(1, 2), [-1], 3))  # nu nonpositive integer
+        with pytest.raises(DomainError, match="n_max must be a nonnegative integer"):
+            list(power_rule_sweep(0, Q(1, 2), [Q(1, 2)], -1))
 
     @given(
         a=rationals,
@@ -753,6 +755,10 @@ class TestSaalschutz:
     def test_lhs_names_vanishing_denominator(self):
         with pytest.raises(ZeroDivisionError, match="vanishes"):
             saalschutz_lhs(Q(1, 2), Q(1, 2), 0, 1)
+
+    def test_lhs_refuses_a_negative_m(self):
+        with pytest.raises(DomainError, match="m must be a nonnegative integer"):
+            saalschutz_lhs(Q(1, 2), Q(1, 2), Q(3, 2), -1)
 
     @given(run_starts, run_starts, run_starts, st.integers(min_value=0, max_value=12))
     @settings(max_examples=100)
