@@ -39,6 +39,7 @@ from .identities import (
     binom_poch_check,
     corollary_closed,
     falling_poch_bridge_check,
+    form1_sweep,
     gamma_sum_check,
     hyp3f2_terminating,
     index_law_check,
@@ -48,6 +49,7 @@ from .identities import (
     power_rule_sweep,
     prop_form1_check,
     saalschutz_lhs,
+    saalschutz_sweep,
     saalschutz_verify,
 )
 from .report import (

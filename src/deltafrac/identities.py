@@ -9,19 +9,26 @@ its identity's statement and reports ``domain_excluded`` for the points
 the statement names.  Each window sweep (power-rule, mr-ae, leibniz)
 takes its list of orders, builds what no order depends on once, and
 yields each order's reports as it checks them; the power-rule runner
-skips swept orders off the rule and refuses a pinned one.  The
-Saalschutz sweep drops excluded
-points unless pinned or ``force`` is set.  Every n-th forward difference
-a verifier uses is gridfn's one int difference, which delta_n wraps, so
-each order is checked.  Every run of term ratios here (the binomial
-sums' rising and falling runs, the power rule's (mu+nu+1)_n / n!, the
-Leibniz weights C(-alpha, n), the Saalschutz product side, and form1's
-right-side coefficients and its summands' Gamma values over the first's)
-is exact._ratio_run on ints, and the terminating 3F2 is
-exact._ratio_sum.  That stepper stays on one side of each identity: the
-binomial checks' left sides are single products from poch_int and
-falling_int, the power-rule and Leibniz left sides frac_sum_diff windows,
-form1's left scale poch_int's, and the Saalschutz series _ratio_sum's.
+skips swept orders off the rule and refuses a pinned one.  form1 and
+Saalschutz walk one line per (alpha, beta, gamma) or (a, b, c), over n
+or m, in generators of the same shape: form1_sweep makes its domain
+checks and its prefactor Gamma(beta+gamma+1)/Gamma(beta+1) once per
+line and keeps C(-alpha, j) in a table grown by one gen_binomial call
+per new j; saalschutz_sweep tests its four hypotheses once per line and
+extends one product run by one ratio per m.  prop_form1_check and
+saalschutz_verify are their one-index lines.  The Saalschutz runner
+drops excluded points unless pinned or ``force`` is set.  Every n-th
+forward difference a verifier uses is gridfn's one int difference, which
+delta_n wraps, so each order is checked.  Every run of term ratios here
+(the binomial sums' rising and falling runs, the power rule's
+(mu+nu+1)_n / n!, the Leibniz weights C(-alpha, n), the Saalschutz
+product side, and form1's right-side coefficients and its summands'
+Gamma values over the first's) is exact._ratio_run on ints, and the
+terminating 3F2 is exact._ratio_sum.  That stepper stays on one side of
+each identity: the binomial checks' left sides are single products from
+poch_int and falling_int, the power-rule and Leibniz left sides
+frac_sum_diff windows, form1's left scale poch_int's, and the Saalschutz
+series _ratio_sum's.
 The Leibniz right side and the alt-sum left side are sums of int columns,
 made values by gridfn._materialize, as every operator's output is.
 No verifier sums Gamma polynomials term by term: form1's right side is
@@ -31,6 +38,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import count
 from typing import Callable, Iterable, Iterator
 
 from .errors import DenominatorPochhammerZero, DomainError, WindowTooShort
@@ -65,10 +73,12 @@ __all__ = [
     "alt_sum_lemma_check",
     "mr_ae_sweep",
     "leibniz_sweep",
+    "form1_sweep",
     "prop_form1_check",
     "hyp3f2_terminating",
     "saalschutz_lhs",
     "saalschutz_hypothesis_violation",
+    "saalschutz_sweep",
     "saalschutz_verify",
 ]
 
@@ -129,13 +139,17 @@ def index_law_check(t: RationalLike, alpha: RationalLike, beta: RationalLike) ->
     return report_compare("index-law", params, whole.value, left.value * right.value)
 
 
+def _check_index(name: str, value: int) -> None:
+    if value < 0:
+        raise DomainError(f"{name} must be a nonnegative integer")
+
+
 def _binom_check(
     identity: str, power: Callable, step: int, x: RationalLike, y: RationalLike, n: int
 ) -> VerificationReport:
     x = as_rational(x)
     y = as_rational(y)
-    if n < 0:
-        raise DomainError("n must be a nonnegative integer")
+    _check_index("n", n)
     lhs = power(x + y, n)
     rhs = _binomial_sum(x, y, n, step)
     return report_compare(identity, {"x": x, "y": y, "n": n}, lhs, rhs)
@@ -226,8 +240,7 @@ def power_rule_sweep(
     """
     a = as_rational(a)
     mu = as_rational(mu)
-    if n_max < 0:
-        raise DomainError("n_max must be a nonnegative integer")
+    _check_index("n_max", n_max)
     falling_power = None
     for nu in map(as_rational, nus):
         closed = power_rule_closed(a, mu, nu, n_max + 1)
@@ -255,8 +268,7 @@ def gamma_sum_check(mu: RationalLike, nu: RationalLike, n: int) -> VerificationR
     if not is_negative_integer(total_order):
         raise DomainError(f"mu+nu must be a negative integer (got {total_order})")
     _check_power_rule_orders(mu, nu)
-    if n < 0:
-        raise DomainError("n must be a nonnegative integer")
+    _check_index("n", n)
     total = _binomial_sum(nu, mu + 1, n, 1)
     if n < -total_order:
         return report_excluded(
@@ -359,7 +371,7 @@ def mr_ae_sweep(f: GridFunction, mus: Iterable[RationalLike], window: int) -> It
             "mr-ae",
             lambda k: {"window": window, "mu": mu, "t": stepped.point(k)},
             stepped,
-            GridFunction(direct.point(n), direct.values[n:]),
+            GridFunction._adopt(direct.point(n), direct.values[n:]),
         )
 
 
@@ -412,10 +424,10 @@ def leibniz_sweep(
         )
 
 
-def prop_form1_check(
-    alpha: RationalLike, beta: RationalLike, gamma: RationalLike, n: int
-) -> VerificationReport:
-    """Gamma-ratio closed form of a binomially weighted double family.
+def form1_sweep(
+    alpha: RationalLike, beta: RationalLike, gamma: RationalLike, ns: Iterable[int]
+) -> Iterator[VerificationReport]:
+    """Gamma-ratio closed form of a binomially weighted double family, at each offset n of ns.
 
     Checks, at offset n >= 0 with t = alpha + beta + gamma + n,
 
@@ -436,11 +448,17 @@ def prop_form1_check(
     entry n-j of the run of the ratios (p + (n-i) q) / (q (i+1)),
     falling(gamma, j) times the Gamma part's rational is entry j of the run
     of (g - i h) s / (h (r + (n-i) s)), and C(-alpha, j) is gen_binomial's.
+
+    The line (alpha, beta, gamma) makes its three domain checks, before any
+    offset, and its prefactor Gamma(beta+gamma+1)/Gamma(beta+1) once, and
+    keeps C(-alpha, j) in a table that grows by one gen_binomial call for
+    each j an offset first reads.  The left scale, both right-side runs and
+    falling(beta+gamma+n, gamma) are each offset's own, and a negative
+    offset raises DomainError after the earlier offsets' reports.
     """
     alpha = as_rational(alpha)
     beta = as_rational(beta)
     gamma = as_rational(gamma)
-    params = {"alpha": alpha, "beta": beta, "gamma": gamma, "N": n}
     if is_nonpositive_integer(alpha):
         raise DomainError(f"alpha must not be a nonpositive integer (got {alpha})")
     if is_negative_integer(beta):
@@ -449,21 +467,31 @@ def prop_form1_check(
         raise DomainError(
             f"beta+gamma must not be a negative integer (got {beta + gamma})"
         )
-    if n < 0:
-        raise DomainError("n must be a nonnegative integer")
     prefactor = gamma_of(beta + gamma + 1) / gamma_of(beta + 1)
-    scale = poch_int(alpha + beta + gamma + 1, n) / math.factorial(n)
-    lhs = prefactor * scale
-    first = falling(beta + gamma + n, gamma).as_polynomial()
     p, q = (alpha + beta).as_integer_ratio()
     g, h = gamma.as_integer_ratio()
     r, s = (beta + gamma).as_integer_ratio()
-    rises = list(_ratio_run((p + (n - i) * q, q * (i + 1)) for i in range(n)))
-    forwards = _ratio_run(((g - i * h) * s, h * (r + (n - i) * s)) for i in range(n))
-    total = Fraction(0)
-    for j, ((rise_num, rise_den), (num, den)) in enumerate(zip(reversed(rises), forwards)):
-        total += gen_binomial(-alpha, j) * Fraction(rise_num * num, rise_den * den)
-    return report_compare("form1", params, lhs, first * total)
+    binomials: list[Fraction] = []
+    for n in ns:
+        _check_index("n", n)
+        binomials += [gen_binomial(-alpha, j) for j in range(len(binomials), n + 1)]
+        scale = poch_int(alpha + beta + gamma + 1, n) / math.factorial(n)
+        lhs = prefactor * scale
+        first = falling(beta + gamma + n, gamma).as_polynomial()
+        rises = list(_ratio_run((p + (n - i) * q, q * (i + 1)) for i in range(n)))
+        forwards = _ratio_run(((g - i * h) * s, h * (r + (n - i) * s)) for i in range(n))
+        total = Fraction(0)
+        for binomial, (rise_num, rise_den), (num, den) in zip(binomials, reversed(rises), forwards):
+            total += binomial * Fraction(rise_num * num, rise_den * den)
+        params = {"alpha": alpha, "beta": beta, "gamma": gamma, "N": n}
+        yield report_compare("form1", params, lhs, first * total)
+
+
+def prop_form1_check(
+    alpha: RationalLike, beta: RationalLike, gamma: RationalLike, n: int
+) -> VerificationReport:
+    """form1_sweep's report at the one offset n."""
+    return next(form1_sweep(alpha, beta, gamma, [n]))
 
 
 def hyp3f2_terminating(
@@ -488,8 +516,7 @@ def hyp3f2_terminating(
     b1 = as_rational(b1)
     b2 = as_rational(b2)
     z = as_rational(z)
-    if m < 0:
-        raise DomainError("m must be a nonnegative integer")
+    _check_index("m", m)
     for name, b in (("b1", b1), ("b2", b2)):
         if is_integer(b) and -m < b <= 0:
             first_zero_k = int(1 - b)
@@ -506,35 +533,67 @@ def hyp3f2_terminating(
     return _ratio_sum(zip(ups, downs))
 
 
+def _saalschutz_products(a: Fraction, b: Fraction, c: Fraction) -> Callable[[int], Fraction]:
+    """m -> the product side at m, stepped on one run of combined ratios.
+
+    (c-a)_m (c-b)_m / ((c)_m (c-a-b)_m) is the run of the m ratios
+    (c-a+j)(c-b+j) / ((c+j)(c-a-b+j)).  With d the lcm of the denominators
+    of a, b and c, each factor is an int over d, the d's cancel, and each
+    m's product makes one Fraction.  A call raises ZeroDivisionError naming
+    a vanishing (c)_m, then (c-a-b)_m; otherwise it steps the run on to m,
+    so no ratio is taken before an m reads it.  An m below the last one
+    read starts the run over.
+    """
+    d = math.lcm(a.denominator, b.denominator, c.denominator)
+    ad, bd, cd = (x.numerator * (d // x.denominator) for x in (a, b, c))
+    cad, cbd, cabd = cd - ad, cd - bd, cd - ad - bd
+    run, index, product = None, 0, None
+
+    def at(m: int) -> Fraction:
+        nonlocal run, index, product
+        # (x)_m vanishes when x = xd / d is an integer with -m < x <= 0
+        for name, xd in (("c", cd), ("c-a-b", cabd)):
+            if xd % d == 0 and -m * d < xd <= 0:
+                raise ZeroDivisionError(f"({name})_m vanishes for {name}={Fraction(xd, d)}, m={m}")
+        if run is None or m < index:
+            run = _ratio_run(
+                ((cad + j * d) * (cbd + j * d), (cd + j * d) * (cabd + j * d)) for j in count()
+            )
+            index, product = 0, next(run)
+        for _ in range(m - index):
+            product = next(run)
+        index = m
+        return Fraction(*product)
+
+    return at
+
+
 def saalschutz_lhs(
     a: RationalLike, b: RationalLike, c: RationalLike, m: int
 ) -> Fraction:
     """Product side of the terminating summation: one run of combined ratios.
 
-    (c-a)_m (c-b)_m / ((c)_m (c-a-b)_m) is the run of the m ratios
-    (c-a+j)(c-b+j) / ((c+j)(c-a-b+j)).  With d the lcm of the denominators
-    of a, b and c, each factor is an int over d, the d's cancel, and the
-    last product makes one Fraction.  A vanishing (c)_m, then (c-a-b)_m,
-    raises ZeroDivisionError naming it.
+    The run and its zero checks are _saalschutz_products', which names a
+    vanishing (c)_m, then (c-a-b)_m, in a ZeroDivisionError.
     """
     a = as_rational(a)
     b = as_rational(b)
     c = as_rational(c)
-    if m < 0:
-        raise DomainError("m must be a nonnegative integer")
-    d = math.lcm(a.denominator, b.denominator, c.denominator)
-    ad, bd, cd = (x.numerator * (d // x.denominator) for x in (a, b, c))
-    cad, cbd, cabd = cd - ad, cd - bd, cd - ad - bd
-    # (x)_m vanishes when x = xd / d is an integer with -m < x <= 0
-    for name, xd in (("c", cd), ("c-a-b", cabd)):
-        if xd % d == 0 and -m * d < xd <= 0:
-            raise ZeroDivisionError(f"({name})_m vanishes for {name}={Fraction(xd, d)}, m={m}")
-    run = _ratio_run(
-        ((cad + j * d) * (cbd + j * d), (cd + j * d) * (cabd + j * d)) for j in range(m)
-    )
-    for num, den in run:
-        pass
-    return Fraction(num, den)
+    _check_index("m", m)
+    return _saalschutz_products(a, b, c)(m)
+
+
+def _saalschutz_violation(a: Fraction, b: Fraction, c: Fraction) -> str | None:
+    """The first of the theorem's four hypotheses that (a, b, c) violates, or None."""
+    if is_nonpositive_integer(a):
+        return "a must not be a nonpositive integer"
+    if is_nonpositive_integer(c):
+        return "c must not be a nonpositive integer"
+    if is_negative_integer(c - a - 1):
+        return "c-a-1 must not be a negative integer"
+    if is_negative_integer(c - a - b - 1):
+        return "c-a-b-1 must not be a negative integer"
+    return None
 
 
 def saalschutz_hypothesis_violation(
@@ -547,17 +606,45 @@ def saalschutz_hypothesis_violation(
     a = as_rational(a)
     b = as_rational(b)
     c = as_rational(c)
-    if m < 0:
-        raise DomainError("m must be a nonnegative integer")
-    if is_nonpositive_integer(a):
-        return "a must not be a nonpositive integer"
-    if is_nonpositive_integer(c):
-        return "c must not be a nonpositive integer"
-    if is_negative_integer(c - a - 1):
-        return "c-a-1 must not be a negative integer"
-    if is_negative_integer(c - a - b - 1):
-        return "c-a-b-1 must not be a negative integer"
-    return None
+    _check_index("m", m)
+    return _saalschutz_violation(a, b, c)
+
+
+def saalschutz_sweep(
+    a: RationalLike,
+    b: RationalLike,
+    c: RationalLike,
+    ms: Iterable[int],
+    force: bool = False,
+) -> Iterator[VerificationReport]:
+    """Product side against the terminating series at each m of ms, entirely in rationals.
+
+    The line (a, b, c) tests its four hypotheses once, and its product side
+    is one run extended by one ratio per m (_saalschutz_products).  Each m
+    keeps its own refusal of a negative m, made before any exclusion, its
+    test for a vanishing (c)_m or (c-a-b)_m, and its series.  Outside the
+    hypotheses a point is reported ``domain_excluded``, naming the violated
+    hypothesis, unless ``force`` is set, in which case it is evaluated
+    honestly and reported for whatever it turns out to be.
+    """
+    a = as_rational(a)
+    b = as_rational(b)
+    c = as_rational(c)
+    violation = _saalschutz_violation(a, b, c)
+    products = _saalschutz_products(a, b, c)
+    for m in ms:
+        params = {"a": a, "b": b, "c": c, "m": m}
+        _check_index("m", m)
+        if violation is not None and not force:
+            yield report_excluded("saalschutz", params, violation)
+            continue
+        try:
+            lhs = products(m)
+            rhs = hyp3f2_terminating(a, b, m, c, 1 + a + b - c - m, 1)
+        except ZeroDivisionError as exc:
+            yield report_excluded("saalschutz", params, str(exc))
+        else:
+            yield report_compare("saalschutz", params, lhs, rhs)
 
 
 def saalschutz_verify(
@@ -567,22 +654,5 @@ def saalschutz_verify(
     m: int,
     force: bool = False,
 ) -> VerificationReport:
-    """Product side against the terminating series, entirely in rationals.
-
-    Outside the hypotheses the point is reported ``domain_excluded``,
-    naming the violated hypothesis, unless ``force`` is set, in which case
-    it is evaluated honestly and reported for whatever it turns out to be.
-    """
-    a = as_rational(a)
-    b = as_rational(b)
-    c = as_rational(c)
-    params = {"a": a, "b": b, "c": c, "m": m}
-    violation = saalschutz_hypothesis_violation(a, b, c, m)
-    if violation is not None and not force:
-        return report_excluded("saalschutz", params, violation)
-    try:
-        lhs = saalschutz_lhs(a, b, c, m)
-        rhs = hyp3f2_terminating(a, b, m, c, 1 + a + b - c - m, 1)
-    except ZeroDivisionError as exc:
-        return report_excluded("saalschutz", params, str(exc))
-    return report_compare("saalschutz", params, lhs, rhs)
+    """saalschutz_sweep's report at the one m."""
+    return next(saalschutz_sweep(a, b, c, [m], force))

@@ -13,7 +13,10 @@ One resolver checks names, kinds, shapes, size signs and each entry's
 registered clashes before anything runs.  A pinned index (n, m, t_index)
 is its one value, an unset one a range of its size key.  An identity's own
 preconditions fire only when its runner reaches them, after the
-reports of the config entries before it.
+reports of the config entries before it.  form1 and Saalschutz run one
+line per (alpha, beta, gamma) or (a, b, c) over their index n or m, so
+each line's checks, prefactor and tables are built once (see
+identities); a bad line raises after the earlier lines' reports.
 """
 from __future__ import annotations
 
@@ -36,6 +39,7 @@ from .identities import (
     binom_falling_check,
     binom_poch_check,
     falling_poch_bridge_check,
+    form1_sweep,
     gamma_sum_check,
     index_law_check,
     leibniz_sweep,
@@ -43,8 +47,7 @@ from .identities import (
     nabla_zero_check,
     power_rule_order_violation,
     power_rule_sweep,
-    prop_form1_check,
-    saalschutz_verify,
+    saalschutz_sweep,
 )
 from .report import DOMAIN_EXCLUDED, VerificationReport
 
@@ -216,19 +219,20 @@ def _run_leibniz(ov: Mapping) -> Iterator[VerificationReport]:
 
 def _run_form1(ov: Mapping) -> Iterator[VerificationReport]:
     ns = _index(ov, "n", 0, "n_max")
-    for alpha, beta, gamma, n in product(ov["alpha"], ov["beta"], ov["gamma"], ns):
-        yield prop_form1_check(alpha, beta, gamma, n)
+    for alpha, beta, gamma in product(ov["alpha"], ov["beta"], ov["gamma"]):
+        yield from form1_sweep(alpha, beta, gamma, ns)
 
 
 def _run_saalschutz(ov: Mapping) -> Iterator[VerificationReport]:
     force = ov["force"]
     # a single fully-pinned point reports its exclusion instead of vanishing
     point_mode = ov["m"] is not None and all(len(ov[key]) == 1 for key in "abc")
-    for a, b, c, m in product(ov["a"], ov["b"], ov["c"], _index(ov, "m", 0, "m_max")):
-        report = saalschutz_verify(a, b, c, m, force=force)
-        # swept points outside the hypotheses are filtered silently
-        if report.status != DOMAIN_EXCLUDED or force or point_mode:
-            yield report
+    ms = _index(ov, "m", 0, "m_max")
+    for a, b, c in product(ov["a"], ov["b"], ov["c"]):
+        for report in saalschutz_sweep(a, b, c, ms, force=force):
+            # swept points outside the hypotheses are filtered silently
+            if report.status != DOMAIN_EXCLUDED or force or point_mode:
+                yield report
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from deltafrac import (
     binom_poch_check,
     corollary_closed,
     delta_n,
+    form1_sweep,
     frac_sum_diff,
     gamma_of,
     gamma_sum_check,
@@ -33,14 +34,15 @@ from deltafrac import (
     power_rule_sweep,
     prop_form1_check,
     saalschutz_lhs,
+    saalschutz_sweep,
     saalschutz_verify,
 )
 from deltafrac import fracops, gridfn, identities
-from deltafrac.exact import weighted_sum
+from deltafrac.exact import _ratio_run, weighted_sum
 from deltafrac.identities import mr_ae_sweep, power_rule_order_violation, saalschutz_hypothesis_violation
-from deltafrac.report import report_compare
+from deltafrac.report import report_compare, report_excluded
 from deltafrac.special import falling, falling_int
-from deltafrac.sweeps import default_suite, run_sweep
+from deltafrac.sweeps import default_suite, run_identity, run_sweep
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
 orders = rationals.filter(lambda q: not (q.denominator == 1 and q <= 0))
@@ -828,6 +830,145 @@ class TestSaalschutz:
         rep = saalschutz_verify(Q(1, 2), Q(1, 2), 0, 1, force=True)
         assert rep.status == "domain_excluded"
         assert "vanishes" in rep.excluded_by
+
+
+def per_point_saalschutz(a, b, c, m, force):
+    """Saalschutz's report at one point from its own parts: four rising products and the series."""
+    params = {"a": a, "b": b, "c": c, "m": m}
+    violation = saalschutz_hypothesis_violation(a, b, c, m)
+    if violation is not None and not force:
+        return report_excluded("saalschutz", params, violation)
+    for name, base in (("c", c), ("c-a-b", c - a - b)):
+        if poch_int(base, m) == 0:
+            return report_excluded("saalschutz", params, f"({name})_m vanishes for {name}={base}, m={m}")
+    lhs = poch_int(c - a, m) * poch_int(c - b, m) / (poch_int(c, m) * poch_int(c - a - b, m))
+    try:
+        rhs = hyp3f2_terminating(a, b, m, c, 1 + a + b - c - m, 1)
+    except ZeroDivisionError as exc:
+        return report_excluded("saalschutz", params, str(exc))
+    return report_compare("saalschutz", params, lhs, rhs)
+
+
+# offsets and sizes in any order, repeats included, so a line may step back
+line_indices = st.lists(st.integers(min_value=0, max_value=10), max_size=6)
+
+
+class TestLineSweeps:
+    """form1 and Saalschutz, one line per (alpha, beta, gamma) or (a, b, c), against each point alone."""
+
+    @example(Q(1, 2), Q(1, 4), Q(1, 3), list(range(9)))
+    @example(Q(3, 2), Q(1, 2), Q(2), [8, 3, 3, 0, 5])
+    @given(orders, run_starts, run_starts, line_indices)
+    @settings(max_examples=60, deadline=None)
+    def test_form1_line_matches_each_point(self, alpha, beta, gamma, ns):
+        assume(not (beta.denominator == 1 and beta < 0))
+        assume(not ((beta + gamma).denominator == 1 and beta + gamma < 0))
+        line = [rep.json_line() for rep in form1_sweep(alpha, beta, gamma, ns)]
+        assert line == [per_summand_form1(alpha, beta, gamma, n).json_line() for n in ns]
+        assert line == [prop_form1_check(alpha, beta, gamma, n).json_line() for n in ns]
+
+    @example(Q(1, 2), Q(1, 2), Q(2), list(range(11)), False)
+    @example(Q(3, 2), Q(3, 2), Q(1), [6, 2, 0, 3, 4], True)
+    @given(run_starts, run_starts, run_starts, line_indices, st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_saalschutz_line_matches_each_point(self, a, b, c, ms, force):
+        line = [rep.json_line() for rep in saalschutz_sweep(a, b, c, ms, force)]
+        assert line == [per_point_saalschutz(a, b, c, m, force).json_line() for m in ms]
+        assert line == [saalschutz_verify(a, b, c, m, force).json_line() for m in ms]
+
+    def test_hypothesis_exclusions_and_force(self):
+        # a = 0 violates the first hypothesis at every m of its line
+        excluded = list(saalschutz_sweep(0, Q(1, 2), 2, range(4)))
+        assert {rep.excluded_by for rep in excluded} == {"a must not be a nonpositive integer"}
+        forced = list(saalschutz_sweep(0, Q(1, 2), 2, range(4), force=True))
+        assert [rep.status for rep in forced] == ["exact"] * 4
+        for line, force in ((excluded, False), (forced, True)):
+            assert [rep.json_line() for rep in line] == [
+                per_point_saalschutz(Q(0), Q(1, 2), Q(2), m, force).json_line() for m in range(4)
+            ]
+
+    @pytest.mark.parametrize(
+        "a, b, c, message",
+        [
+            (Q(1, 2), Q(1, 3), Q(-2), "(c)_m vanishes for c=-2, m="),
+            (Q(3, 2), Q(3, 2), Q(1), "(c-a-b)_m vanishes for c-a-b=-2, m="),
+        ],
+    )
+    def test_a_product_that_vanishes_mid_line(self, a, b, c, message):
+        # both vanish from m = 3 on; the hypotheses exclude both lines unless forced
+        reports = list(saalschutz_sweep(a, b, c, range(6), force=True))
+        assert [rep.status for rep in reports] == ["exact"] * 3 + ["domain_excluded"] * 3
+        assert [rep.excluded_by for rep in reports[3:]] == [f"{message}{m}" for m in (3, 4, 5)]
+        assert [rep.json_line() for rep in reports] == [
+            per_point_saalschutz(a, b, c, m, True).json_line() for m in range(6)
+        ]
+
+    def test_a_series_denominator_that_vanishes_mid_line(self, monkeypatch):
+        # the product side's vanishing test names every point where the true series'
+        # lower products vanish, so the series is made to raise at m = 2 here
+        def series(a1, a2, m, b1, b2, z):
+            if m == 2:
+                raise DenominatorPochhammerZero("(b2)_k vanishes at k=1 for b2=0")
+            return hyp3f2_terminating(a1, a2, m, b1, b2, z)
+
+        monkeypatch.setattr(identities, "hyp3f2_terminating", series)
+        reports = list(saalschutz_sweep(Q(1, 3), Q(1, 5), Q(7, 4), range(5)))
+        assert [rep.status for rep in reports] == ["exact", "exact", "domain_excluded", "exact", "exact"]
+        assert reports[2].excluded_by == "(b2)_k vanishes at k=1 for b2=0"
+        assert [rep.json_line() for rep in reports] == [
+            saalschutz_verify(Q(1, 3), Q(1, 5), Q(7, 4), m).json_line() for m in range(5)
+        ]
+
+    def test_a_negative_index_raises_before_any_exclusion(self):
+        # a = 0 excludes its whole line, yet a negative m is refused, not excluded
+        with pytest.raises(DomainError, match="^m must be a nonnegative integer$"):
+            next(saalschutz_sweep(0, Q(1, 2), 2, [-1]))
+        line = saalschutz_sweep(0, Q(1, 2), 2, [0, 1, -1])
+        assert [next(line).status for _ in range(2)] == ["domain_excluded"] * 2
+        with pytest.raises(DomainError, match="^m must be a nonnegative integer$"):
+            next(line)
+        with pytest.raises(DomainError, match="^m must be a nonnegative integer$"):
+            list(run_identity("saalschutz", {"a": "0", "b": "1/2", "c": "2", "m": -1}))
+        with pytest.raises(DomainError, match="^n must be a nonnegative integer$"):
+            next(form1_sweep(Q(1, 2), Q(1, 4), Q(1, 3), [-1]))
+        # form1's line checks come before its first index
+        with pytest.raises(DomainError, match="^alpha must not be a nonpositive integer"):
+            next(form1_sweep(0, Q(1, 4), Q(1, 3), [-1]))
+
+    def test_a_bad_alpha_on_a_later_line_raises_after_the_earlier_lines(self):
+        reports = run_identity("form1", {"alpha": ["1/2", "0"], "n_max": 2})
+        # two betas, three gammas and three offsets on the good alpha
+        earlier = [next(reports) for _ in range(2 * 3 * 3)]
+        assert {(rep.params["alpha"], rep.status) for rep in earlier} == {(Q(1, 2), "exact")}
+        with pytest.raises(DomainError, match=r"^alpha must not be a nonpositive integer \(got 0\)$"):
+            next(reports)
+
+    def test_a_form1_line_builds_each_binomial_once(self, monkeypatch):
+        calls = []
+
+        def counted(alpha, j):
+            calls.append(j)
+            return gen_binomial(alpha, j)
+
+        monkeypatch.setattr(identities, "gen_binomial", counted)
+        reports = run_identity("form1")
+        next(reports)
+        # the default first line's first report is n = 0, which reads C(-alpha, 0) only
+        assert len(calls) <= 1
+        for _ in range(8):
+            next(reports)
+        assert calls == list(range(9))
+
+    def test_a_saalschutz_line_steps_one_product_run(self, monkeypatch):
+        runs = []
+
+        def counted(ratios):
+            runs.append(ratios)
+            return _ratio_run(ratios)
+
+        monkeypatch.setattr(identities, "_ratio_run", counted)
+        assert {rep.status for rep in saalschutz_sweep(Q(1, 3), Q(1, 5), Q(7, 4), range(11))} == {"exact"}
+        assert len(runs) == 1
 
 
 def _imported_names(module: str) -> set[str]:
