@@ -13,6 +13,7 @@ exits 0 when every fault flips at least one status, 1 otherwise.
 """
 from __future__ import annotations
 
+import math
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -87,6 +88,18 @@ def _ratio_2_doubled(original):
     return lambda ratios: original((n * 2 if k == 2 else n, d) for k, (n, d) in enumerate(ratios))
 
 
+def _scales_swapped(original):
+    """The term ratios with their two scale factors, M / prod q and M / prod s, swapped.
+
+    The swap multiplies every ratio by (prod q / prod s)^2, so the fault puts that factor into z.
+    """
+    def faulty(ups, downs, z, count=None):
+        q = math.prod(u.denominator for u in ups)
+        s = math.prod(v.denominator for v in downs)
+        return original(ups, downs, z * Fraction(q, s) ** 2, count)
+    return faulty
+
+
 def _divisor_exponents_kept(original):
     """Division by a term that inverts its coefficient but keeps its Gamma exponents."""
     def faulty(self, other):
@@ -134,6 +147,7 @@ FAULTS = {
     "gen_binomial": (special, "gen_binomial", "doubled at n = 4", _gen_binomial_n4),
     "ratio_run": (exact, "_ratio_run", "ratio 2's numerator doubled", _ratio_2_doubled),
     "ratio_sum": (exact, "_ratio_sum", "ratio 2's numerator doubled", _ratio_2_doubled),
+    "term_ratios": (exact, "_term_ratios", "scale factors swapped", _scales_swapped),
     "truediv": (
         exact.GammaPolynomial, "__truediv__", "divisor's exponents not negated",
         _divisor_exponents_kept,

@@ -29,21 +29,23 @@ to a polynomial; the zero polynomial is GammaPolynomial().  poch_int is the
 one single rising product x(x+1)...(x+k-1): gamma_of's shift,
 special.falling_int, the integer-order Pochhammer symbol, the binomial
 checks' left sides and form1's left scale are all written with it.  Every
-run of terms stepped by int ratios, in the verifiers and the nabla kernel,
-is _ratio_run's unreduced prefix products or _ratio_sum's sum of them,
-reduced once.  A sum whose terms share their Gamma factors (form1's right
-side, the nabla sum) takes one Gamma value and scales it by such a run,
-so it makes no gamma_of shift per term.  Floats never decide equality:
+hypergeometric run, terms k and k+1 differing by prod(u+k) z / prod(v+k),
+is _term_ratios of its ups u, downs v and z, stepped as _ratio_run's
+unreduced prefix products or _ratio_sum's sum of them, reduced once.  A
+sum whose terms share their Gamma factors (form1's right side, the nabla
+sum) scales one Gamma value by such a run.  Floats never decide equality:
 they only grade a formal failure and give eval's float.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Union
 
-from .errors import GammaPole
+from .errors import DomainError, GammaPole
 
 __all__ = [
     "RationalLike",
@@ -179,13 +181,40 @@ def gamma_of(x: RationalLike) -> "GammaPolynomial":
     return GammaPolynomial._adopt({((base, 1),): coeff})
 
 
+def _check_index(name: str, value: int) -> None:
+    if value < 0:
+        raise DomainError(f"{name} must be a nonnegative integer")
+
+
 def poch_int(x: RationalLike, k: int) -> Fraction:
-    """The plain product x(x+1)...(x+k-1) for integer k >= 0."""
+    """The plain product x(x+1)...(x+k-1) for integer k >= 0; a negative k raises DomainError."""
+    _check_index("k", k)
     x = as_rational(x)
     product = Fraction(1)
     for j in range(k):
         product *= x + j
     return product
+
+
+def _term_ratios(
+    ups: list, downs: list, z: Fraction | int, count: int | None = None
+) -> Iterator[tuple[int, int]]:
+    """The int ratios prod(u+k) z / prod(v+k) for k = 0, 1, ..., count of them or without end.
+
+    The ups u = p/q, the downs v = r/s and z are ints or Fractions.  With
+    M = lcm(prod q, prod s), ratio k is z.numerator (M / prod q) prod(p + k q)
+    over z.denominator (M / prod s) prod(r + k s).
+    """
+    q = math.prod([u.denominator for u in ups])
+    s = math.prod([v.denominator for v in downs])
+    scale = math.lcm(q, s)
+    nums = itertools.repeat(z.numerator * (scale // q))
+    dens = itertools.repeat(z.denominator * (scale // s))
+    for u in ups:
+        nums = map(mul, nums, itertools.count(u.numerator, u.denominator))
+    for v in downs:
+        dens = map(mul, dens, itertools.count(v.numerator, v.denominator))
+    return itertools.islice(zip(nums, dens), count)
 
 
 def _ratio_run(ratios: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:

@@ -20,8 +20,8 @@ difference constructions are layered on top and agree on their common
 domain; the stepped one takes its integer difference on the
 convolution's unreduced columns, so it too materializes once.  A
 nabla-kernel evaluation completes the set: its kernel over Gamma(-alpha)
-is rational, one exact._ratio_run, the sum of the summands' ratios to the
-first is exact._ratio_sum, and its one Gamma value, (1)_p, comes from
+is one exact._ratio_run, its sum of the summands' ratios to the first
+one exact._ratio_sum, and its one Gamma value, (1)_p, comes from
 pochhammer; only (1)_p can hold a pole, so only it is checked.
 """
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .exact import (
     RationalLike,
     _ratio_run,
     _ratio_sum,
+    _term_ratios,
     as_rational,
     is_nonpositive_integer,
 )
@@ -208,17 +209,15 @@ def nabla_poch_diff(
 
         (t_index)_{-alpha-1} / Gamma(-alpha) = (-alpha)_{t_index-1} / (t_index-1)!,
 
-    and with alpha = an/ad it is the last product of exact._ratio_run of
-    the ratios (i ad - an) / (ad (i + 1)), i < t_index - 1.  With
-    x = t_index - j + 1, each later summand is the one before times the
-    rational ratio
+    the last product of the run with ups [-alpha] over downs [1].  With
+    x = t_index - j + 1, each later summand is the one before times
 
         (x - 1)(j + p) / ((x - 2 - alpha) j),
 
-    so the sum is summand 1 times exact._ratio_sum of those ratios.  The
-    value is (1)_p, from pochhammer, times those two rationals: one
-    single-term polynomial.  (1)_p is the only factor that can hold a pole;
-    a pole raises SpecialValuePole rather than being silently dropped.
+    the run with ups [1-t_index, 1+p] over downs [2+alpha-t_index, 1], so
+    the sum is summand 1 times its exact._ratio_sum.  The value is (1)_p,
+    from pochhammer, times those two rationals.  (1)_p is the only factor
+    that can hold a pole, and a pole raises SpecialValuePole.
     """
     as_rational(a)
     p = as_rational(p)
@@ -234,12 +233,7 @@ def nabla_poch_diff(
     # and no x - 2 - alpha is 0; (j)_p has a pole only when j + p is 0, -1,
     # -2, ..., and if j = 1 misses that set so does every larger j.  So every
     # ratio below is finite and nonzero.
-    pn, pd = p.numerator, p.denominator
-    an, ad = alpha.numerator, alpha.denominator
-    for kernel_num, kernel_den in _ratio_run((i * ad - an, ad * (i + 1)) for i in range(t_index - 1)):
+    for kernel_num, kernel_den in _ratio_run(_term_ratios([-alpha], [1], 1, t_index - 1)):
         pass
-    total = _ratio_sum(
-        ((x - 1) * (j * pd + pn) * ad, ((x - 2) * ad - an) * j * pd)
-        for j, x in zip(range(1, t_index), range(t_index, 1, -1))
-    )
+    total = _ratio_sum(_term_ratios([1 - t_index, p + 1], [alpha + (2 - t_index), 1], 1, t_index - 1))
     return sample.value * (Fraction(kernel_num, kernel_den) * total)

@@ -19,14 +19,15 @@ extends one product run by one ratio per m.  prop_form1_check and
 saalschutz_verify are their one-index lines.  The Saalschutz runner
 drops excluded points unless pinned or ``force`` is set.  Every n-th
 forward difference a verifier uses is gridfn's one int difference, which
-delta_n wraps, so each order is checked.  Every run of term ratios here
-(the binomial sums' rising and falling runs, the power rule's
-(mu+nu+1)_n / n!, the Leibniz weights C(-alpha, n), the Saalschutz
-product side, and form1's right-side coefficients and its summands'
-Gamma values over the first's) is exact._ratio_run on ints, and the
-terminating 3F2 is exact._ratio_sum.  That stepper stays on one side of
-each identity: the binomial checks' left sides are single products from
-poch_int and falling_int, the power-rule and Leibniz left sides
+delta_n wraps, so each order is checked.  Every hypergeometric run here
+(the power rule's (mu+nu+1)_n / n!, the Leibniz weights C(-alpha, n),
+form1's two right-side runs, the Saalschutz product side and the
+terminating 3F2) is exact._term_ratios of the ups, downs and z its
+function's docstring names, stepped by exact._ratio_run or, for the 3F2,
+exact._ratio_sum; the binomial sums step their int numerators over one
+shared denominator by exact._ratio_run.  That stepper stays on one side
+of each identity: the binomial checks' left sides are single products
+from poch_int and falling_int, the power-rule and Leibniz left sides
 frac_sum_diff windows, form1's left scale poch_int's, and the Saalschutz
 series _ratio_sum's.
 The Leibniz right side and the alt-sum left side are sums of int columns,
@@ -38,14 +39,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import count
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 from .errors import DenominatorPochhammerZero, DomainError, WindowTooShort
 from .exact import (
     RationalLike,
+    _check_index,
     _ratio_run,
     _ratio_sum,
+    _term_ratios,
     as_rational,
     gamma_of,
     is_integer,
@@ -87,14 +90,14 @@ def _binomial_sum(x: Fraction, y: Fraction, n: int, step: int) -> Fraction:
     """sum(C(n,k) * x[n-k] * y[k] for k <= n), x[j] being x(x+step)...(x+(j-1)step).
 
     step +1 makes the powers rising products, step -1 falling ones.  With
-    x = p/q and y = r/s, x[j] is xs[j] / (q s)^j, the run of the ratios
-    (p + j step q) s / (q s), and y[k] likewise, so the sum is one int over
-    (q s)^n, reduced once.
+    x = p/q and y = r/s, x[j] is xs[j] / (q s)^j, xs being the run of the
+    ints (p + j step q) s, and y[k] likewise, so the sum is one int over the
+    one shared (q s)^n, reduced once.
     """
     p, q = x.numerator, x.denominator
     r, s = y.numerator, y.denominator
-    xs = [num for num, _ in _ratio_run(((p + j * step * q) * s, q * s) for j in range(n))]
-    ys = [num for num, _ in _ratio_run(((r + j * step * s) * q, q * s) for j in range(n))]
+    xs = [num for num, _ in _ratio_run(((p + j * step * q) * s, 1) for j in range(n))]
+    ys = [num for num, _ in _ratio_run(((r + j * step * s) * q, 1) for j in range(n))]
     return Fraction(sum(math.comb(n, k) * xs[n - k] * ys[k] for k in range(n + 1)), (q * s) ** n)
 
 
@@ -137,11 +140,6 @@ def index_law_check(t: RationalLike, alpha: RationalLike, beta: RationalLike) ->
                 "index-law", params, f"{label} is not finite ({value.render()})"
             )
     return report_compare("index-law", params, whole.value, left.value * right.value)
-
-
-def _check_index(name: str, value: int) -> None:
-    if value < 0:
-        raise DomainError(f"{name} must be a nonnegative integer")
 
 
 def _binom_check(
@@ -188,19 +186,16 @@ def power_rule_closed(
     """Closed form of the order-nu sum of a falling power, as a window.
 
     The window lies on the output grid {a+mu+nu, a+mu+nu+1, ...}; its value
-    at offset n is Gamma(mu+1) * (mu+nu+1)_n / n!, a one-term Gamma polynomial.
-    With mu+nu+1 = p/q, (mu+nu+1)_n / n! is the run of the ratios
-    (p + n q) / (q (n + 1)), and each offset makes one Fraction.
+    at offset n is Gamma(mu+1) * (mu+nu+1)_n / n!, one Gamma term times
+    entry n of the run with ups [mu+nu+1] over downs [1].
     """
     a = as_rational(a)
     mu = as_rational(mu)
     nu = as_rational(nu)
     _check_power_rule_orders(mu, nu)
     gamma = gamma_of(mu + 1)
-    p, q = (mu + nu + 1).as_integer_ratio()
-    # length - 1 ratios make length products; a length of 0 keeps none of them
-    run = _ratio_run((p + n * q, q * (n + 1)) for n in range(length - 1))
-    return GridFunction(a + mu + nu, [gamma * Fraction(num, den) for num, den in run][:length])
+    run = _ratio_run(_term_ratios([mu + nu + 1], [1], 1))
+    return GridFunction(a + mu + nu, [gamma * Fraction(num, den) for num, den in islice(run, length)])
 
 
 def corollary_closed(
@@ -316,8 +311,7 @@ def alt_sum_lemma_check(
     signature, and makes one Fraction per signature.
     """
     alpha = as_rational(alpha)
-    if k < 0:
-        raise DomainError("k must be a nonnegative integer")
+    _check_index("k", k)
     if t_index < 0:
         raise DomainError(f"t_index must be a nonnegative integer (got {t_index})")
     params = {"alpha": alpha, "k": k, "t_index": t_index}
@@ -385,10 +379,10 @@ def leibniz_sweep(
     on int columns: order n pairs f's columns, cut to the length - n entries
     kept and convolved at order alpha+n, weighted by C(-alpha, n), with g's
     n-th difference columns, both shifted n entries on; gridfn's column
-    product sums the pairs, materialized once.  With alpha = a/b, C(-alpha, n)
-    is the run of the ratios (-a - n b) / (b (n + 1)), unreduced as the
-    columns are.  f * g, f's cut columns and g's shifted difference columns
-    depend on no order, so they are built once, before any order is checked.
+    product sums the pairs, materialized once.  C(-alpha, n) is the run
+    with ups [alpha] over downs [1] at z = -1, unreduced as the columns
+    are.  f * g, f's cut columns and g's shifted difference columns depend
+    on no order, so they are built once, before any order is checked.
     """
     product = f * g
     length = len(product)
@@ -404,10 +398,9 @@ def leibniz_sweep(
         if is_nonpositive_integer(alpha):
             raise DomainError(f"alpha must not be a nonpositive integer (got {alpha})")
         lhs = frac_sum_diff(product, alpha)
-        a, b = alpha.numerator, alpha.denominator
-        weights = _ratio_run((-a - n * b, b * (n + 1)) for n in range(length - 1))
+        weights = _ratio_run(_term_ratios([alpha], [1], -1))
         pairs = []
-        for n, ((weight_num, weight_den), cut, difference) in enumerate(zip(weights, cuts, differences)):
+        for n, (cut, difference, (weight_num, weight_den)) in enumerate(zip(cuts, differences, weights)):
             transform = _convolve(cut, alpha + n, length - n)
             pairs.append((
                 {
@@ -443,11 +436,11 @@ def form1_sweep(
     falling(beta+gamma+n, gamma), taken once, times the rational
     1/((beta+gamma+n)(beta+gamma+n-1)...(beta+gamma+n-j+1)), and the
     right side is that one value times the sum of the summands' rationals.
-    The left scale is poch_int's.  On the right, with alpha+beta = p/q,
-    gamma = g/h and beta+gamma = r/s, (alpha+beta+j+1)_{n-j}/(n-j)! is
-    entry n-j of the run of the ratios (p + (n-i) q) / (q (i+1)),
-    falling(gamma, j) times the Gamma part's rational is entry j of the run
-    of (g - i h) s / (h (r + (n-i) s)), and C(-alpha, j) is gen_binomial's.
+    The left scale is poch_int's.  On the right,
+    (alpha+beta+j+1)_{n-j}/(n-j)! is entry n-j of the run with ups
+    [-(alpha+beta+n)] over downs [1] at z = -1, falling(gamma, j) times the
+    Gamma part's rational is entry j of the run with ups [-gamma] over
+    downs [-(beta+gamma+n)], and C(-alpha, j) is gen_binomial's.
 
     The line (alpha, beta, gamma) makes its three domain checks, before any
     offset, and its prefactor Gamma(beta+gamma+1)/Gamma(beta+1) once, and
@@ -468,9 +461,7 @@ def form1_sweep(
             f"beta+gamma must not be a negative integer (got {beta + gamma})"
         )
     prefactor = gamma_of(beta + gamma + 1) / gamma_of(beta + 1)
-    p, q = (alpha + beta).as_integer_ratio()
-    g, h = gamma.as_integer_ratio()
-    r, s = (beta + gamma).as_integer_ratio()
+    minus_ab, minus_bg, minus_gamma = -(alpha + beta), -(beta + gamma), -gamma
     binomials: list[Fraction] = []
     for n in ns:
         _check_index("n", n)
@@ -478,8 +469,8 @@ def form1_sweep(
         scale = poch_int(alpha + beta + gamma + 1, n) / math.factorial(n)
         lhs = prefactor * scale
         first = falling(beta + gamma + n, gamma).as_polynomial()
-        rises = list(_ratio_run((p + (n - i) * q, q * (i + 1)) for i in range(n)))
-        forwards = _ratio_run(((g - i * h) * s, h * (r + (n - i) * s)) for i in range(n))
+        rises = list(_ratio_run(_term_ratios([minus_ab - n], [1], -1, n)))
+        forwards = _ratio_run(_term_ratios([minus_gamma], [minus_bg - n], 1, n))
         total = Fraction(0)
         for binomial, (rise_num, rise_den), (num, den) in zip(binomials, reversed(rises), forwards):
             total += binomial * Fraction(rise_num * num, rise_den * den)
@@ -504,11 +495,9 @@ def hyp3f2_terminating(
 ) -> Fraction:
     """Terminating 3F2 series: sum over k <= m of the Pochhammer ratio.
 
-    The third upper parameter is -m, so the series stops after m+1 terms.
-    Term k+1 is term k times (a1+k)(a2+k)(k-m)z / ((b1+k)(b2+k)(k+1)),
-    taken on the parameters' int numerators and denominators and summed by
-    exact._ratio_sum.  Both lower parameters must keep their
-    Pochhammer factors nonzero through k = m; a hit raises
+    It is exact._ratio_sum of the run with ups [a1, a2, -m] over downs
+    [b1, b2, 1] at z, which stops after m+1 terms.  Both lower parameters
+    must keep their Pochhammer factors nonzero through k = m; a hit raises
     DenominatorPochhammerZero naming the first offending k.
     """
     a1 = as_rational(a1)
@@ -523,42 +512,28 @@ def hyp3f2_terminating(
             raise DenominatorPochhammerZero(
                 f"({name})_k vanishes at k={first_zero_k} for {name}={b}"
             )
-    p1, q1 = a1.numerator, a1.denominator
-    p2, q2 = a2.numerator, a2.denominator
-    r1, s1 = b1.numerator, b1.denominator
-    r2, s2 = b2.numerator, b2.denominator
-    zn, zd = z.numerator, z.denominator
-    ups = ((p1 + k * q1) * (p2 + k * q2) * (k - m) * zn * s1 * s2 for k in range(m))
-    downs = ((r1 + k * s1) * (r2 + k * s2) * (k + 1) * q1 * q2 * zd for k in range(m))
-    return _ratio_sum(zip(ups, downs))
+    return _ratio_sum(_term_ratios([a1, a2, -m], [b1, b2, 1], z, m))
 
 
 def _saalschutz_products(a: Fraction, b: Fraction, c: Fraction) -> Callable[[int], Fraction]:
-    """m -> the product side at m, stepped on one run of combined ratios.
+    """m -> the product side (c-a)_m (c-b)_m / ((c)_m (c-a-b)_m) at m.
 
-    (c-a)_m (c-b)_m / ((c)_m (c-a-b)_m) is the run of the m ratios
-    (c-a+j)(c-b+j) / ((c+j)(c-a-b+j)).  With d the lcm of the denominators
-    of a, b and c, each factor is an int over d, the d's cancel, and each
-    m's product makes one Fraction.  A call raises ZeroDivisionError naming
-    a vanishing (c)_m, then (c-a-b)_m; otherwise it steps the run on to m,
-    so no ratio is taken before an m reads it.  An m below the last one
-    read starts the run over.
+    It is entry m of the run with ups [c-a, c-b] over downs [c, c-a-b].  A
+    call raises ZeroDivisionError naming a vanishing (c)_m, then
+    (c-a-b)_m; otherwise it steps the run on to m, so no ratio is taken
+    before an m reads it.  An m below the last one read starts the run over.
     """
-    d = math.lcm(a.denominator, b.denominator, c.denominator)
-    ad, bd, cd = (x.numerator * (d // x.denominator) for x in (a, b, c))
-    cad, cbd, cabd = cd - ad, cd - bd, cd - ad - bd
+    cab = c - a - b
     run, index, product = None, 0, None
 
     def at(m: int) -> Fraction:
         nonlocal run, index, product
-        # (x)_m vanishes when x = xd / d is an integer with -m < x <= 0
-        for name, xd in (("c", cd), ("c-a-b", cabd)):
-            if xd % d == 0 and -m * d < xd <= 0:
-                raise ZeroDivisionError(f"({name})_m vanishes for {name}={Fraction(xd, d)}, m={m}")
+        # (x)_m vanishes when x is an integer with -m < x <= 0
+        for name, x in (("c", c), ("c-a-b", cab)):
+            if x.denominator == 1 and -m < x.numerator <= 0:
+                raise ZeroDivisionError(f"({name})_m vanishes for {name}={x}, m={m}")
         if run is None or m < index:
-            run = _ratio_run(
-                ((cad + j * d) * (cbd + j * d), (cd + j * d) * (cabd + j * d)) for j in count()
-            )
+            run = _ratio_run(_term_ratios([c - a, c - b], [c, cab], 1))
             index, product = 0, next(run)
         for _ in range(m - index):
             product = next(run)
@@ -571,7 +546,7 @@ def _saalschutz_products(a: Fraction, b: Fraction, c: Fraction) -> Callable[[int
 def saalschutz_lhs(
     a: RationalLike, b: RationalLike, c: RationalLike, m: int
 ) -> Fraction:
-    """Product side of the terminating summation: one run of combined ratios.
+    """Product side of the terminating summation: one hypergeometric run.
 
     The run and its zero checks are _saalschutz_products', which names a
     vanishing (c)_m, then (c-a-b)_m, in a ZeroDivisionError.

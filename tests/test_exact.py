@@ -1,9 +1,11 @@
 """Canonical Gamma-polynomial arithmetic and the exact zero test."""
+import math
 import sys
 from fractions import Fraction as Q
+from itertools import islice
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import deltafrac
 from deltafrac import exact
@@ -19,6 +21,7 @@ from deltafrac import (
 from deltafrac.exact import (
     _ratio_run,
     _ratio_sum,
+    _term_ratios,
     is_integer,
     is_negative_integer,
     is_nonpositive_integer,
@@ -133,6 +136,29 @@ class TestRatioStepper:
             expected += products
         total = _ratio_sum(ratios)
         assert type(total) is Q and total == expected
+
+
+# hypergeometric parameters: rationals (integers and negatives among them) or plain ints
+parameters = st.lists(st.one_of(rationals, st.integers(min_value=-6, max_value=6)), max_size=3)
+
+
+class TestTermRatios:
+    @given(parameters, parameters, st.one_of(rationals, st.integers(-3, 3)), st.integers(0, 8))
+    @example([], [], 0, 0)
+    @example([Q(1, 2), -3], [Q(-5, 3)], 0, 5)
+    def test_the_run_is_the_termwise_product(self, ups, downs, z, count):
+        # a lower parameter that reaches 0 within count ratios makes no term ratio
+        assume(not any(-count < v <= 0 and Q(v).denominator == 1 for v in downs))
+        products = [Q(1)]
+        for k in range(count):
+            products.append(products[-1] * math.prod(u + k for u in ups) * z / math.prod(v + k for v in downs))
+        run = list(_ratio_run(_term_ratios(ups, downs, z, count)))
+        assert all(type(x) is int for pair in run for x in pair)
+        assert [Q(num, den) for num, den in run] == products
+
+    @given(parameters, parameters, st.one_of(rationals, st.integers(-3, 3)), st.integers(0, 8))
+    def test_an_endless_run_reads_as_a_counted_one(self, ups, downs, z, count):
+        assert list(islice(_term_ratios(ups, downs, z), count)) == list(_term_ratios(ups, downs, z, count))
 
 
 class TestGammaMonomial:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from deltafrac import (
+    DomainError,
     GammaPolynomial,
     SpecialValuePole,
     as_polynomial,
@@ -35,6 +36,12 @@ class TestIntegerOrderProducts:
         assert poch_int(3, 2) == 12
         assert poch_int(Q(-5, 2), 0) == 1
         assert poch_int(0, 4) == 0
+
+    def test_a_negative_order_is_refused(self):
+        with pytest.raises(DomainError, match="^k must be a nonnegative integer$"):
+            poch_int(Q(1, 2), -1)
+        with pytest.raises(DomainError, match="^k must be a nonnegative integer$"):
+            falling_int(Q(1, 2), -3)
 
     def test_gen_binomial(self):
         assert gen_binomial(Q(-1, 2), 2) == Q(3, 8)
