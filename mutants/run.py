@@ -71,12 +71,22 @@ def _product_doubled_at_1(original):
 
     f * g and the Leibniz expansion both multiply through it.
     """
-    def faulty(pairs, length):
+    def faulty(terms, length):
         return {
             signature: ([x * 2 if t == 1 else x for t, x in enumerate(column)], den)
-            for signature, (column, den) in original(pairs, length).items()
+            for signature, (column, den) in original(terms, length).items()
         }
     return faulty
+
+
+def _product_offsets_dropped(original):
+    """The window product with every term landed at entry 0, whatever its offset.
+
+    Only the Leibniz expansion shifts its terms, order n by n entries.
+    """
+    return lambda terms, length: original(
+        [(left, right, 0, weight) for left, right, _, weight in terms], length
+    )
 
 
 def _gen_binomial_n4(original):
@@ -144,6 +154,7 @@ FAULTS = {
         gridfn, "_difference", "order 9 doubled at index 0", _difference_doubled_at(9, 0)
     ),
     "product": (gridfn, "_product", "entry 1 doubled", _product_doubled_at_1),
+    "product-offset": (gridfn, "_product", "each term's offset dropped", _product_offsets_dropped),
     "gen_binomial": (special, "gen_binomial", "doubled at n = 4", _gen_binomial_n4),
     "ratio_run": (exact, "_ratio_run", "ratio 2's numerator doubled", _ratio_2_doubled),
     "ratio_sum": (exact, "_ratio_sum", "ratio 2's numerator doubled", _ratio_2_doubled),

@@ -84,16 +84,18 @@ def _convolve(columns: dict, nu: Fraction, length: int) -> dict:
     """Every int column convolved with the weights (nu)_j / j!, unreduced.
 
     Entry n of a column becomes sum_{i<=n} w_{n-i} numerators[i], over the
-    column's denominator times the weights' one.  Windows shorter than
-    _PACKED_FROM points take one int dot product per entry (_plain_dots);
-    longer ones take _packed_dots, which makes the same ints _BLOCK at a
-    time.  Its table costs a fixed share of each call, so it pays only on
-    long windows.  Measured on a shared 2-vCPU container under CPython
-    3.11, the two paths broke even at about 24 points on rational windows
-    and about 16 on three-column Gamma windows; at 32 points the packed
-    path took 0.66 and 0.59 of the plain path's time, at 16 points on
-    rational windows 1.4 times it.  32 sits above both crossovers, so
-    the packed path runs only where it is the faster one.
+    column's denominator times the weights' one, for n < length.  A column
+    may be longer than length: the outputs are those of its first length
+    entries, so a caller convolves a prefix without cutting a copy of it.
+    Windows shorter than _PACKED_FROM points take one int dot product per
+    entry (_plain_dots); longer ones take _packed_dots, which makes the same
+    ints _BLOCK at a time.  Its table costs a fixed share of each call, so
+    it pays only on long windows.  Measured on a shared 2-vCPU container
+    under CPython 3.11, the two paths broke even at about 24 points on
+    rational windows and about 16 on three-column Gamma windows; at 32
+    points the packed path took 0.66 and 0.59 of the plain path's time, at
+    16 points on rational windows 1.4 times it.  32 sits above both
+    crossovers, so the packed path runs only where it is the faster one.
     """
     weights, weight_den = _weight_numerators(nu, length)
     dots = (_packed_dots if length >= _PACKED_FROM else _plain_dots)(columns, weights, length)
@@ -121,7 +123,10 @@ def _packed_dots(columns: dict, weights: tuple, length: int) -> dict:
     products, so it is below 2^(8 size - 1) in magnitude, and adding a bias
     of 2^(8 size - 1) to every slot leaves each slot a nonnegative field
     that carries nothing into the next; the slots are read back from the
-    sum's bytes.  The table is built on every call and not cached: at 256
+    sum's bytes.  On a column longer than length the last block also reads
+    entries from length on, but only into slots of outputs past length,
+    which are not read back; cbits covers those entries too, so no slot
+    spills.  The table is built on every call and not cached: at 256
     points it holds about 170 KB, and kept tables would add that to the
     peak memory for every (nu, length) they cover.
     """

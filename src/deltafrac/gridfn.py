@@ -12,7 +12,10 @@ that split.  An operator maps the columns on ints (differences and the
 one window product here, the convolution in fracops) and materializes its
 output window once, making one reduced Fraction per nonzero coefficient
 and adopting the term maps without a second pass of coercion.  The
-product, _product, serves f * g and the Leibniz expansion alike.
+product, _product, serves f * g and the Leibniz expansion alike: each of
+its terms is a pair of column maps, a weight and an offset, so a term
+multiplies its columns where they stand and lands its products offset
+entries on, with no cut or zero-padded copy of either column.
 """
 from __future__ import annotations
 
@@ -104,7 +107,7 @@ class GridFunction:
                 "cannot multiply grid functions with different origins"
             )
         n = min(len(self.values), len(other.values))
-        return _materialize(self.origin, _product([(self._columns, other._columns)], n), n)
+        return _materialize(self.origin, _product([(self._columns, other._columns, 0, (1, 1))], n), n)
 
     def to_json_dict(self) -> dict:
         return {
@@ -143,25 +146,28 @@ def _materialize(origin: Fraction, columns: dict, length: int) -> GridFunction:
     return GridFunction._adopt(origin, [GammaPolynomial._adopt(t) for t in terms])
 
 
-def _product(pairs: list, length: int) -> dict:
-    """Sum over (left, right) pairs of each left column times each right column, entrywise.
+def _product(terms: list, length: int) -> dict:
+    """Sum over (left, right, offset, (weight_num, weight_den)) terms of weighted, shifted column products.
 
-    Columns are int maps as _columns leaves them, at least length long.  A
-    product lands on the merged signature over den_l*den_r, and the
-    products on one signature are added over their lcm, unreduced.
+    Columns are int maps as _columns leaves them, each at least length -
+    offset long for its term; longer ones are read no further.  Entry t of
+    each left column times entry t of each right column, for t < length -
+    offset, lands at output index offset + t on the merged signature, over
+    den_l*den_r*weight_den and times weight_num.  The products on one
+    signature are added over their lcm, unreduced.
     """
     products: dict[tuple, list] = defaultdict(list)
-    for left, right in pairs:
+    for left, right, offset, (weight_num, weight_den) in terms:
         for sig_l, (xs, den_l) in left.items():
             for sig_r, (ys, den_r) in right.items():
-                products[_merge_factors(sig_l, sig_r)].append((xs, ys, den_l * den_r))
+                products[_merge_factors(sig_l, sig_r)].append((xs, ys, offset, weight_num, den_l * den_r * weight_den))
     columns = {}
     for signature, factors in products.items():
-        den = math.lcm(*[d for _, _, d in factors])
+        den = math.lcm(*[d for *_, d in factors])
         column = [0] * length
-        for xs, ys, d in factors:
-            scale = den // d
-            for t, x, y in zip(range(length), xs, ys):
+        for xs, ys, offset, weight_num, d in factors:
+            scale = den // d * weight_num
+            for t, x, y in zip(range(offset, length), xs, ys):
                 column[t] += scale * x * y
         columns[signature] = (column, den)
     return columns

@@ -31,7 +31,9 @@ from poch_int and falling_int, the power-rule and Leibniz left sides
 frac_sum_diff windows, form1's left scale poch_int's, and the Saalschutz
 series _ratio_sum's.
 The Leibniz right side and the alt-sum left side are sums of int columns,
-made values by gridfn._materialize, as every operator's output is.
+made values by gridfn._materialize, as every operator's output is.  The
+Leibniz right side is one gridfn._product of weighted, shifted terms, one
+per order n, so no column is cut, zero-padded or scaled by its weight here.
 No verifier sums Gamma polynomials term by term: form1's right side is
 one Gamma value, from falling, times a rational sum.
 """
@@ -376,44 +378,31 @@ def leibniz_sweep(
 
     The left side is frac_sum_diff of f * g.  The right side, on origin +
     alpha, is sum_n C(-alpha, n) (Delta^-(alpha+n) f)(t-n) (Delta^n g)(t-n)
-    on int columns: order n pairs f's columns, cut to the length - n entries
-    kept and convolved at order alpha+n, weighted by C(-alpha, n), with g's
-    n-th difference columns, both shifted n entries on; gridfn's column
-    product sums the pairs, materialized once.  C(-alpha, n) is the run
-    with ups [alpha] over downs [1] at z = -1, unreduced as the columns
-    are.  f * g, f's cut columns and g's shifted difference columns depend
+    on int columns: order n is one term of gridfn's column product, f's
+    columns convolved at order alpha+n over the length - n entries kept,
+    times g's n-th difference columns, weighted by C(-alpha, n) and landed
+    n entries on; the product sums the terms, materialized once.
+    C(-alpha, n) is the run with ups [alpha] over downs [1] at z = -1,
+    unreduced as the columns are.  f * g and g's difference columns depend
     on no order, so they are built once, before any order is checked.
     """
     product = f * g
     length = len(product)
-    cuts = [
-        {signature: (xs[:length - n], den) for signature, (xs, den) in f._columns.items()}
-        for n in range(length)
-    ]
-    differences = [
-        {signature: ([0] * n + ys, den) for signature, (ys, den) in _difference(g._columns, n).items()}
-        for n in range(length)
-    ]
+    differences = [_difference(g._columns, n) for n in range(length)]
     for alpha in map(as_rational, alphas):
         if is_nonpositive_integer(alpha):
             raise DomainError(f"alpha must not be a nonpositive integer (got {alpha})")
         lhs = frac_sum_diff(product, alpha)
         weights = _ratio_run(_term_ratios([alpha], [1], -1))
-        pairs = []
-        for n, (cut, difference, (weight_num, weight_den)) in enumerate(zip(cuts, differences, weights)):
-            transform = _convolve(cut, alpha + n, length - n)
-            pairs.append((
-                {
-                    signature: ([0] * n + [weight_num * x for x in xs], den * weight_den)
-                    for signature, (xs, den) in transform.items()
-                },
-                difference,
-            ))
+        terms = [
+            (_convolve(f._columns, alpha + n, length - n), difference, n, weight)
+            for n, (difference, weight) in enumerate(zip(differences, weights))
+        ]
         yield from _compare_windows(
             "leibniz",
             lambda t: {"alpha": alpha, "t_index": t},
             lhs,
-            _materialize(f.origin + alpha, _product(pairs, length), length),
+            _materialize(f.origin + alpha, _product(terms, length), length),
         )
 
 
@@ -519,7 +508,7 @@ def _saalschutz_products(a: Fraction, b: Fraction, c: Fraction) -> Callable[[int
     """m -> the product side (c-a)_m (c-b)_m / ((c)_m (c-a-b)_m) at m.
 
     It is entry m of the run with ups [c-a, c-b] over downs [c, c-a-b].  A
-    call raises ZeroDivisionError naming a vanishing (c)_m, then
+    call raises DenominatorPochhammerZero naming a vanishing (c)_m, then
     (c-a-b)_m; otherwise it steps the run on to m, so no ratio is taken
     before an m reads it.  An m below the last one read starts the run over.
     """
@@ -531,7 +520,7 @@ def _saalschutz_products(a: Fraction, b: Fraction, c: Fraction) -> Callable[[int
         # (x)_m vanishes when x is an integer with -m < x <= 0
         for name, x in (("c", c), ("c-a-b", cab)):
             if x.denominator == 1 and -m < x.numerator <= 0:
-                raise ZeroDivisionError(f"({name})_m vanishes for {name}={x}, m={m}")
+                raise DenominatorPochhammerZero(f"({name})_m vanishes for {name}={x}, m={m}")
         if run is None or m < index:
             run = _ratio_run(_term_ratios([c - a, c - b], [c, cab], 1))
             index, product = 0, next(run)
@@ -549,7 +538,7 @@ def saalschutz_lhs(
     """Product side of the terminating summation: one hypergeometric run.
 
     The run and its zero checks are _saalschutz_products', which names a
-    vanishing (c)_m, then (c-a-b)_m, in a ZeroDivisionError.
+    vanishing (c)_m, then (c-a-b)_m, in a DenominatorPochhammerZero.
     """
     a = as_rational(a)
     b = as_rational(b)
@@ -616,7 +605,7 @@ def saalschutz_sweep(
         try:
             lhs = products(m)
             rhs = hyp3f2_terminating(a, b, m, c, 1 + a + b - c - m, 1)
-        except ZeroDivisionError as exc:
+        except DenominatorPochhammerZero as exc:
             yield report_excluded("saalschutz", params, str(exc))
         else:
             yield report_compare("saalschutz", params, lhs, rhs)

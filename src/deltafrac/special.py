@@ -21,6 +21,7 @@ from .errors import SpecialValuePole
 from .exact import (
     GammaPolynomial,
     RationalLike,
+    _check_index,
     as_polynomial,
     as_rational,
     gamma_of,
@@ -88,9 +89,8 @@ def falling_int(x: RationalLike, k: int) -> Fraction:
 
 
 def gen_binomial(alpha: RationalLike, n: int) -> Fraction:
-    """Generalized binomial coefficient C(alpha, n) for integer n >= 0."""
-    if n < 0:
-        raise ValueError("lower index must be a nonnegative integer")
+    """Generalized binomial coefficient C(alpha, n) for integer n >= 0; a negative n raises DomainError."""
+    _check_index("n", n)
     return falling_int(alpha, n) / math.factorial(n)
 
 

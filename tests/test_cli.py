@@ -116,6 +116,12 @@ class TestEval:
         assert result.stdout == ""
         assert result.stderr == "error: m must be a nonnegative integer\n"
 
+    def test_binom_negative_n_exits_2(self, runner):
+        result = runner.invoke(main, ["eval", "binom", "--alpha", "1/2", "--n", "-1"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: n must be a nonnegative integer\n"
+
     def test_missing_flag_exits_2(self, runner):
         result = runner.invoke(main, ["eval", "falling", "--x", "5"])
         assert result.exit_code == 2
@@ -810,17 +816,30 @@ def test_verify_all_csv_digest(runner):
             72,
             "90c5184ece8fc92b80e39127e5136bb26f4e0e7dc98db6375d79a5f2a5a35fcb",
         ),
+        (
+            ["verify", "leibniz", "--window", "48", "--count", "2"],
+            288,
+            "f91acdbf7f37c4df2eb4042a98d81edd947b63d32445236b08ce3a11ddf1fe64",
+        ),
+        (
+            ["verify", "mr-ae", "--max-window", "40", "--count", "3"],
+            185,
+            "d58e9dc359a3895fe1d1f840a7b1e37a33502f23be3f146dc278622ca7703732",
+        ),
     ],
     ids=[
         "form1-n-max-24", "nabla-zero-t-extra-120", "nabla-zero-t-index-2", "eval-nabla-t-index-200",
-        "form1-n-5", "gamma-sum-n-4", "saalschutz-m-3",
+        "form1-n-5", "gamma-sum-n-4", "saalschutz-m-3", "leibniz-window-48", "mr-ae-max-window-40",
     ],
 )
 def test_long_stream_json_is_pinned(runner, argv, lines, digest):
     # form1 to N = 24 and the nabla kernel to t_index 200, past the default grid; the
     # digests predate the single Gamma value per sum, and hold the output to the
     # per-summand Gamma ratios'.  A pinned n, m or t_index runs the one value over the
-    # default grid of the other parameters; its digests predate the one index rule
+    # default grid of the other parameters; its digests predate the one index rule.
+    # The Leibniz expansion on 48-point windows and the stepped difference on a
+    # 39-point window run the packed kernel, which no default window reaches; their
+    # digests predate the expansion's weighted, shifted column product
     result = runner.invoke(main, [*argv, "--format", "json"])
     assert result.exit_code == 0
     assert len(result.stdout.splitlines()) == lines

@@ -261,6 +261,25 @@ class TestPackedConvolution:
         weights, _ = _weight_numerators(nu, length)
         assert _packed_dots(columns, weights, length) == _plain_dots(columns, weights, length)
 
+    @given(
+        st.one_of(st.integers(1, _PACKED_FROM - 1), st.integers(_PACKED_FROM, _PACKED_FROM + 24)).flatmap(
+            lambda length: st.tuples(st.just(length), st.lists(
+                st.lists(st.one_of(st.integers(-(2**40), 2**40), st.integers(-40, 40).map(lambda k: k * 3**130)),
+                         min_size=length + 1, max_size=length + 12),
+                min_size=1, max_size=3,
+            ))
+        ),
+        long_orders,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_longer_column_convolves_as_its_first_length_entries(self, drawn, nu):
+        # the Leibniz expansion convolves prefixes of a window's columns without
+        # cutting them; the entries past length, on either kernel, change no output
+        length, numerators = drawn
+        columns = {k: (tuple(xs), 1 + k) for k, xs in enumerate(numerators)}
+        cut = {k: (xs[:length], den) for k, (xs, den) in columns.items()}
+        assert _convolve(columns, nu, length) == _convolve(cut, nu, length)
+
     @pytest.mark.parametrize("sign", [1, -1])
     def test_the_slots_hold_the_largest_outputs(self, sign):
         # 63 equal weights of 100 bits times 63 entries of 30 bits: the last output

@@ -1,10 +1,11 @@
 """Grid functions on uniform unit-step windows."""
 import math
 import tracemalloc
+from collections import defaultdict
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from deltafrac import (
     DomainError,
@@ -19,7 +20,8 @@ from deltafrac import (
     parse_rational,
     sample_falling_power,
 )
-from deltafrac.exact import weighted_sum
+from deltafrac.exact import _merge_factors, weighted_sum
+from deltafrac.gridfn import _product
 
 # Three factor signatures; a zero coefficient leaves its signature out of a
 # value, so a signature can hold at some indices of a window and not others.
@@ -159,3 +161,44 @@ def test_repeated_window_work_leaves_no_memory_behind():
     finally:
         tracemalloc.stop()
     assert grown < 4096
+
+
+# G(1/2) and its inverse merge onto the rational signature
+_COLUMN_SIGNATURES = [(), ((Q(1, 2), 1),), ((Q(1, 2), -1),), ((Q(1, 3), 1), (Q(2, 3), -1))]
+
+
+def _column_maps(size):
+    """{signature: (int numerators, den)}, each column at least size long."""
+    return st.dictionaries(
+        st.sampled_from(_COLUMN_SIGNATURES),
+        st.tuples(st.lists(st.integers(-50, 50), min_size=size, max_size=size + 3), st.integers(1, 12)),
+        max_size=3,
+    )
+
+
+def _product_terms(length):
+    """(left, right, offset, (weight_num, weight_den)) with columns long enough for the offset."""
+    return st.integers(0, length - 1).flatmap(lambda offset: st.tuples(
+        _column_maps(length - offset),
+        _column_maps(length - offset),
+        st.just(offset),
+        st.tuples(st.integers(-30, 30), st.integers(1, 30)),
+    ))
+
+
+@given(st.integers(1, 10).flatmap(
+    lambda length: st.tuples(st.just(length), st.lists(_product_terms(length), min_size=1, max_size=4))
+))
+@settings(max_examples=80, deadline=None)
+def test_the_column_product_sums_weighted_shifted_terms(drawn):
+    # output t of a term is weight * left[t - offset] * right[t - offset], summed in Fraction
+    length, terms = drawn
+    expected = defaultdict(lambda: [Q(0)] * length)
+    for left, right, offset, (weight_num, weight_den) in terms:
+        for sig_l, (xs, den_l) in left.items():
+            for sig_r, (ys, den_r) in right.items():
+                column = expected[_merge_factors(sig_l, sig_r)]
+                for t in range(offset, length):
+                    column[t] += Q(weight_num, weight_den) * Q(xs[t - offset], den_l) * Q(ys[t - offset], den_r)
+    out = _product(terms, length)
+    assert {signature: [Q(x, den) for x in column] for signature, (column, den) in out.items()} == expected

@@ -413,7 +413,8 @@ class TestLeibnizExpansion:
     @settings(max_examples=10, deadline=None)
     def test_long_windows_match_the_expansion_built_from_windows(self, data, origin, alpha, bounds):
         # order n convolves length - n points, so the orders cross the packed
-        # kernel's threshold; f may be the longer window, whose columns are cut
+        # kernel's threshold; f may be the longer window, whose columns each
+        # order convolves only as far as its length - n points
         lengths = st.integers(min_value=bounds[0], max_value=bounds[1])
         f = data.draw(_gamma_windows(origin, lengths))
         g = data.draw(_gamma_windows(origin, lengths))
@@ -758,6 +759,10 @@ class TestSaalschutz:
         with pytest.raises(ZeroDivisionError, match="vanishes"):
             saalschutz_lhs(Q(1, 2), Q(1, 2), 0, 1)
 
+    def test_lhs_raises_the_library_error_for_a_vanishing_denominator(self):
+        with pytest.raises(DenominatorPochhammerZero, match=r"^\(c\)_m vanishes for c=0, m=1$"):
+            saalschutz_lhs(Q(1, 2), Q(1, 2), 0, 1)
+
     def test_lhs_refuses_a_negative_m(self):
         with pytest.raises(DomainError, match="m must be a nonnegative integer"):
             saalschutz_lhs(Q(1, 2), Q(1, 2), Q(3, 2), -1)
@@ -918,6 +923,20 @@ class TestLineSweeps:
         assert [rep.json_line() for rep in reports] == [
             saalschutz_verify(Q(1, 3), Q(1, 5), Q(7, 4), m).json_line() for m in range(5)
         ]
+
+    def test_a_stray_zero_division_in_the_series_propagates(self, monkeypatch):
+        # only the library's vanishing-denominator error excludes a point; any other
+        # ZeroDivisionError is a fault, and is raised, not reported
+        def series(a1, a2, m, b1, b2, z):
+            if m == 2:
+                raise ZeroDivisionError("stray")
+            return hyp3f2_terminating(a1, a2, m, b1, b2, z)
+
+        monkeypatch.setattr(identities, "hyp3f2_terminating", series)
+        line = saalschutz_sweep(Q(1, 3), Q(1, 5), Q(7, 4), range(5))
+        assert [next(line).status for _ in range(2)] == ["exact"] * 2
+        with pytest.raises(ZeroDivisionError, match="^stray$"):
+            next(line)
 
     def test_a_negative_index_raises_before_any_exclusion(self):
         # a = 0 excludes its whole line, yet a negative m is refused, not excluded

@@ -48,6 +48,10 @@ class TestIntegerOrderProducts:
         assert gen_binomial(5, 2) == 10
         assert gen_binomial(Q(1, 3), 0) == 1
 
+    def test_gen_binomial_refuses_a_negative_n(self):
+        with pytest.raises(DomainError, match="^n must be a nonnegative integer$"):
+            gen_binomial(Q(1, 2), -1)
+
     @given(rationals, small_ints)
     def test_poch_is_shifted_falling(self, x, k):
         assert poch_int(x, k) == falling_int(x + k - 1, k)
