@@ -15,7 +15,7 @@ and adopting the term maps without a second pass of coercion.  The
 product, _product, serves f * g and the Leibniz expansion alike: each of
 its terms is a pair of column maps, a weight and an offset, so a term
 multiplies its columns where they stand and lands its products offset
-entries on, with no cut or zero-padded copy of either column.
+entries on.
 """
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ from .errors import DomainError, WindowTooShort
 from .exact import (
     GammaPolynomial,
     RationalLike,
+    _check_index,
     _merge_factors,
     as_polynomial,
     as_rational,
@@ -196,8 +197,7 @@ def delta_n(f: GridFunction, n: int) -> GridFunction:
     Each output coefficient is one signed binomial dot product on the
     window's int columns.
     """
-    if n < 0:
-        raise DomainError("difference order must be a nonnegative integer")
+    _check_index("difference order", n)
     if n >= len(f):
         raise WindowTooShort(
             f"window of length {len(f)} cannot take a difference of order {n}"

@@ -14,8 +14,9 @@ Saalschutz walk one line per (alpha, beta, gamma) or (a, b, c), over n
 or m, in generators of the same shape: form1_sweep makes its domain
 checks and its prefactor Gamma(beta+gamma+1)/Gamma(beta+1) once per
 line and keeps C(-alpha, j) in a table grown by one gen_binomial call
-per new j; saalschutz_sweep tests its four hypotheses once per line and
-extends one product run by one ratio per m.  prop_form1_check and
+per new j; saalschutz_sweep tests the four hypotheses once per line, in
+saalschutz_hypothesis_violation, which takes (a, b, c) alone, and extends
+one product run by one ratio per m.  prop_form1_check and
 saalschutz_verify are their one-index lines.  The Saalschutz runner
 drops excluded points unless pinned or ``force`` is set.  Every n-th
 forward difference a verifier uses is gridfn's one int difference, which
@@ -33,7 +34,7 @@ series _ratio_sum's.
 The Leibniz right side and the alt-sum left side are sums of int columns,
 made values by gridfn._materialize, as every operator's output is.  The
 Leibniz right side is one gridfn._product of weighted, shifted terms, one
-per order n, so no column is cut, zero-padded or scaled by its weight here.
+per order n.
 No verifier sums Gamma polynomials term by term: form1's right side is
 one Gamma value, from falling, times a rational sum.
 """
@@ -547,8 +548,15 @@ def saalschutz_lhs(
     return _saalschutz_products(a, b, c)(m)
 
 
-def _saalschutz_violation(a: Fraction, b: Fraction, c: Fraction) -> str | None:
-    """The first of the theorem's four hypotheses that (a, b, c) violates, or None."""
+def saalschutz_hypothesis_violation(a: RationalLike, b: RationalLike, c: RationalLike) -> str | None:
+    """Name the first of the theorem's four hypotheses that (a, b, c) violates, or None.
+
+    The hypotheses are on a, b and c alone, so no index m is taken here;
+    saalschutz_sweep refuses a negative m at each point.
+    """
+    a = as_rational(a)
+    b = as_rational(b)
+    c = as_rational(c)
     if is_nonpositive_integer(a):
         return "a must not be a nonpositive integer"
     if is_nonpositive_integer(c):
@@ -560,20 +568,6 @@ def _saalschutz_violation(a: Fraction, b: Fraction, c: Fraction) -> str | None:
     return None
 
 
-def saalschutz_hypothesis_violation(
-    a: RationalLike, b: RationalLike, c: RationalLike, m: int
-) -> str | None:
-    """Name the violated hypothesis, or None when the point is claimed.
-
-    A negative m is no point of the theorem's statement: it raises DomainError.
-    """
-    a = as_rational(a)
-    b = as_rational(b)
-    c = as_rational(c)
-    _check_index("m", m)
-    return _saalschutz_violation(a, b, c)
-
-
 def saalschutz_sweep(
     a: RationalLike,
     b: RationalLike,
@@ -583,18 +577,19 @@ def saalschutz_sweep(
 ) -> Iterator[VerificationReport]:
     """Product side against the terminating series at each m of ms, entirely in rationals.
 
-    The line (a, b, c) tests its four hypotheses once, and its product side
-    is one run extended by one ratio per m (_saalschutz_products).  Each m
-    keeps its own refusal of a negative m, made before any exclusion, its
-    test for a vanishing (c)_m or (c-a-b)_m, and its series.  Outside the
-    hypotheses a point is reported ``domain_excluded``, naming the violated
-    hypothesis, unless ``force`` is set, in which case it is evaluated
-    honestly and reported for whatever it turns out to be.
+    The line (a, b, c) tests the four hypotheses once, through
+    saalschutz_hypothesis_violation, and its product side is one run
+    extended by one ratio per m (_saalschutz_products).  Each m keeps its
+    own refusal of a negative m, made before any exclusion, its test for a
+    vanishing (c)_m or (c-a-b)_m, and its series.  Outside the hypotheses a
+    point is reported ``domain_excluded``, naming the violated hypothesis,
+    unless ``force`` is set, in which case it is evaluated honestly and
+    reported for whatever it turns out to be.
     """
     a = as_rational(a)
     b = as_rational(b)
     c = as_rational(c)
-    violation = _saalschutz_violation(a, b, c)
+    violation = saalschutz_hypothesis_violation(a, b, c)
     products = _saalschutz_products(a, b, c)
     for m in ms:
         params = {"a": a, "b": b, "c": c, "m": m}

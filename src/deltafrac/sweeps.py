@@ -114,14 +114,10 @@ def _index(ov: Mapping, key: str, start: int, size_key: str) -> list[int] | rang
     return [ov[key]] if ov[key] is not None else range(start, start + ov[size_key] + 1)
 
 
-def _run_bridge(ov: Mapping) -> Iterator[VerificationReport]:
-    for t, alpha in product(ov["t"], ov["alpha"]):
-        yield falling_poch_bridge_check(t, alpha)
-
-
-def _run_index_law(ov: Mapping) -> Iterator[VerificationReport]:
-    for t, alpha, beta in product(ov["t"], ov["alpha"], ov["beta"]):
-        yield index_law_check(t, alpha, beta)
+def _run_grid(check: Callable, keys: tuple[str, ...], ov: Mapping) -> Iterator[VerificationReport]:
+    """check at each point of the grid of keys, the last key varying fastest."""
+    for point in product(*(ov[key] for key in keys)):
+        yield check(*point)
 
 
 def _check_single(ov: Mapping, keys: tuple[str, ...]) -> None:
@@ -134,10 +130,8 @@ def _check_single(ov: Mapping, keys: tuple[str, ...]) -> None:
 def _run_binom(check: Callable, ov: Mapping) -> Iterator[VerificationReport]:
     rng = random.Random(ov["seed"])
     x, y, n = ov["x"], ov["y"], ov["n"]
-    if x is not None and y is not None and n is not None:
-        yield check(x[0], y[0], n)
-        return
-    for _ in range(ov["count"]):
+    # a fully pinned point is one pass that draws nothing
+    for _ in range(1 if None not in (x, y, n) else ov["count"]):
         yield check(
             x[0] if x is not None else _random_rational(rng),
             y[0] if y is not None else _random_rational(rng),
@@ -260,12 +254,12 @@ REGISTRY: dict[str, IdentityEntry] = {
         IdentityEntry("bridge", {
             "t": [_Q(3), _Q(1, 2), _Q(1, 3), _Q(5, 2), _Q(-1, 2), _Q(-2)],
             "alpha": [_Q(2), _Q(0), _Q(1, 2), _Q(1, 3), _Q(-1, 2), _Q(5, 2)],
-        }, _run_bridge),
+        }, partial(_run_grid, falling_poch_bridge_check, ("t", "alpha"))),
         IdentityEntry("index-law", {
             "t": [_Q(5), _Q(7, 2), _Q(1, 2), _Q(-1, 3), _Q(9, 4)],
             "alpha": [_Q(1), _Q(1, 2), _Q(1, 3), _Q(-1, 2)],
             "beta": [_Q(0), _Q(2), _Q(1, 3), _Q(-5, 2)],
-        }, _run_index_law),
+        }, partial(_run_grid, index_law_check, ("t", "alpha", "beta"))),
         IdentityEntry("binom-falling", _BINOM_DEFAULTS, partial(_run_binom, binom_falling_check), _check_binom),
         IdentityEntry("binom-poch", _BINOM_DEFAULTS, partial(_run_binom, binom_poch_check), _check_binom),
         IdentityEntry("alt-sum", {

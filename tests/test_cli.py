@@ -254,6 +254,24 @@ class TestVerify:
         assert lines[0].startswith("[exact] saalschutz")
         assert "lhs=9/8" in lines[0]
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (
+                ["--a", "1/2", "--b", "1/2", "--c", "-1", "--m", "1"],
+                "[domain_excluded] saalschutz a=1/2 b=1/2 c=-1 m=1 excluded_by=c must not be a nonpositive integer",
+            ),
+            (
+                ["--a", "3/2", "--b", "1/5", "--c", "3/2", "--m", "1"],
+                "[domain_excluded] saalschutz a=3/2 b=1/5 c=3/2 m=1 excluded_by=c-a-1 must not be a negative integer",
+            ),
+        ],
+    )
+    def test_a_pinned_point_outside_the_hypotheses_names_the_one_it_violates(self, runner, argv, line):
+        result = runner.invoke(main, ["verify", "saalschutz", *argv])
+        assert result.exit_code == 0
+        assert result.stdout == line + "\n"
+
     def test_a_report_past_the_digit_limit_is_exact(self, runner, default_digit_limit):
         argv = ["--a", "1/2", "--b", "1/3", "--c", "7/4", "--m", "2200", "--format", "json"]
         result = runner.invoke(main, ["verify", "saalschutz", *argv])
@@ -826,10 +844,47 @@ def test_verify_all_csv_digest(runner):
             185,
             "d58e9dc359a3895fe1d1f840a7b1e37a33502f23be3f146dc278622ca7703732",
         ),
+        (
+            ["eval", "nabla", "--a", "0", "--p", "1/3", "--alpha", "7/3", "--t-index", "5000"],
+            1,
+            "af9fda7944ae60ded32f0471657ea29fc5d892b49ef946f33158af35609dd81c",
+        ),
+        (
+            ["verify", "form1", "--n-max", "40"],
+            492,
+            "87d0338fabca133a55a3f88aa060410d3414b093878a05f6e066c56bf8b688f7",
+        ),
+        (
+            ["verify", "saalschutz", "--m-max", "40"],
+            2952,
+            "da5816f481e11b1fab546b75a7c3a1164544450da8e0975e55e8e6904fac2f4b",
+        ),
+        (
+            ["verify", "saalschutz", "--a", "3/2", "--b", "3/2", "--c", "1", "--m-max", "6", "--force"],
+            7,
+            "e2ab4e37a0f59d4a3203c19bf4832f4ad1df61d137c2da4536f07ccd8da01e20",
+        ),
+        (
+            ["verify", "power-rule", "--n-max", "100"],
+            7575,
+            "d38726e0590423f8adb196329b34809f7e642989b3b692243df487a4cb93a533",
+        ),
+        (
+            ["eval", "hyp3f2", "--a1", "1/2", "--a2", "1/3", "--m", "1500", "--b1", "7/4", "--b2", "-17999/12", "--z", "1"],
+            1,
+            "3493398a49cc7b74705f1375e8a669db704749024fd21adbcc7df3596ccd635e",
+        ),
+        (
+            ["verify", "saalschutz", "--a", "1/2", "--b", "1/3", "--c", "7/4", "--m", "2200"],
+            1,
+            "9a366eddbc0adfb7c996fb23fee3d07396fdfb0e8a48830a26d57932f3e82857",
+        ),
     ],
     ids=[
         "form1-n-max-24", "nabla-zero-t-extra-120", "nabla-zero-t-index-2", "eval-nabla-t-index-200",
         "form1-n-5", "gamma-sum-n-4", "saalschutz-m-3", "leibniz-window-48", "mr-ae-max-window-40",
+        "eval-nabla-t-index-5000", "form1-n-max-40", "saalschutz-m-max-40", "saalschutz-forced-m-max-6",
+        "power-rule-n-max-100", "eval-hyp3f2-m-1500", "saalschutz-m-2200",
     ],
 )
 def test_long_stream_json_is_pinned(runner, argv, lines, digest):
@@ -839,7 +894,11 @@ def test_long_stream_json_is_pinned(runner, argv, lines, digest):
     # default grid of the other parameters; its digests predate the one index rule.
     # The Leibniz expansion on 48-point windows and the stepped difference on a
     # 39-point window run the packed kernel, which no default window reaches; their
-    # digests predate the expansion's weighted, shifted column product
+    # digests predate the expansion's weighted, shifted column product.  The last seven
+    # are CI's installed-script pins, run here in process: the nabla kernel to t_index
+    # 5000, form1 and Saalschutz to index 40, a forced Saalschutz line through both
+    # vanishing denominators, the power rule to N = 100, and a 3F2 and a Saalschutz
+    # point whose values pass int-to-str's default digit limit
     result = runner.invoke(main, [*argv, "--format", "json"])
     assert result.exit_code == 0
     assert len(result.stdout.splitlines()) == lines

@@ -812,14 +812,21 @@ class TestSaalschutz:
         assert one.lhs == two.lhs
 
     def test_hypothesis_violations_detected(self):
-        assert saalschutz_hypothesis_violation(0, Q(1, 2), 2, 1) is not None
-        assert saalschutz_hypothesis_violation(Q(1, 2), Q(1, 2), -1, 1) is not None
-        # c - a - 1 a negative integer or lower
-        assert saalschutz_hypothesis_violation(Q(3, 2), Q(1, 5), Q(3, 2), 1) is not None
-        assert saalschutz_hypothesis_violation(Q(1, 2), Q(1, 2), 2, 1) is None
-        # a negative m is no point of the theorem
-        with pytest.raises(DomainError, match="^m must be a nonnegative integer$"):
-            saalschutz_hypothesis_violation(Q(1, 2), Q(1, 2), 2, -1)
+        check = saalschutz_hypothesis_violation
+        assert check(0, Q(1, 2), 2) == "a must not be a nonpositive integer"
+        assert check(Q(1, 2), Q(1, 2), -1) == "c must not be a nonpositive integer"
+        # c - a - 1 = -1
+        assert check(Q(3, 2), Q(1, 5), Q(3, 2)) == "c-a-1 must not be a negative integer"
+        # c - a - 1 = 1/2 is allowed, c - a - b - 1 = -1 is not
+        assert check(Q(1, 2), Q(3, 2), 2) == "c-a-b-1 must not be a negative integer"
+        # the first hypothesis violated is named: a = 0 and c = -1 break the first two
+        assert check(0, Q(1, 2), -1) == "a must not be a nonpositive integer"
+        assert check("3/2", "1/5", "3/2") == "c-a-1 must not be a negative integer"
+        # each hypothesis at its edge: a = 1, c = 1, c - a - 1 = 0 and c - a - b - 1 = 0 are claimed
+        assert check(1, Q(1, 5), Q(5, 2)) is None
+        assert check(Q(1, 2), Q(1, 5), 1) is None
+        assert check(Q(1, 2), Q(1, 5), Q(3, 2)) is None
+        assert check(Q(1, 2), Q(1, 2), 2) is None
 
     def test_verify_enforces_hypotheses(self):
         rep = saalschutz_verify(0, Q(1, 2), 2, 1)
@@ -838,9 +845,16 @@ class TestSaalschutz:
 
 
 def per_point_saalschutz(a, b, c, m, force):
-    """Saalschutz's report at one point from its own parts: four rising products and the series."""
+    """Saalschutz's report at one point from its own parts: the four hypotheses, four rising products and the series."""
     params = {"a": a, "b": b, "c": c, "m": m}
-    violation = saalschutz_hypothesis_violation(a, b, c, m)
+    # each hypothesis keeps a value off the integers at or below a bound
+    hypotheses = [
+        (a, 0, "a must not be a nonpositive integer"),
+        (c, 0, "c must not be a nonpositive integer"),
+        (c - a - 1, -1, "c-a-1 must not be a negative integer"),
+        (c - a - b - 1, -1, "c-a-b-1 must not be a negative integer"),
+    ]
+    violation = next((text for x, bound, text in hypotheses if x.denominator == 1 and x <= bound), None)
     if violation is not None and not force:
         return report_excluded("saalschutz", params, violation)
     for name, base in (("c", c), ("c-a-b", c - a - b)):
@@ -874,6 +888,7 @@ class TestLineSweeps:
 
     @example(Q(1, 2), Q(1, 2), Q(2), list(range(11)), False)
     @example(Q(3, 2), Q(3, 2), Q(1), [6, 2, 0, 3, 4], True)
+    @example(Q(1, 2), Q(1, 5), Q(3, 2), [0, 1, 2], False)
     @given(run_starts, run_starts, run_starts, line_indices, st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_saalschutz_line_matches_each_point(self, a, b, c, ms, force):

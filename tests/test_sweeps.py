@@ -82,6 +82,25 @@ class TestRegistry:
         assert len(reports) == 1
         assert reports[0].status == "exact"
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "bridge", "index-law", "binom-falling", "binom-poch", "power-rule",
+            "gamma-sum", "nabla-zero", "form1", "saalschutz",
+        ],
+    )
+    def test_each_default_report_is_its_own_pinned_run(self, name):
+        # one path per point: pinning a report's parameters reruns that report alone
+        for report in run_identity(name):
+            pins = {"n" if key == "N" else key: value for key, value in report.params.items()}
+            if name == "power-rule":
+                # a pinned (a, mu, nu) runs its whole window; the report is entry N of it
+                n = pins.pop("n")
+                pinned = [rep for rep in run_identity(name, pins) if rep.params["N"] == n]
+            else:
+                pinned = list(run_identity(name, pins))
+            assert [rep.json_line() for rep in pinned] == [report.json_line()]
+
     def test_binom_pinned_point(self):
         reports = list(run_identity("binom-falling", {"x": Q(3), "y": Q(4), "n": 2}))
         assert len(reports) == 1
